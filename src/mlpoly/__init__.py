@@ -6,17 +6,23 @@ from .caputo import caputo_l1, caputo_monomial, caputo_poly, rl_from_caputo
 from .errors import (
     ConvergenceError,
     DomainError,
+    FloatOverflowError,
     IndeterminateFormError,
     MLPolyError,
     SingularityError,
     VerificationError,
 )
 from .fokker_planck import (
+    CaseIIPlan,
+    CaseIPlan,
     DiffusionProblem,
     FhpInitial,
+    GridPlan,
     HermiteInitial,
     LaguerreMonomialInitial,
+    LaguerreMonomialPlan,
     LaguerreProblem,
+    LaguerreWrightPlan,
     MonomialInitial,
     SeriesInitial,
     SolutionProfile,
@@ -28,6 +34,7 @@ from .fokker_planck import (
     solve_laguerre_monomial,
     solve_laguerre_wright,
     solve_tf_diffusion,
+    tf_diffusion_plan,
 )
 from .fracpoly import FracPoly
 from .fractional_hermite import (
@@ -41,6 +48,7 @@ from .fractional_hermite import (
     umbral_hermite_shift,
 )
 from .gamma_core import (
+    factorial_ratios,
     frac_binom,
     gamma,
     levy_subordination_moment,
@@ -51,6 +59,8 @@ from .gamma_core import (
 from .mittag_leffler import (
     EvalResult,
     MLParams,
+    MLSeries,
+    WrightSeries,
     ml_one,
     ml_three,
     ml_two,

@@ -8,6 +8,7 @@ error, 2 numerical failure (non-convergence or a failed verification).
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -16,15 +17,15 @@ import numpy as np
 from . import config
 from .errors import ConvergenceError, DomainError, MLPolyError
 from .fokker_planck import (
+    CaseIIPlan,
+    CaseIPlan,
     DiffusionProblem,
+    LaguerreMonomialPlan,
+    LaguerreWrightPlan,
     MonomialInitial,
     SeriesInitial,
     SolutionProfile,
-    solve_case_i,
-    solve_case_ii,
-    solve_laguerre_monomial,
-    solve_laguerre_wright,
-    solve_tf_diffusion,
+    tf_diffusion_plan,
 )
 from .fractional_hermite import fhp_coeffs, fhp_eval
 from .mittag_leffler import ml_one, ml_three, ml_two
@@ -42,6 +43,17 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; the contract here is 1
     def error(self, message):
         raise _UsageError(message)
+
+
+def _finite_float(text):
+    """argparse type of every float flag: NaN and infinities would print as invalid JSON."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _fmt(value):
@@ -91,11 +103,11 @@ def _build_parser():
 
     p = sub.add_parser("eval-ml", parents=[common],
                        help="evaluate a Mittag-Leffler function")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--z", type=float, required=True)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--alpha", type=_finite_float, required=True)
+    p.add_argument("--z", type=_finite_float, required=True)
+    p.add_argument("--beta", type=_finite_float, default=None)
+    p.add_argument("--gamma", type=_finite_float, default=None)
+    p.add_argument("--tol", type=_finite_float, default=None,
                    help="series tolerance (overrides the config file)")
     p.add_argument("--term-budget", type=int, default=None,
                    help="series term budget (overrides the config file)")
@@ -103,19 +115,19 @@ def _build_parser():
     p = sub.add_parser("eval-fhp", parents=[common],
                        help="evaluate a fractional Hermite polynomial")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--y", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
+    p.add_argument("--x", type=_finite_float, default=None)
+    p.add_argument("--y", type=_finite_float, required=True)
     p.add_argument("--coeffs", action="store_true",
                    help="emit the coefficient list instead of a point value")
 
     p = sub.add_parser("eval-mlp", parents=[common],
                        help="evaluate a Mittag-Leffler polynomial")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, default=None)
+    p.add_argument("--alpha", type=_finite_float, required=True)
+    p.add_argument("--beta", type=_finite_float, required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
+    p.add_argument("--y", type=_finite_float, default=None)
     p.add_argument("--coeffs", action="store_true",
                    help="emit the coefficient list (in y) instead of a point value")
 
@@ -124,21 +136,21 @@ def _build_parser():
     p.add_argument("--problem", required=True,
                    choices=("tf-diffusion", "case-i", "case-ii",
                             "laguerre-monomial", "laguerre-wright"))
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--alpha", type=_finite_float, required=True)
+    p.add_argument("--beta", type=_finite_float, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--k", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--y-param", type=float, default=None)
+    p.add_argument("--a", type=_finite_float, default=None)
+    p.add_argument("--k", type=_finite_float, default=1.0)
+    p.add_argument("--b", type=_finite_float, default=1.0)
+    p.add_argument("--y-param", type=_finite_float, default=None)
     p.add_argument("--coeffs", default=None,
                    help="comma-separated series coefficients c0,c1,...")
     p.add_argument("--grid-var", choices=("x", "t"), default="x")
-    p.add_argument("--grid-min", type=float, required=True)
-    p.add_argument("--grid-max", type=float, required=True)
+    p.add_argument("--grid-min", type=_finite_float, required=True)
+    p.add_argument("--grid-max", type=_finite_float, required=True)
     p.add_argument("--grid-points", type=int, default=101)
-    p.add_argument("--x", type=float, default=None, help="fixed x when grid-var is t")
-    p.add_argument("--t", type=float, default=None, help="fixed t when grid-var is x")
+    p.add_argument("--x", type=_finite_float, default=None, help="fixed x when grid-var is t")
+    p.add_argument("--t", type=_finite_float, default=None, help="fixed t when grid-var is x")
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the identity-verification suites")
@@ -151,10 +163,10 @@ def _build_parser():
                        help="emit low-order polynomial coefficient tables as CSV")
     p.add_argument("--family", required=True, choices=("fhp", "mlp"))
     p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--x", type=float, default=1.0, help="parameter of the mlp family")
-    p.add_argument("--y", type=float, default=1.0, help="parameter of the fhp family")
+    p.add_argument("--alpha", type=_finite_float, required=True)
+    p.add_argument("--beta", type=_finite_float, default=1.0)
+    p.add_argument("--x", type=_finite_float, default=1.0, help="parameter of the mlp family")
+    p.add_argument("--y", type=_finite_float, default=1.0, help="parameter of the fhp family")
     return parser
 
 
@@ -228,42 +240,48 @@ def _require(args, flag):
     return value
 
 
+def _series_coeffs(text):
+    try:
+        coeffs = tuple(float(c) for c in text.split(","))
+    except ValueError:
+        raise _UsageError(f"--coeffs must be comma-separated numbers, got {text!r}") from None
+    if not all(math.isfinite(c) for c in coeffs):
+        raise _UsageError(f"--coeffs must be finite numbers, got {text!r}")
+    return coeffs
+
+
+def _solve_plan(args):
+    if args.problem == "tf-diffusion":
+        if args.coeffs is not None:
+            initial = SeriesInitial(_series_coeffs(args.coeffs))
+        else:
+            initial = MonomialInitial(_require(args, "n"))
+        return tf_diffusion_plan(DiffusionProblem(args.alpha, args.k, initial))
+    if args.problem == "case-i":
+        return CaseIPlan(_require(args, "n"), _require(args, "a"), args.alpha, args.k)
+    if args.problem == "case-ii":
+        return CaseIIPlan(_require(args, "n"), _require(args, "a"), args.alpha, args.k)
+    beta = _require(args, "beta")
+    if args.problem == "laguerre-monomial":
+        return LaguerreMonomialPlan(_require(args, "n"), args.alpha, beta, args.b)
+    return LaguerreWrightPlan(_require(args, "y-param"), args.alpha, beta, args.b)
+
+
 def _cmd_solve(args):
     if args.grid_points < 2:
         raise _UsageError("--grid-points must be at least 2")
     if args.grid_max <= args.grid_min:
         raise _UsageError("--grid-max must exceed --grid-min")
-    grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)
-
-    def point(x, t):
-        if args.problem == "tf-diffusion":
-            if args.coeffs is not None:
-                initial = SeriesInitial(tuple(float(c) for c in args.coeffs.split(",")))
-            else:
-                initial = MonomialInitial(_require(args, "n"))
-            prob = DiffusionProblem(args.alpha, args.k, initial)
-            return solve_tf_diffusion(prob, x, t)
-        if args.problem == "case-i":
-            return solve_case_i(_require(args, "n"), _require(args, "a"),
-                                args.alpha, args.k, x, t)
-        if args.problem == "case-ii":
-            return solve_case_ii(_require(args, "n"), _require(args, "a"),
-                                 args.alpha, args.k, x, t)
-        beta = _require(args, "beta")
-        if args.problem == "laguerre-monomial":
-            return solve_laguerre_monomial(_require(args, "n"), args.alpha,
-                                           beta, args.b, x, t)
-        return solve_laguerre_wright(_require(args, "y-param"), args.alpha,
-                                     beta, args.b, x, t)
-
+    grid = [float(g) for g in np.linspace(args.grid_min, args.grid_max, args.grid_points)]
     if args.grid_var == "x":
         t = _require(args, "t")
-        values = [point(float(g), t) for g in grid]
+        solution = _solve_plan(args).along_x(t)
         fixed = {"t": t}
     else:
         x = _require(args, "x")
-        values = [point(x, float(g)) for g in grid]
+        solution = _solve_plan(args).along_t(x)
         fixed = {"x": x}
+    values = [solution(g) for g in grid]
 
     meta = {"problem": args.problem, "grid_var": args.grid_var,
             "alpha": args.alpha, **fixed}
@@ -271,7 +289,7 @@ def _cmd_solve(args):
         value = getattr(args, key, None)
         if value is not None:
             meta[key] = value
-    profile = SolutionProfile(tuple(float(g) for g in grid), tuple(values), meta)
+    profile = SolutionProfile(grid, values, meta)
     return _profile_text(profile, args.format)
 
 
@@ -299,8 +317,13 @@ def run(argv=None):
     try:
         args = parser.parse_args(argv)
         config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
-        if config_path and os.path.exists(config_path):
-            config.load_config_file(config_path)
+        if config_path:
+            try:
+                config.load_config_file(config_path)
+            except OSError as exc:
+                raise _UsageError(
+                    f"cannot read config file {config_path!r}: {exc.strerror}"
+                ) from None
         if args.command == "eval-ml":
             text = _cmd_eval_ml(args)
         elif args.command == "eval-fhp":

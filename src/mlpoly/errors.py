@@ -36,5 +36,9 @@ class SingularityError(MLPolyError, ArithmeticError):
     """Evaluation requested at a pole or with a vanishing denominator."""
 
 
+class FloatOverflowError(MLPolyError, OverflowError):
+    """An exact intermediate (such as a factorial ratio) exceeds the double-precision range."""
+
+
 class VerificationError(MLPolyError, ArithmeticError):
     """A built-in cross-check between two computations of the same quantity failed."""

@@ -17,6 +17,10 @@ solved for the scaled monomial datum (-x**alpha)**n/Gamma(1+alpha*n) via
 subordination moments (solve_laguerre_monomial) and for a Wright-function
 datum, where the solution factorizes (solve_laguerre_wright).
 
+Each solver has a grid plan (:class:`GridPlan`) that builds the factors no
+grid point changes once, and evaluates the solution along x at fixed t or
+along t at fixed x; the scalar solve_* functions are its one-point case.
+
 The residual_* operations substitute a solution back into its equation as a
 bivariate coefficient table in (x, t), so the check is algebraic: no grids,
 no discretization error.  Residuals are reported coefficient-wise,
@@ -34,13 +38,19 @@ from .caputo import caputo_monomial
 from .errors import DomainError, VerificationError
 from .fracpoly import FracPoly
 from .fractional_hermite import (
-    convolution_identity_i_rhs,
-    convolution_identity_ii_rhs,
-    fhp_eval,
-    fhp_oplus_eval,
+    _check_n,
+    _convolution_degrees,
+    _convolution_i_weights,
+    _convolution_ii_weights,
+    _fhp_table,
+    _gamma_weights,
+    _oplus,
+    _oplus_binoms,
+    _oplus_sum,
+    _weighted_sum,
 )
-from .gamma_core import levy_subordination_moment, rgamma
-from .mittag_leffler import ml_one, wright
+from .gamma_core import factorial_ratios, rgamma
+from .mittag_leffler import MLSeries, WrightSeries
 
 
 # -- initial data ---------------------------------------------------------------
@@ -165,6 +175,219 @@ class SolutionProfile:
         )
 
 
+# -- grid plans -------------------------------------------------------------------
+
+
+class GridPlan:
+    """The part of a problem's solution u(x, t) that no grid point changes.
+
+    A plan is built once from the problem's parameters and holds every factor
+    that depends on neither x nor t.  A subclass splits the work of one point
+    in three: ``_x_side(x)`` computes what depends on x alone, ``_t_side(t)``
+    what depends on t alone, and ``_formula`` combines the two.  Together
+    they perform the floating-point operations of a single evaluation in the
+    same order, so a value on a grid is the same to the last bit as the
+    scalar ``solve_*`` function gives at that point; :meth:`along_x` and
+    :meth:`along_t` compute the fixed side once per grid.
+    """
+
+    def at(self, x, t):
+        """The solution at one point (x, t)."""
+        return self._formula(self._x_side(x), self._t_side(t))
+
+    def along_x(self, t):
+        """The solution at fixed t, as a function of x."""
+        fixed, x_side, formula = self._t_side(t), self._x_side, self._formula
+        return lambda x: formula(x_side(x), fixed)
+
+    def along_t(self, x):
+        """The solution at fixed x, as a function of t."""
+        fixed, t_side, formula = self._x_side(x), self._t_side, self._formula
+        return lambda t: formula(fixed, t_side(t))
+
+
+class _FhpPlan(GridPlan):
+    """Sums of fractional Hermite polynomials H[alpha]_m(x, k t**alpha).
+
+    The x side is the powers of x, the t side the coefficient rows at
+    w = k t**alpha; ``_combine`` turns the polynomial values into the solution.
+    """
+
+    #: solve_tf_diffusion asks t > 0 of every datum, the Hermite cases t >= 0
+    _t_positive = False
+
+    def __init__(self, degrees, alpha, k):
+        self._table = _fhp_table(degrees, alpha)
+        self._alpha = alpha
+        self._k = k
+
+    def _check_t(self, t):
+        if self._t_positive and not t > 0.0:
+            raise DomainError(f"t must be positive, got {t}")
+        if t < 0.0:
+            raise DomainError(f"t must be nonnegative, got {t}")
+
+    def _x_side(self, x):
+        return self._table.x_powers(x)
+
+    def _t_side(self, t):
+        self._check_t(t)
+        table = self._table
+        return table.coeffs(table.y_powers(self._k * t ** self._alpha))
+
+    def _formula(self, xp, coeffs):
+        return self._combine(self._table.values(coeffs, xp))
+
+
+class _MonomialPlan(_FhpPlan):
+    _t_positive = True
+
+    def __init__(self, n, alpha, k):
+        super().__init__((_check_n(n),), alpha, k)
+
+    def _combine(self, values):
+        return values[0]
+
+
+class _SeriesPlan(_FhpPlan):
+    _t_positive = True
+
+    def __init__(self, coeffs, alpha, k):
+        super().__init__(range(len(coeffs)), alpha, k)
+        self._coeffs = coeffs
+
+    def _combine(self, values):
+        return sum(c * v for c, v in zip(self._coeffs, values))
+
+
+class CaseIPlan(_FhpPlan):
+    """Grid plan of :func:`solve_case_i`."""
+
+    def __init__(self, n, a, alpha, k):
+        super().__init__(_convolution_degrees(n), alpha, k)
+        self._weights = _convolution_i_weights(self._table.top, a)
+
+    def _combine(self, values):
+        return _weighted_sum(self._weights, values)
+
+
+class CaseIIPlan(_FhpPlan):
+    """Grid plan of :func:`solve_case_ii`: both closed routes at every point.
+
+    The t side adds the deformed powers (w (+)_alpha a)**r to the coefficient
+    rows, and each point compares the two routes before returning.
+    """
+
+    def __init__(self, n, a, alpha, k):
+        super().__init__(_convolution_degrees(n), alpha, k)
+        table = self._table
+        self._weights = _convolution_ii_weights(table, a)
+        self._gammas = _gamma_weights(table)
+        self._binoms = _oplus_binoms(table.top, alpha)
+        self._a_powers = table.y_powers(a)
+
+    def _t_side(self, t):
+        self._check_t(t)
+        table = self._table
+        wp = table.y_powers(self._k * t ** self._alpha)
+        ap = self._a_powers
+        return table.coeffs(wp), [_oplus(binoms, wp, ap) for binoms in self._binoms]
+
+    def _formula(self, xp, t_side):
+        coeffs, oplus = t_side
+        by_series = _weighted_sum(self._weights, self._table.values(coeffs, xp))
+        by_oplus = _oplus_sum(self._table.top, self._gammas, xp, oplus)
+        gap = abs(by_series - by_oplus)
+        allowed = max(
+            config.IDENTITY_RTOL * max(abs(by_series), abs(by_oplus)),
+            config.IDENTITY_ATOL,
+        )
+        if gap > allowed:
+            raise VerificationError(
+                f"the two closed forms disagree: |{by_series!r} - {by_oplus!r}| = {gap:.3e}"
+            )
+        return by_series
+
+
+def tf_diffusion_plan(prob, n_terms=None):
+    """Grid plan of :func:`solve_tf_diffusion` for a :class:`DiffusionProblem`."""
+    init = prob.initial
+    if isinstance(init, MonomialInitial):
+        return _MonomialPlan(init.n, prob.alpha, prob.k)
+    if isinstance(init, SeriesInitial):
+        last = len(init.coeffs) - 1 if n_terms is None else int(n_terms)
+        if not 0 <= last < len(init.coeffs):
+            raise DomainError(
+                f"truncation {n_terms} outside the stored coefficients (0..{len(init.coeffs) - 1})"
+            )
+        return _SeriesPlan(init.coeffs[:last + 1], prob.alpha, prob.k)
+    if isinstance(init, HermiteInitial):
+        plan = CaseIPlan(init.n, init.a, prob.alpha, prob.k)
+    else:
+        plan = CaseIIPlan(init.n, init.a, prob.alpha, prob.k)
+    plan._t_positive = True
+    return plan
+
+
+class LaguerreMonomialPlan(GridPlan):
+    """Grid plan of :func:`solve_laguerre_monomial`."""
+
+    def __init__(self, n, alpha, beta, b):
+        n = _check_n(n)
+        self._n = n
+        self._alpha = alpha
+        self._beta = beta
+        self._b = b
+        self._ratios = factorial_ratios(n, tuple(math.factorial(r) for r in range(n + 1)))
+        self._rgammas_x = [rgamma(1.0 + alpha * r) for r in range(n + 1)]
+        self._rgammas_t = [rgamma(1.0 + beta * (n - r)) for r in range(n + 1)]
+
+    def _x_side(self, x):
+        if x < 0.0:
+            raise DomainError(f"x must be nonnegative, got {x}")
+        xa = math.pow(x, self._alpha)
+        return [(-xa) ** r for r in range(self._n + 1)]
+
+    def _t_side(self, t):
+        if not t > 0.0:
+            raise DomainError(f"t must be positive, got {t}")
+        u = self._b * t ** self._beta
+        n = self._n
+        return [u ** (n - r) for r in range(n + 1)]
+
+    def _formula(self, xs, us):
+        total = 0.0
+        for ratio, xr, ur, gx, gt in zip(self._ratios, xs, us, self._rgammas_x, self._rgammas_t):
+            total += ratio * xr * ur * gx * gt
+        return total
+
+
+class LaguerreWrightPlan(GridPlan):
+    """Grid plan of :func:`solve_laguerre_wright`: one series per point, on the
+    side that varies, with its gamma row shared across the grid."""
+
+    def __init__(self, y_param, alpha, beta, b):
+        self._y = y_param
+        self._alpha = alpha
+        self._beta = beta
+        self._b = b
+        self._wright = WrightSeries(alpha, 1.0)
+        self._ml = MLSeries(beta, 1.0)
+
+    def _x_side(self, x):
+        if x < 0.0:
+            raise DomainError(f"x must be nonnegative, got {x}")
+        return self._wright(-self._y * math.pow(x, self._alpha)).value
+
+    def _t_side(self, t):
+        if not t > 0.0:
+            raise DomainError(f"t must be positive, got {t}")
+        return self._ml(self._b * self._y * t ** self._beta).value
+
+    def _formula(self, w_value, ml_value):
+        return w_value * ml_value
+
+
 # -- time-fractional diffusion ----------------------------------------------------
 
 
@@ -176,24 +399,7 @@ def solve_tf_diffusion(prob, x, t, n_terms=None):
     single fractional Hermite polynomial.  Hermite/fractional-Hermite data
     dispatch to :func:`solve_case_i` / :func:`solve_case_ii`.
     """
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    init = prob.initial
-    if isinstance(init, MonomialInitial):
-        return fhp_eval(init.n, prob.alpha, x, prob.k * t ** prob.alpha)
-    if isinstance(init, SeriesInitial):
-        last = len(init.coeffs) - 1 if n_terms is None else int(n_terms)
-        if not 0 <= last < len(init.coeffs):
-            raise DomainError(
-                f"truncation {n_terms} outside the stored coefficients (0..{len(init.coeffs) - 1})"
-            )
-        w = prob.k * t ** prob.alpha
-        return sum(
-            init.coeffs[r] * fhp_eval(r, prob.alpha, x, w) for r in range(last + 1)
-        )
-    if isinstance(init, HermiteInitial):
-        return solve_case_i(init.n, init.a, prob.alpha, prob.k, x, t)
-    return solve_case_ii(init.n, init.a, prob.alpha, prob.k, x, t)
+    return tf_diffusion_plan(prob, n_terms).at(x, t)
 
 
 def solve_case_i(n, a, alpha, k, x, t):
@@ -203,9 +409,7 @@ def solve_case_i(n, a, alpha, k, x, t):
 
     At t = 0 the initial polynomial is recovered.
     """
-    if t < 0.0:
-        raise DomainError(f"t must be nonnegative, got {t}")
-    return convolution_identity_i_rhs(n, x, a, k * t ** alpha, alpha)
+    return CaseIPlan(n, a, alpha, k).at(x, t)
 
 
 def solve_case_ii(n, a, alpha, k, x, t):
@@ -215,21 +419,7 @@ def solve_case_ii(n, a, alpha, k, x, t):
     the deformed-addition form H[alpha]_n(x, k t**alpha (+)_alpha a) — and the
     two must agree to the identity tolerance (else :class:`VerificationError`).
     """
-    if t < 0.0:
-        raise DomainError(f"t must be nonnegative, got {t}")
-    w = k * t ** alpha
-    by_series = convolution_identity_ii_rhs(n, x, a, w, alpha)
-    by_oplus = fhp_oplus_eval(n, x, w, a, alpha)
-    gap = abs(by_series - by_oplus)
-    allowed = max(
-        config.IDENTITY_RTOL * max(abs(by_series), abs(by_oplus)),
-        config.IDENTITY_ATOL,
-    )
-    if gap > allowed:
-        raise VerificationError(
-            f"the two closed forms disagree: |{by_series!r} - {by_oplus!r}| = {gap:.3e}"
-        )
-    return by_series
+    return CaseIIPlan(n, a, alpha, k).at(x, t)
 
 
 # -- Laguerre-type evolution -----------------------------------------------------
@@ -243,36 +433,12 @@ def solve_laguerre_monomial(n, alpha, beta, b, x, t):
 
     At beta = 1 this collapses to E^{-n}_{alpha,1}(x**alpha, b*t).
     """
-    if n < 0 or int(n) != n:
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
-    n = int(n)
-    if x < 0.0:
-        raise DomainError(f"x must be nonnegative, got {x}")
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    xa = math.pow(x, alpha)
-    u = b * t ** beta
-    total = 0.0
-    nfact = math.factorial(n)
-    for r in range(n + 1):
-        total += (
-            (nfact // math.factorial(r))
-            * (-xa) ** r
-            * u ** (n - r)
-            * rgamma(1.0 + alpha * r)
-            * rgamma(1.0 + beta * (n - r))
-        )
-    return total
+    return LaguerreMonomialPlan(n, alpha, beta, b).at(x, t)
 
 
 def solve_laguerre_wright(y_param, alpha, beta, b, x, t):
     """Solution for the Wright datum: W_{alpha,1}(-y x**alpha) * E_beta(b y t**beta)."""
-    if x < 0.0:
-        raise DomainError(f"x must be nonnegative, got {x}")
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    xa = math.pow(x, alpha)
-    return wright(alpha, 1.0, -y_param * xa).value * ml_one(beta, b * y_param * t ** beta).value
+    return LaguerreWrightPlan(y_param, alpha, beta, b).at(x, t)
 
 
 # -- algebraic residuals -----------------------------------------------------------

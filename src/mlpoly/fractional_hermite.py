@@ -13,11 +13,13 @@ like n!/(n-2r)! are taken in exact integer arithmetic before converting to
 float, so coefficients are correct to the last unit even at n = 15.
 """
 
+import functools
 import math
+from operator import mul
 
 from .errors import DomainError
 from .fracpoly import FracPoly
-from .gamma_core import frac_binom, rgamma
+from .gamma_core import factorial_ratios, frac_binom, rgamma
 
 
 def _check_n(n):
@@ -36,10 +38,69 @@ def _check_alpha_open(alpha):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def _fhp_term_coeff(n, r, alpha, y):
-    # n! / (n-2r)! is an exact integer; only the gamma factor is inexact.
-    ratio = math.factorial(n) // math.factorial(n - 2 * r)
-    return ratio * (y ** r) * rgamma(1.0 + alpha * r)
+def _powers(v, top):
+    """[v**0, v**1, ..., v**top]."""
+    return [v ** e for e in range(top + 1)]
+
+
+class _FhpTable:
+    """What H[alpha]_m(x, y) needs that depends on neither x nor y.
+
+    For each degree m in ``degrees`` it holds the exact integer ratios
+    m!/(m-2r)!, rounded once to float, and it shares one row
+    rgamma(1 + alpha*r) among the degrees.  ``coeffs`` builds the part that
+    depends on y, ``x_powers`` the part that depends on x, and ``values``
+    combines them.  Each step performs the operations of the direct sum in
+    the same order, so whichever part a caller keeps fixed over a grid, every
+    value is the same to the last bit.  (The products run through
+    ``map(mul, ...)`` and the sums through explicit loops: ``sum`` adds with
+    compensation from Python 3.12 on, which would change those bits.)
+    """
+
+    __slots__ = ("degrees", "top", "rgammas", "ratios")
+
+    def __init__(self, degrees, alpha):
+        """``degrees``: checked nonnegative integers; ``alpha`` is checked here."""
+        _check_alpha_closed(alpha)
+        self.degrees = degrees
+        self.top = max(degrees)
+        self.rgammas = tuple(rgamma(1.0 + alpha * r) for r in range(self.top // 2 + 1))
+        self.ratios = tuple(
+            tuple(factorial_ratios(m, tuple(math.factorial(m - 2 * r) for r in range(m // 2 + 1))))
+            for m in degrees
+        )
+
+    def y_powers(self, y):
+        return _powers(y, self.top // 2)
+
+    def x_powers(self, x):
+        return _powers(x, self.top)
+
+    def coeffs(self, yp):
+        """Per degree, the coefficients m!/(m-2r)! y**r / Gamma(1+alpha*r) of x**(m-2r)."""
+        rg = self.rgammas
+        return [list(map(mul, map(mul, row, yp), rg)) for row in self.ratios]
+
+    def values(self, coeffs, xp):
+        """H[alpha]_m(x, y) for each degree m, from ``coeffs(y_powers(y))`` and ``x_powers(x)``."""
+        out = []
+        for m, row in zip(self.degrees, coeffs):
+            total = 0.0
+            for term in map(mul, row, xp[m::-2]):  # times x**m, x**(m-2), ...
+                total += term
+            out.append(total)
+        return out
+
+
+@functools.lru_cache(maxsize=256)
+def _fhp_table(degrees, alpha):
+    """The :class:`_FhpTable` of ``degrees`` (a tuple or range) at alpha.
+
+    Built once per distinct pair and shared, so repeated scalar calls (the
+    verification sweeps call each (n, alpha) many times) skip the gamma row.
+    The table is immutable, so sharing it cannot change a result.
+    """
+    return _FhpTable(degrees, alpha)
 
 
 def fhp_coeffs(n, alpha, y):
@@ -48,20 +109,16 @@ def fhp_coeffs(n, alpha, y):
     Degree n, one monomial per r = 0..n//2, leading coefficient 1.
     """
     n = _check_n(n)
-    _check_alpha_closed(alpha)
+    table = _fhp_table((n,), alpha)
     return FracPoly(
-        [(_fhp_term_coeff(n, r, alpha, y), float(n - 2 * r)) for r in range(n // 2 + 1)]
+        [(c, float(n - 2 * r)) for r, c in enumerate(table.coeffs(table.y_powers(y))[0])]
     )
 
 
 def fhp_eval(n, alpha, x, y):
     """Value of H[alpha]_n(x, y) by the direct finite sum."""
-    n = _check_n(n)
-    _check_alpha_closed(alpha)
-    total = 0.0
-    for r in range(n // 2 + 1):
-        total += _fhp_term_coeff(n, r, alpha, y) * x ** (n - 2 * r)
-    return total
+    table = _fhp_table((_check_n(n),), alpha)
+    return table.values(table.coeffs(table.y_powers(y)), table.x_powers(x))[0]
 
 
 def fhp_at_zero(n, alpha, y):
@@ -85,9 +142,18 @@ def oplus_power(x, y, n, alpha):
     """
     n = _check_n(n)
     _check_alpha_closed(alpha)
+    return _oplus(_frac_binom_row(n, alpha), _powers(x, n), _powers(y, n))
+
+
+def _frac_binom_row(n, alpha):
+    return [frac_binom(n, r, alpha) for r in range(n + 1)]
+
+
+def _oplus(binoms, xp, yp):
+    """(x (+)_alpha y)**n from the row C_alpha(n, .) and the powers of x and y."""
     total = 0.0
-    for r in range(n + 1):
-        total += frac_binom(n, r, alpha) * x ** (n - r) * y ** r
+    for term in map(mul, map(mul, binoms, xp[len(binoms) - 1::-1]), yp):
+        total += term
     return total
 
 
@@ -129,14 +195,9 @@ def convolution_identity_i_rhs(n, x, a, w, alpha):
     Equal to :func:`umbral_hermite_shift` for alpha in (0, 1); at alpha = 1 it
     collapses to the classical addition H_n(x, a + w).
     """
-    n = _check_n(n)
-    _check_alpha_closed(alpha)
-    total = 0.0
-    nfact = math.factorial(n)
-    for r in range(n // 2 + 1):
-        ratio = nfact // (math.factorial(r) * math.factorial(n - 2 * r))
-        total += ratio * a ** r * fhp_eval(n - 2 * r, alpha, x, w)
-    return total
+    table = _fhp_table(_convolution_degrees(n), alpha)
+    values = table.values(table.coeffs(table.y_powers(w)), table.x_powers(x))
+    return _weighted_sum(_convolution_i_weights(table.top, a), values)
 
 
 def convolution_identity_ii_rhs(n, x, a, w, alpha):
@@ -146,30 +207,63 @@ def convolution_identity_ii_rhs(n, x, a, w, alpha):
 
     Equal to H[alpha]_n(x, w (+)_alpha a), cf. :func:`fhp_oplus_eval`.
     """
-    n = _check_n(n)
-    _check_alpha_closed(alpha)
-    total = 0.0
-    nfact = math.factorial(n)
-    for r in range(n // 2 + 1):
-        ratio = nfact // math.factorial(n - 2 * r)
-        total += ratio * rgamma(1.0 + alpha * r) * a ** r * fhp_eval(n - 2 * r, alpha, x, w)
-    return total
+    table = _fhp_table(_convolution_degrees(n), alpha)
+    values = table.values(table.coeffs(table.y_powers(w)), table.x_powers(x))
+    return _weighted_sum(_convolution_ii_weights(table, a), values)
 
 
 def fhp_oplus_eval(n, x, w, a, alpha):
     """H[alpha]_n(x, w (+)_alpha a): the second argument's powers are expanded
     through the deformed binomial before being inserted into the defining sum.
     """
-    n = _check_n(n)
-    _check_alpha_closed(alpha)
+    table = _fhp_table((_check_n(n),), alpha)
+    wp = table.y_powers(w)
+    ap = table.y_powers(a)
+    oplus = [_oplus(binoms, wp, ap) for binoms in _oplus_binoms(table.top, alpha)]
+    return _oplus_sum(table.top, _gamma_weights(table), table.x_powers(x), oplus)
+
+
+# -- the pieces the convolution forms share with the grid solver ----------------
+
+
+def _convolution_degrees(n):
+    """n, n-2, ..., the degrees of the Hermite polynomials in a convolution sum."""
+    return range(_check_n(n), -1, -2)
+
+
+def _weighted_sum(weights, values):
     total = 0.0
-    nfact = math.factorial(n)
-    for r in range(n // 2 + 1):
-        ratio = nfact // math.factorial(n - 2 * r)
-        total += (
-            ratio
-            * rgamma(1.0 + alpha * r)
-            * x ** (n - 2 * r)
-            * oplus_power(w, a, r, alpha)
-        )
+    for term in map(mul, weights, values):
+        total += term
+    return total
+
+
+def _convolution_i_weights(n, a):
+    """n!/(r! (n-2r)!) a**r, the weight of H[alpha]_{n-2r} in convolution i."""
+    ratios = factorial_ratios(
+        n, tuple(math.factorial(r) * math.factorial(n - 2 * r) for r in range(n // 2 + 1))
+    )
+    return [ratio * a ** r for r, ratio in enumerate(ratios)]
+
+
+def _gamma_weights(table):
+    """n!/(n-2r)! / Gamma(1+alpha*r) for the first degree n of ``table``, its top."""
+    return [ratio * rg for ratio, rg in zip(table.ratios[0], table.rgammas)]
+
+
+def _convolution_ii_weights(table, a):
+    """n!/(n-2r)! a**r / Gamma(1+alpha*r), the weight of H[alpha]_{n-2r} in convolution ii."""
+    return [g * a ** r for r, g in enumerate(_gamma_weights(table))]
+
+
+def _oplus_binoms(n, alpha):
+    """The rows C_alpha(r, .) for r = 0..n//2, one per power (w (+)_alpha a)**r."""
+    return [_frac_binom_row(r, alpha) for r in range(n // 2 + 1)]
+
+
+def _oplus_sum(n, gammas, xp, oplus):
+    """sum_r n!/(n-2r)! / Gamma(1+alpha*r) x**(n-2r) (w (+)_alpha a)**r."""
+    total = 0.0
+    for term in map(mul, map(mul, gammas, xp[n::-2]), oplus):
+        total += term
     return total

@@ -12,7 +12,7 @@ import math
 from scipy.special import gammaln as _gammaln
 
 from . import config
-from .errors import DomainError, IndeterminateFormError
+from .errors import DomainError, FloatOverflowError, IndeterminateFormError
 
 _PI = math.pi
 
@@ -95,6 +95,23 @@ def log_abs_rgamma(x):
     s = _sinpi(x)
     sign = 1.0 if s > 0 else -1.0
     return sign, math.log(abs(s)) + float(_gammaln(1.0 - x)) - math.log(_PI)
+
+
+def factorial_ratios(n, denominators):
+    """n! / d for each d in the tuple ``denominators``, as floats rounded once
+    from the exact quotient.
+
+    Each d must divide n!, as in a binomial or multinomial coefficient.  A
+    quotient beyond the double-precision range raises
+    :class:`FloatOverflowError` naming n.
+    """
+    nfact = math.factorial(n)
+    try:
+        return [float(nfact // d) for d in denominators]
+    except OverflowError:
+        raise FloatOverflowError(
+            f"n = {n}: an integer factor n!/(...) exceeds the double-precision range"
+        ) from None
 
 
 def frac_binom(n, r, alpha):

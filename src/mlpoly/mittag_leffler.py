@@ -80,24 +80,33 @@ def _sum_series(term_fn, tol, budget, what):
     used = 0
     last = 0.0
     for r in range(budget):
-        t, scale = term_fn(r)
+        try:
+            t, scale = term_fn(r)
+        except OverflowError:
+            value = s + comp
+            raise ConvergenceError(
+                f"{what}: term {r} overflows the double-precision range "
+                f"(partial={value!r})",
+                partial=value, terms_used=r,
+            ) from None
         used = r + 1
-        sum_abs += abs(t)
+        at = abs(t)
+        sum_abs += at
         max_scale = max(max_scale, scale)
         # Neumaier update
         u = s + t
-        if abs(s) >= abs(t):
+        if abs(s) >= at:
             comp += (s - u) + t
         else:
             comp += (t - u) + s
         s = u
         thresh = tol * abs(s + comp)
-        if r >= 1 and abs(t) <= thresh and abs(prev) <= thresh:
-            last = abs(t)
+        if r >= 1 and at <= thresh and abs(prev) <= thresh:
+            last = at
             converged = True
             break
         prev = t
-        last = abs(t)
+        last = at
     value = s + comp
     estimate = (
         last
@@ -122,12 +131,10 @@ def _sum_series(term_fn, tol, budget, what):
     return EvalResult(value, estimate, used)
 
 
-def _powsign(z, r):
-    """sign, log-magnitude of z**r (r >= 0 integer)."""
-    if z == 0.0:
-        return (1.0, 0.0) if r == 0 else (1.0, -math.inf)
-    sign = -1.0 if (z < 0.0 and r % 2) else 1.0
-    return sign, r * math.log(abs(z))
+def _log_abs(z):
+    """log|z| (-inf at z = 0), taken once per series: the term's z**r has
+    log-magnitude r*log|z| and, when z < 0, sign -1 for odd r."""
+    return math.log(abs(z)) if z != 0.0 else -math.inf
 
 
 def ml_one(alpha, z, tol=None, budget=None):
@@ -140,16 +147,52 @@ def ml_two(alpha, beta, z, tol=None, budget=None):
 
     beta = 0 is legal: the r = 0 term carries 1/Gamma(0) = 0 and drops out.
     """
+    _check_series(alpha, beta, "beta")
+    return _ml_two_sum(alpha, beta, z, tol, budget, [])
+
+
+class MLSeries:
+    """E_{alpha,beta}(z) at many arguments z, as :func:`ml_two` computes it.
+
+    The row log|1/Gamma(beta + alpha*r)| is computed once per index r and
+    shared by every z, so a grid pays the gamma kernel once per index rather
+    than once per term.  Each call keeps its own stopping rule and error
+    estimate.
+    """
+
+    def __init__(self, alpha, beta):
+        _check_series(alpha, beta, "beta")
+        self.alpha = alpha
+        self.beta = beta
+        self._row = []
+
+    def __call__(self, z, tol=None, budget=None):
+        return _ml_two_sum(self.alpha, self.beta, z, tol, budget, self._row)
+
+
+def _check_series(alpha, beta, name):
     if not alpha > 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    if not (math.isfinite(beta) and math.isfinite(z)):
+    if not math.isfinite(beta):
+        raise DomainError(f"{name} and z must be finite")
+
+
+def _ml_two_sum(alpha, beta, z, tol, budget, row):
+    if not math.isfinite(z):
         raise DomainError("beta and z must be finite")
+    zneg, zlog1 = z < 0.0, _log_abs(z)
 
     def term(r):
-        gsign, glog = log_abs_rgamma(beta + alpha * r)
+        if r < len(row):  # the row is shared by every z and filled in order of r
+            gsign, glog = row[r]
+        else:
+            entry = log_abs_rgamma(beta + alpha * r)
+            row.append(entry)
+            gsign, glog = entry
         if gsign == 0.0:
             return 0.0, 1.0
-        zsign, zlog = _powsign(z, r)
+        zsign = -1.0 if (zneg and r % 2) else 1.0
+        zlog = r * zlog1 if r else 0.0
         if zlog == -math.inf:
             return 0.0, 1.0
         return gsign * zsign * math.exp(glog + zlog), abs(glog) + abs(zlog)
@@ -172,6 +215,7 @@ def ml_three(alpha, beta, gamma, z, tol=None, budget=None):
         raise DomainError("z must be finite")
 
     state = {"sign": 1.0, "log": 0.0}  # (gamma)_r for the current r
+    zneg, zlog1 = z < 0.0, _log_abs(z)
 
     def term(r):
         if r > 0:
@@ -187,7 +231,8 @@ def ml_three(alpha, beta, gamma, z, tol=None, budget=None):
         gsign, glog = log_abs_rgamma(beta + alpha * r)
         if gsign == 0.0:
             return 0.0, 1.0
-        zsign, zlog = _powsign(z, r)
+        zsign = -1.0 if (zneg and r % 2) else 1.0
+        zlog = r * zlog1 if r else 0.0
         if zlog == -math.inf:
             return 0.0, 1.0
         lfact = math.lgamma(r + 1)
@@ -202,16 +247,40 @@ def ml_three(alpha, beta, gamma, z, tol=None, budget=None):
 
 def wright(alpha, mu, z, tol=None, budget=None):
     """Wright function W_{alpha,mu}(z) = sum z**r / (r! Gamma(mu+alpha*r))."""
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    if not (math.isfinite(mu) and math.isfinite(z)):
+    _check_series(alpha, mu, "mu")
+    return _wright_sum(alpha, mu, z, tol, budget, [])
+
+
+class WrightSeries:
+    """W_{alpha,mu}(z) at many arguments z, as :func:`wright` computes it,
+    sharing the row log|1/Gamma(mu + alpha*r)| like :class:`MLSeries`."""
+
+    def __init__(self, alpha, mu):
+        _check_series(alpha, mu, "mu")
+        self.alpha = alpha
+        self.mu = mu
+        self._row = []
+
+    def __call__(self, z, tol=None, budget=None):
+        return _wright_sum(self.alpha, self.mu, z, tol, budget, self._row)
+
+
+def _wright_sum(alpha, mu, z, tol, budget, row):
+    if not math.isfinite(z):
         raise DomainError("mu and z must be finite")
+    zneg, zlog1 = z < 0.0, _log_abs(z)
 
     def term(r):
-        gsign, glog = log_abs_rgamma(mu + alpha * r)
+        if r < len(row):  # the row is shared by every z and filled in order of r
+            gsign, glog = row[r]
+        else:
+            entry = log_abs_rgamma(mu + alpha * r)
+            row.append(entry)
+            gsign, glog = entry
         if gsign == 0.0:
             return 0.0, 1.0
-        zsign, zlog = _powsign(z, r)
+        zsign = -1.0 if (zneg and r % 2) else 1.0
+        zlog = r * zlog1 if r else 0.0
         if zlog == -math.inf:
             return 0.0, 1.0
         lfact = math.lgamma(r + 1)

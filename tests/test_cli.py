@@ -175,6 +175,61 @@ class TestSolve:
         assert target.read_text().startswith("grid,value\n")
 
 
+class TestRejectedInput:
+    def test_fhp_overflow_names_n(self, capsys):
+        code, out, err = _run(capsys, "eval-fhp", "--n", "400", "--alpha", "0.5",
+                              "--x", "2", "--y", "1")
+        assert code == 2
+        assert out == ""
+        assert "n = 400" in err
+
+    def test_solve_overflow_names_n(self, capsys):
+        code, out, err = _run(
+            capsys, "solve", "--problem", "case-ii", "--n", "400", "--a", "0.5",
+            "--alpha", "0.5", "--t", "0.5", "--grid-min", "0", "--grid-max", "1",
+            "--grid-points", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "n = 400" in err
+
+    def test_nonfinite_fixed_variable(self, capsys):
+        code, out, err = _run(
+            capsys, "solve", "--problem", "laguerre-monomial", "--n", "2", "--alpha", "0.5",
+            "--beta", "0.7", "--grid-var", "t", "--x", "nan", "--grid-min", "0.1",
+            "--grid-max", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "--x" in err and "finite" in err
+
+    def test_nonfinite_problem_parameter(self, capsys):
+        code, out, err = _run(
+            capsys, "solve", "--problem", "case-i", "--n", "2", "--a", "nan",
+            "--alpha", "0.5", "--t", "0.5", "--grid-min", "0", "--grid-max", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "--a" in err and "finite" in err
+
+    def test_nonfinite_series_coefficient(self, capsys):
+        code, out, err = _run(
+            capsys, "solve", "--problem", "tf-diffusion", "--coeffs=1,nan",
+            "--alpha", "0.5", "--t", "0.5", "--grid-min", "0", "--grid-max", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "--coeffs" in err
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        missing = tmp_path / "absent.cfg"
+        code, out, err = _run(capsys, "eval-ml", "--alpha", "1", "--z", "1",
+                              "--config", str(missing))
+        assert code == 1
+        assert out == ""
+        assert str(missing) in err
+
+
 class TestVerify:
     def test_all_suites_pass(self, capsys):
         code, out, _ = _run(capsys, "verify", "--suite", "all", "--n-max", "6",

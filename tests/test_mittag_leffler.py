@@ -10,6 +10,8 @@ from mlpoly.gamma_core import rgamma
 from mlpoly.mittag_leffler import (
     EvalResult,
     MLParams,
+    MLSeries,
+    WrightSeries,
     ml_one,
     ml_three,
     ml_two,
@@ -63,6 +65,11 @@ class TestMlOne:
         with pytest.raises(DomainError):
             ml_one(0.0, 1.0)
 
+    def test_overflowing_term_is_a_convergence_error(self):
+        # 40**r / Gamma(1 + 0.3 r) leaves the double range before the term budget ends
+        with pytest.raises(ConvergenceError, match="overflows"):
+            ml_one(0.3, -40.0)
+
     def test_error_estimate_is_honest(self):
         for alpha in (0.5, 0.8):
             for z in (-3.0, 2.0):
@@ -99,6 +106,25 @@ class TestMlTwo:
                 assert got.value == pytest.approx(
                     ml_series_mp(0.7, beta, z), rel=1e-12, abs=1e-12
                 )
+
+
+class TestSharedGammaRow:
+    def test_series_objects_equal_scalar_calls(self):
+        # long and short series alternate, so the row is both extended and reused
+        zs = (2.5, -1.0, 0.0, 0.3, 4.0, -2.0, 1e-3)
+        ml = MLSeries(0.6, 1.3)
+        w = WrightSeries(0.6, 1.3)
+        for z in zs:
+            assert ml(z) == ml_two(0.6, 1.3, z)
+            assert w(z) == wright(0.6, 1.3, z)
+
+    def test_validation_matches_scalar_functions(self):
+        with pytest.raises(DomainError, match="alpha"):
+            MLSeries(0.0, 1.0)
+        with pytest.raises(DomainError, match="finite"):
+            WrightSeries(0.5, math.inf)
+        with pytest.raises(DomainError, match="finite"):
+            MLSeries(0.5, 1.0)(math.nan)
 
 
 class TestMlThree:
