@@ -72,8 +72,11 @@ def _json_ready(obj):
 
 def _emit(text, output):
     if output:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write output file {output!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

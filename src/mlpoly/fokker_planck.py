@@ -38,7 +38,6 @@ from .caputo import caputo_monomial
 from .errors import DomainError, VerificationError
 from .fracpoly import FracPoly
 from .fractional_hermite import (
-    _check_n,
     _convolution_degrees,
     _convolution_i_weights,
     _convolution_ii_weights,
@@ -49,7 +48,7 @@ from .fractional_hermite import (
     _oplus_sum,
     _weighted_sum,
 )
-from .gamma_core import factorial_ratios, rgamma
+from .gamma_core import _check_n, factorial_ratios, rgamma
 from .mittag_leffler import MLSeries, WrightSeries
 
 
@@ -112,6 +111,15 @@ class DiffusionProblem:
             raise DomainError(f"unsupported initial datum: {self.initial!r}")
 
 
+def _check_laguerre(alpha, beta, b):
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    if not 0.0 < beta <= 1.0:
+        raise DomainError(f"beta must lie in (0, 1], got {beta}")
+    if not b > 0.0:
+        raise DomainError(f"b must be positive, got {b}")
+
+
 @dataclass(frozen=True)
 class LaguerreProblem:
     alpha: float
@@ -120,12 +128,7 @@ class LaguerreProblem:
     initial: object
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 0.0 < self.beta <= 1.0:
-            raise DomainError(f"beta must lie in (0, 1], got {self.beta}")
-        if not self.b > 0.0:
-            raise DomainError(f"b must be positive, got {self.b}")
+        _check_laguerre(self.alpha, self.beta, self.b)
         if not isinstance(self.initial, (LaguerreMonomialInitial, WrightInitial)):
             raise DomainError(f"unsupported initial datum: {self.initial!r}")
 
@@ -334,6 +337,7 @@ class LaguerreMonomialPlan(GridPlan):
 
     def __init__(self, n, alpha, beta, b):
         n = _check_n(n)
+        _check_laguerre(alpha, beta, b)
         self._n = n
         self._alpha = alpha
         self._beta = beta
@@ -367,6 +371,7 @@ class LaguerreWrightPlan(GridPlan):
     side that varies, with its gamma row shared across the grid."""
 
     def __init__(self, y_param, alpha, beta, b):
+        _check_laguerre(alpha, beta, b)
         self._y = y_param
         self._alpha = alpha
         self._beta = beta
@@ -469,25 +474,18 @@ def _table_residual(lhs_terms, rhs_terms):
     return worst
 
 
-def residual_tf_diffusion(n, alpha, k, t_exponent_form=True):
+def residual_tf_diffusion(n, alpha, k):
     """Substitute F = H[alpha]_n(x, k t**alpha) into the diffusion equation.
 
     Both sides are expanded into a bivariate coefficient table; the return
     value is the worst normalized coefficient mismatch (0 up to rounding,
-    since the identity is algebraic).  With ``t_exponent_form`` the time
-    exponents are kept as the fractional multiples alpha*r; otherwise the
-    table is labeled by the integer index r (same residual, relabeled keys).
+    since the identity is algebraic).
     """
-    if n < 0 or int(n) != n:
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
-    n = int(n)
+    n = _check_n(n)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if not k > 0.0:
         raise DomainError(f"k must be positive, got {k}")
-
-    def t_exp(r):
-        return alpha * r if t_exponent_form else float(r)
 
     # F term r: n!/(n-2r)! * k**r / Gamma(1+alpha r) * x**(n-2r) * t**(alpha r)
     lhs = []  # Caputo derivative in t kills r = 0
@@ -500,10 +498,10 @@ def residual_tf_diffusion(n, alpha, k, t_exponent_form=True):
         )
         if r >= 1:
             factor, _ = caputo_monomial(alpha * r, alpha)
-            lhs.append((base * factor, float(n - 2 * r), t_exp(r - 1)))
+            lhs.append((base * factor, float(n - 2 * r), alpha * (r - 1)))
         xe = n - 2 * r
         if xe >= 2:
-            rhs.append((base * xe * (xe - 1) * k, float(xe - 2), t_exp(r)))
+            rhs.append((base * xe * (xe - 1) * k, float(xe - 2), alpha * r))
     return _table_residual(lhs, rhs)
 
 
@@ -514,9 +512,7 @@ def residual_laguerre(n, alpha, beta, b):
     table with x-exponents alpha*r and t-exponents beta*(n-r); returns the
     worst normalized mismatch.
     """
-    if n < 0 or int(n) != n:
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
-    n = int(n)
+    n = _check_n(n)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if not 0.0 < beta < 1.0:

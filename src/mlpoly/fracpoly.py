@@ -11,6 +11,7 @@ removed.
 
 import json
 import math
+import numbers
 
 from . import config
 from .errors import DomainError
@@ -109,8 +110,13 @@ class FracPoly:
             return FracPoly()
         return FracPoly([(factor * c, mu) for c, mu in self._terms])
 
-    __mul__ = scale
-    __rmul__ = scale
+    def __mul__(self, factor):
+        """``p * c`` and ``c * p`` scale by a real number; two polynomials do not multiply."""
+        if not isinstance(factor, numbers.Real):
+            return NotImplemented
+        return self.scale(factor)
+
+    __rmul__ = __mul__
 
     def times_x(self):
         """Multiply by the variable (shift every exponent by one)."""

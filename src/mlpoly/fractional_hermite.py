@@ -17,15 +17,9 @@ import functools
 import math
 from operator import mul
 
-from .errors import DomainError
+from .errors import DomainError, FloatOverflowError
 from .fracpoly import FracPoly
-from .gamma_core import factorial_ratios, frac_binom, rgamma
-
-
-def _check_n(n):
-    if n < 0 or int(n) != n:
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
-    return int(n)
+from .gamma_core import _check_n, factorial_ratios, frac_binom, rgamma
 
 
 def _check_alpha_closed(alpha):
@@ -38,9 +32,14 @@ def _check_alpha_open(alpha):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def _powers(v, top):
-    """[v**0, v**1, ..., v**top]."""
-    return [v ** e for e in range(top + 1)]
+def _powers(v, top, name):
+    """[v**0, v**1, ..., v**top]; ``name`` is v's name in the overflow error."""
+    try:
+        return [v ** e for e in range(top + 1)]
+    except OverflowError:
+        raise FloatOverflowError(
+            f"{name}**{top} exceeds the double-precision range at {name} = {v!r}"
+        ) from None
 
 
 class _FhpTable:
@@ -71,10 +70,10 @@ class _FhpTable:
         )
 
     def y_powers(self, y):
-        return _powers(y, self.top // 2)
+        return _powers(y, self.top // 2, "y")
 
     def x_powers(self, x):
-        return _powers(x, self.top)
+        return _powers(x, self.top, "x")
 
     def coeffs(self, yp):
         """Per degree, the coefficients m!/(m-2r)! y**r / Gamma(1+alpha*r) of x**(m-2r)."""
@@ -142,7 +141,7 @@ def oplus_power(x, y, n, alpha):
     """
     n = _check_n(n)
     _check_alpha_closed(alpha)
-    return _oplus(_frac_binom_row(n, alpha), _powers(x, n), _powers(y, n))
+    return _oplus(_frac_binom_row(n, alpha), _powers(x, n, "x"), _powers(y, n, "y"))
 
 
 def _frac_binom_row(n, alpha):

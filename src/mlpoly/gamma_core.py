@@ -22,6 +22,13 @@ def _require_finite(x, name):
         raise DomainError(f"{name} must be finite, got {x!r}")
 
 
+def _check_n(n):
+    """A nonnegative integer degree (an int or an integral float), as int."""
+    if n < 0 or int(n) != n:
+        raise DomainError(f"n must be a nonnegative integer, got {n}")
+    return int(n)
+
+
 def _nonpos_int(x):
     """True exactly on the poles of the gamma function (0, -1, -2, ...).
 

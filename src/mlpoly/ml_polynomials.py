@@ -23,14 +23,8 @@ from . import config
 from .caputo import caputo_monomial
 from .errors import DomainError, VerificationError
 from .fracpoly import FracPoly
-from .gamma_core import ln_gamma, rgamma
+from .gamma_core import _check_n, ln_gamma, rgamma
 from .mittag_leffler import ml_two, wright
-
-
-def _check_n(n):
-    if n < 0 or int(n) != n:
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
-    return int(n)
 
 
 def _check_pos(value, name):

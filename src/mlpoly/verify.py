@@ -31,7 +31,7 @@ from .fractional_hermite import (
     oplus_power,
     umbral_hermite_shift,
 )
-from .gamma_core import frac_binom, levy_subordination_moment, rgamma
+from .gamma_core import levy_subordination_moment, rgamma
 from .mittag_leffler import ml_one, ml_two, wright
 from .ml_polynomials import (
     konhauser,
@@ -73,6 +73,11 @@ def _rel_gap(a, b):
     return abs(a - b) / max(
         config.IDENTITY_ATOL / config.IDENTITY_RTOL, abs(a), abs(b)
     )
+
+
+def _scaled_gap(image, target):
+    """Largest coefficient gap, relative to target's largest coefficient (at least 1)."""
+    return image.max_coeff_diff(target) / max(1.0, max(abs(c) for c in target.coefficients))
 
 
 def _classical_hermite(n, x, y):
@@ -137,8 +142,7 @@ def suite_fhp_identities(n_max=12, seed=42):
             for y in (-1.0, 0.5, 2.0):
                 image = fhp_coeffs(n, alpha, y).derivative()
                 target = fhp_coeffs(n - 1, alpha, y).scale(float(n))
-                scale = max(1.0, max(abs(c) for c in target.coefficients))
-                worst = max(worst, image.max_coeff_diff(target) / scale)
+                worst = max(worst, _scaled_gap(image, target))
     results.append(CheckResult("fhp-forward-shift-x", worst <= 1e-12, worst, 1e-12))
 
     # forward shift in y: the Caputo derivative drops n by two
@@ -163,10 +167,7 @@ def suite_fhp_identities(n_max=12, seed=42):
                     for s in range((n - 2) // 2 + 1)
                 ]
             )
-            image = caputo_poly(p, alpha)
-            target = q.scale(float(n * (n - 1)))
-            scale = max(1.0, max(abs(c) for c in target.coefficients))
-            worst = max(worst, image.max_coeff_diff(target) / scale)
+            worst = max(worst, _scaled_gap(caputo_poly(p, alpha), q.scale(float(n * (n - 1)))))
     results.append(CheckResult("fhp-forward-shift-y", worst <= 1e-10, worst, 1e-10))
 
     # exponential generating function against the closed product
@@ -334,7 +335,7 @@ def suite_caputo(n_max=12, seed=42):
     worst = 0.0
     for alpha in (0.3, 0.5, 0.8):
         for a in (-1.0, 0.5):
-            for n_terms in (6, 12):
+            for n_terms in (6, 12, 14):
                 image = caputo_poly(_ml_truncation_poly(alpha, a, n_terms), alpha)
                 target = _ml_truncation_poly(alpha, a, n_terms - 1).scale(a)
                 worst = max(worst, image.max_coeff_diff(target))
@@ -367,33 +368,6 @@ def suite_caputo(n_max=12, seed=42):
                 want = t ** (-alpha) * rgamma(1.0 - alpha) + a * ml_one(alpha, a * t ** alpha).value
                 worst = max(worst, _rel_gap(rl_from_caputo(caputo_value, 1.0, t, alpha), want))
     results.append(CheckResult("caputo-riemann-liouville-shift", worst <= 1e-12, worst, 1e-12))
-
-    worst = 0.0
-    for n in range(2, min(n_max, 12) + 1):
-        for alpha in (0.3, 0.5, 0.8):
-            p = FracPoly(
-                [
-                    (
-                        math.factorial(n) // math.factorial(n - 2 * r) * rgamma(1.0 + alpha * r),
-                        alpha * r,
-                    )
-                    for r in range(n // 2 + 1)
-                ]
-            )
-            q = FracPoly(
-                [
-                    (
-                        math.factorial(n - 2) // math.factorial(n - 2 - 2 * s) * rgamma(1.0 + alpha * s),
-                        alpha * s,
-                    )
-                    for s in range((n - 2) // 2 + 1)
-                ]
-            )
-            image = caputo_poly(p, alpha)
-            target = q.scale(float(n * (n - 1)))
-            scale = max(1.0, max(abs(c) for c in target.coefficients))
-            worst = max(worst, image.max_coeff_diff(target) / scale)
-    results.append(CheckResult("caputo-fhp-forward-shift", worst <= 1e-10, worst, 1e-10))
 
     return results
 
@@ -444,7 +418,7 @@ def suite_pde_residuals(n_max=10, seed=42):
         )
     results.append(CheckResult("initial-condition-recovery", worst <= 1e-8, worst, 1e-8))
 
-    worst = 0.0
+    worst_i = worst_ii = 0.0
     for _ in range(25):
         n = int(rng.integers(0, n_max + 1))
         a = rng.uniform(-1.0, 1.0)
@@ -452,40 +426,41 @@ def suite_pde_residuals(n_max=10, seed=42):
         k = rng.uniform(0.5, 2.0)
         x = rng.uniform(-1.5, 1.5)
         t = rng.uniform(0.1, 1.5)
-        worst = max(
-            worst,
-            _rel_gap(
-                solve_case_i(n, a, alpha, k, x, t),
-                umbral_hermite_shift(n, x, a, k * t ** alpha, alpha),
-            ),
+        w = k * t ** alpha
+        worst_i = max(
+            worst_i,
+            _rel_gap(solve_case_i(n, a, alpha, k, x, t), umbral_hermite_shift(n, x, a, w, alpha)),
         )
-        solve_case_ii(n, a, alpha, k, x, t)  # raises on internal disagreement
-    results.append(CheckResult("case-i-umbral-equality", worst <= 1e-9, worst, 1e-9))
-    results.append(CheckResult("case-ii-both-forms", True, 0.0, 1e-9))
+        worst_ii = max(
+            worst_ii,
+            _rel_gap(solve_case_ii(n, a, alpha, k, x, t), fhp_oplus_eval(n, x, w, a, alpha)),
+        )
+    results.append(CheckResult("case-i-umbral-equality", worst_i <= 1e-9, worst_i, 1e-9))
+    results.append(CheckResult("case-ii-both-forms", worst_ii <= 1e-9, worst_ii, 1e-9))
 
     # moment expansion against the direct double-gamma sum, term by term
     worst = 0.0
+    pairs = ((0.3, 0.4), (0.3, 0.7), (0.6, 0.4), (0.6, 0.7), (0.5, 0.7), (0.8, 0.6))
     for n in range(min(n_max, 8) + 1):
-        for alpha in (0.3, 0.6):
-            for beta in (0.4, 0.7):
-                x, t, b = 0.8, 0.9, 1.3
-                xa = x ** alpha
-                for r in range(n + 1):
-                    direct = (
-                        (math.factorial(n) // math.factorial(r))
-                        * (-xa) ** r
-                        * (b * t ** beta) ** (n - r)
-                        * rgamma(1.0 + alpha * r)
-                        * rgamma(1.0 + beta * (n - r))
-                    )
-                    moment = (
-                        math.comb(n, r)
-                        * (-xa) ** r
-                        * b ** (n - r)
-                        * rgamma(1.0 + alpha * r)
-                        * levy_subordination_moment(beta, n - r, t)
-                    )
-                    worst = max(worst, _rel_gap(direct, moment))
+        for alpha, beta in pairs:
+            x, t, b = 0.8, 0.9, 1.3
+            xa = x ** alpha
+            for r in range(n + 1):
+                direct = (
+                    (math.factorial(n) // math.factorial(r))
+                    * (-xa) ** r
+                    * (b * t ** beta) ** (n - r)
+                    * rgamma(1.0 + alpha * r)
+                    * rgamma(1.0 + beta * (n - r))
+                )
+                moment = (
+                    math.comb(n, r)
+                    * (-xa) ** r
+                    * b ** (n - r)
+                    * rgamma(1.0 + alpha * r)
+                    * levy_subordination_moment(beta, n - r, t)
+                )
+                worst = max(worst, _rel_gap(direct, moment))
     results.append(CheckResult("subordination-term-consistency", worst <= 1e-13, worst, 1e-13))
 
     return results
@@ -494,60 +469,50 @@ def suite_pde_residuals(n_max=10, seed=42):
 # -- Sheffer ladder -------------------------------------------------------------------
 
 
+def _ladder_gaps(coeffs, gd, n_max):
+    """Worst (raising, lowering, commutator) gaps of the ladder with log-derivative
+    ``gd`` on the polynomials ``coeffs(n)``, n = 0..n_max."""
+    up = down = comm = 0.0
+    for n in range(n_max + 1):
+        p = coeffs(n)
+        up = max(up, _scaled_gap(raising_apply(p, gd), coeffs(n + 1)))
+        if n >= 1:
+            down = max(down, _scaled_gap(lowering_apply(p), coeffs(n - 1).scale(float(n))))
+        commutator = lowering_apply(raising_apply(p, gd)) - raising_apply(lowering_apply(p), gd)
+        comm = max(comm, _scaled_gap(commutator, p))
+    return up, down, comm
+
+
 def suite_sheffer_ladder(n_max=10, seed=42):
     rng = np.random.default_rng(seed)
     results = []
     n_max = min(n_max, 10)
 
-    worst_raise = worst_lower = worst_comm = 0.0
+    fhp = (0.0, 0.0, 0.0)
     for alpha in (0.3, 0.5, 0.8):
         for y in (-1.0, 0.5, 2.0):
-            g = series_reciprocal(appell_A_fhp(alpha, y, n_max + 4))
-            gd = series_log_derivative(g)
-            for n in range(n_max + 1):
-                p = fhp_coeffs(n, alpha, y)
-                lifted = raising_apply(p, gd)
-                target = fhp_coeffs(n + 1, alpha, y)
-                scale = max(1.0, max(abs(c) for c in target.coefficients))
-                worst_raise = max(worst_raise, lifted.max_coeff_diff(target) / scale)
-                if n >= 1:
-                    dropped = lowering_apply(p)
-                    target = fhp_coeffs(n - 1, alpha, y).scale(float(n))
-                    scale = max(1.0, max(abs(c) for c in target.coefficients))
-                    worst_lower = max(worst_lower, dropped.max_coeff_diff(target) / scale)
-                pm = lowering_apply(raising_apply(p, gd))
-                mp_ = raising_apply(lowering_apply(p), gd)
-                scale = max(1.0, max(abs(c) for c in p.coefficients))
-                worst_comm = max(worst_comm, (pm - mp_).max_coeff_diff(p) / scale)
-    results.append(CheckResult("ladder-raising-fhp", worst_raise <= 1e-9, worst_raise, 1e-9))
-    results.append(CheckResult("ladder-lowering-fhp", worst_lower <= 1e-9, worst_lower, 1e-9))
+            gd = series_log_derivative(series_reciprocal(appell_A_fhp(alpha, y, n_max + 4)))
+            gaps = _ladder_gaps(lambda n: fhp_coeffs(n, alpha, y), gd, n_max)
+            fhp = tuple(map(max, fhp, gaps))
 
     # x stays moderate: large x pushes the first zero of the Wright prefactor
     # toward the origin and the reciprocal-series route becomes ill-conditioned
-    worst_raise = worst_lower = 0.0
+    mlp = (0.0, 0.0, 0.0)
     for alpha in (0.3, 0.5, 0.8):
         for beta in (0.5, 1.0, 1.6):
             for x in (0.4, 0.6):
-                g = series_reciprocal(appell_A_mlp(alpha, beta, x, n_max + 4))
-                gd = series_log_derivative(g)
-                for n in range(n_max + 1):
-                    p = mlp_coeffs(n, alpha, beta, x)
-                    lifted = raising_apply(p, gd)
-                    target = mlp_coeffs(n + 1, alpha, beta, x)
-                    scale = max(1.0, max(abs(c) for c in target.coefficients))
-                    worst_raise = max(worst_raise, lifted.max_coeff_diff(target) / scale)
-                    if n >= 1:
-                        dropped = lowering_apply(p)
-                        target = mlp_coeffs(n - 1, alpha, beta, x).scale(float(n))
-                        scale = max(1.0, max(abs(c) for c in target.coefficients))
-                        worst_lower = max(worst_lower, dropped.max_coeff_diff(target) / scale)
-                    pm = lowering_apply(raising_apply(p, gd))
-                    mp_ = raising_apply(lowering_apply(p), gd)
-                    scale = max(1.0, max(abs(c) for c in p.coefficients))
-                    worst_comm = max(worst_comm, (pm - mp_).max_coeff_diff(p) / scale)
-    results.append(CheckResult("ladder-raising-mlp", worst_raise <= 1e-9, worst_raise, 1e-9))
-    results.append(CheckResult("ladder-lowering-mlp", worst_lower <= 1e-9, worst_lower, 1e-9))
-    results.append(CheckResult("ladder-commutator", worst_comm <= 1e-9, worst_comm, 1e-9))
+                gd = series_log_derivative(series_reciprocal(appell_A_mlp(alpha, beta, x, n_max + 4)))
+                gaps = _ladder_gaps(lambda n: mlp_coeffs(n, alpha, beta, x), gd, n_max)
+                mlp = tuple(map(max, mlp, gaps))
+
+    for name, worst in (
+        ("ladder-raising-fhp", fhp[0]),
+        ("ladder-lowering-fhp", fhp[1]),
+        ("ladder-raising-mlp", mlp[0]),
+        ("ladder-lowering-mlp", mlp[1]),
+        ("ladder-commutator", max(fhp[2], mlp[2])),
+    ):
+        results.append(CheckResult(name, worst <= 1e-9, worst, 1e-9))
 
     # derivative of the Hermite-family prefactor: A'(lam) = (2/(alpha lam)) E_{alpha,0}(y lam^2)
     worst = 0.0

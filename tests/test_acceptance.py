@@ -1,303 +1,117 @@
 """Acceptance criteria, one test per criterion.
 
+Criteria 01-10 read the named checks of the ``mlpoly verify`` suites (one
+sweep per identity, in :mod:`mlpoly.verify`): each takes the largest
+``max_err`` of its checks and, as its elapsed time, the wall time of the
+suites those checks belong to.  The suites run once per module, at
+``n_max=15`` (criterion 02 sweeps the classical fHP up to n = 15).
+
 Each test prints a single PASS/FAIL line (visible with ``pytest -s`` or in
 captured output on failure) and enforces both the stated tolerance and the
 runtime budget.
 """
 
-import math
 import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 
-from mlpoly.caputo import caputo_l1, caputo_monomial, caputo_poly
-from mlpoly.fokker_planck import residual_laguerre, residual_tf_diffusion
-from mlpoly.fracpoly import FracPoly
-from mlpoly.fractional_hermite import (
-    convolution_identity_i_rhs,
-    convolution_identity_ii_rhs,
-    fhp_coeffs,
-    fhp_eval,
-    fhp_oplus_eval,
-    umbral_hermite_shift,
-)
-from mlpoly.gamma_core import levy_subordination_moment, rgamma
-from mlpoly.mittag_leffler import ml_one
-from mlpoly.ml_polynomials import (
-    konhauser,
-    mlp_coeffs,
-    mlp_egf_closed,
-    mlp_eval,
-    mlp_ogf_closed,
-    mlp_operational_check,
-)
-from mlpoly.sheffer import (
-    appell_A_fhp,
-    appell_A_mlp,
-    lowering_apply,
-    raising_apply,
-    series_log_derivative,
-    series_reciprocal,
-)
-
-from oracles import classical_hermite, laguerre_explicit
+from mlpoly.verify import SUITE_NAMES, run_suites
 
 
-class _Criterion:
-    def __init__(self, number, name, tol, time_limit):
-        self.number = number
-        self.name = name
-        self.tol = tol
-        self.time_limit = time_limit
-        self.start = time.perf_counter()
-
-    def finish(self, max_err):
-        elapsed = time.perf_counter() - self.start
-        ok = max_err <= self.tol and elapsed < self.time_limit
-        status = "PASS" if ok else "FAIL"
-        print(
-            f"ACCEPTANCE {self.number:02d} {status} {self.name}: "
-            f"max_err={max_err:.3e} tol={self.tol:g} elapsed={elapsed:.2f}s "
-            f"limit={self.time_limit:g}s"
-        )
-        assert max_err <= self.tol, f"criterion {self.number}: {max_err} > {self.tol}"
-        assert elapsed < self.time_limit, f"criterion {self.number}: too slow ({elapsed:.2f}s)"
+@pytest.fixture(scope="module")
+def suites():
+    """({"suite/check": CheckResult}, {suite: seconds}) for every suite."""
+    checks, elapsed = {}, {}
+    for name in SUITE_NAMES:
+        start = time.perf_counter()
+        ((_, results),) = run_suites(name, n_max=15, seed=42)
+        elapsed[name] = time.perf_counter() - start
+        checks.update({f"{name}/{check.name}": check for check in results})
+    return checks, elapsed
 
 
-def test_01_low_order_closed_forms():
-    crit = _Criterion(1, "low-order closed forms", 1e-12, 1.0)
-    worst = 0.0
-    for alpha in (0.25, 0.5, 0.75, 1.0):
-        for y in (-1.0, 0.5, 2.0):
-            g1 = rgamma(1.0 + alpha)
-            expected = [
-                FracPoly([(1.0, 0)]),
-                FracPoly([(1.0, 1)]),
-                FracPoly([(2.0 * y * g1, 0), (1.0, 2)]),
-                FracPoly([(6.0 * y * g1, 1), (1.0, 3)]),
-            ]
-            for n, want in enumerate(expected):
-                worst = max(worst, fhp_coeffs(n, alpha, y).max_coeff_diff(want))
-    crit.finish(worst)
+def _finish(number, name, tol, time_limit, max_err, elapsed):
+    ok = max_err <= tol and elapsed < time_limit
+    status = "PASS" if ok else "FAIL"
+    print(
+        f"ACCEPTANCE {number:02d} {status} {name}: "
+        f"max_err={max_err:.3e} tol={tol:g} elapsed={elapsed:.2f}s "
+        f"limit={time_limit:g}s"
+    )
+    assert max_err <= tol, f"criterion {number}: {max_err} > {tol}"
+    assert elapsed < time_limit, f"criterion {number}: too slow ({elapsed:.2f}s)"
 
 
-def test_02_classical_reductions():
-    crit = _Criterion(2, "classical reductions", 1e-10, 1.0)
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for n in range(16):
-        for _ in range(5):
-            x, y = rng.uniform(-1.5, 1.5, size=2)
-            got = fhp_eval(n, 1.0, x, y)
-            want = classical_hermite(n, x, y)
-            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    for n in range(11):
-        for x in np.linspace(0.0, 4.0, 9):
-            got = konhauser(n, 1.0, 1.0, float(x), 1.0)
-            want = laguerre_explicit(n, float(x))
-            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    crit.finish(worst)
+def _criterion(suites, number, name, tol, time_limit, *names):
+    checks, elapsed = suites
+    max_err = max(checks[n].max_err for n in names)
+    seconds = sum(elapsed[s] for s in {n.split("/")[0] for n in names})
+    _finish(number, name, tol, time_limit, max_err, seconds)
 
 
-def test_03_fhp_exponential_generating_function():
-    crit = _Criterion(3, "fHP exponential generating function", 1e-10, 5.0)
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for alpha in (0.4, 0.6, 0.9):
-        for _ in range(34):
-            lam = rng.uniform(-0.4, 0.4)
-            x, y = rng.uniform(-1.0, 1.0, size=2)
-            partial = sum(
-                lam ** n / math.factorial(n) * fhp_eval(n, alpha, x, y)
-                for n in range(31)
-            )
-            closed = math.exp(x * lam) * ml_one(alpha, y * lam * lam).value
-            worst = max(worst, abs(partial - closed))
-    crit.finish(worst)
+def test_01_low_order_closed_forms(suites):
+    _criterion(suites, 1, "low-order closed forms", 1e-12, 1.0,
+               "fhp-identities/fhp-low-order-closed-forms")
 
 
-def test_04_convolution_identities():
-    crit = _Criterion(4, "convolution identities", 1e-9, 5.0)
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(50):
-        x = rng.uniform(-1.5, 1.5)
-        a, w = rng.uniform(-1.0, 1.0, size=2)
-        alpha = rng.uniform(0.15, 0.95)
-        for n in range(13):
-            lhs = umbral_hermite_shift(n, x, a, w, alpha)
-            rhs = convolution_identity_i_rhs(n, x, a, w, alpha)
-            worst = max(worst, abs(lhs - rhs) / max(1e-3, abs(lhs), abs(rhs)))
-    for _ in range(50):
-        x = rng.uniform(-1.5, 1.5)
-        a, w = rng.uniform(-1.0, 1.0, size=2)
-        alpha = rng.uniform(0.15, 0.95)
-        for n in range(13):
-            lhs = fhp_oplus_eval(n, x, w, a, alpha)
-            rhs = convolution_identity_ii_rhs(n, x, a, w, alpha)
-            worst = max(worst, abs(lhs - rhs) / max(1e-3, abs(lhs), abs(rhs)))
-    crit.finish(worst)
+def test_02_classical_reductions(suites):
+    _criterion(suites, 2, "classical reductions", 1e-10, 1.0,
+               "fhp-identities/fhp-classical-reduction", "mlp-gf/konhauser-laguerre")
 
 
-def test_05_mlp_generating_functions():
-    crit = _Criterion(5, "MLP generating functions", 1e-9, 5.0)
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(30):
-        alpha = rng.uniform(0.3, 0.95)
-        beta = rng.uniform(0.6, 2.0)
-        x = rng.uniform(0.4, 1.1)
-        y = rng.uniform(0.4, 1.1)
-        lam = rng.uniform(0.3, 1.0) * 0.5 / (abs(x) + abs(y))
-        assert abs(lam * y) <= 0.5
-        partial = sum(lam ** n * mlp_eval(n, alpha, beta, x, y) for n in range(41))
-        worst = max(worst, abs(partial - mlp_ogf_closed(lam, alpha, beta, x, y)))
-    for _ in range(30):
-        alpha = rng.uniform(0.3, 0.95)
-        beta = rng.uniform(0.6, 2.0)
-        x, y = rng.uniform(0.2, 1.2, size=2)
-        lam = rng.uniform(-0.8, 0.8)
-        partial = sum(
-            lam ** n / math.factorial(n) * mlp_eval(n, alpha, beta, x, y)
-            for n in range(31)
-        )
-        worst = max(worst, abs(partial - mlp_egf_closed(lam, alpha, beta, x, y)))
-    crit.finish(worst)
+def test_03_fhp_exponential_generating_function(suites):
+    _criterion(suites, 3, "fHP exponential generating function", 1e-10, 5.0,
+               "fhp-identities/fhp-egf")
 
 
-def test_06_operational_construction():
-    crit = _Criterion(6, "operational construction", 1e-10, 2.0)
-    worst = 0.0
-    for n in range(9):
-        for alpha in (0.3, 0.5, 0.9):
-            for y in (0.5, 1.0, 2.0):
-                lhs, rhs = mlp_operational_check(n, alpha, y, n)
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    crit.finish(worst)
+def test_04_convolution_identities(suites):
+    _criterion(suites, 4, "convolution identities", 1e-9, 5.0,
+               "fhp-identities/fhp-identity-hermite-seed",
+               "fhp-identities/fhp-identity-oplus-seed")
 
 
-def test_07_caputo_eigenfunction_and_l1_order():
-    crit = _Criterion(7, "Caputo eigenfunction and L1 order", 0.3, 10.0)
-    worst_coeff = 0.0
-    for alpha in (0.3, 0.5, 0.8):
-        for a in (-1.0, 0.5):
-            n_terms = 14
-            p = FracPoly(
-                [(a ** r * rgamma(1.0 + alpha * r), alpha * r) for r in range(n_terms)]
-            )
-            image = caputo_poly(p, alpha)
-            target = FracPoly(
-                [(a ** (r + 1) * rgamma(1.0 + alpha * r), alpha * r) for r in range(n_terms - 1)]
-            )
-            worst_coeff = max(worst_coeff, image.max_coeff_diff(target))
+def test_05_mlp_generating_functions(suites):
+    _criterion(suites, 5, "MLP generating functions", 1e-9, 5.0,
+               "mlp-gf/mlp-ogf", "mlp-gf/mlp-egf")
+
+
+def test_06_operational_construction(suites):
+    _criterion(suites, 6, "operational construction", 1e-10, 2.0,
+               "mlp-gf/mlp-operational")
+
+
+def test_07_caputo_eigenfunction_and_l1_order(suites):
+    worst_coeff = suites[0]["caputo/caputo-eigenfunction-truncation"].max_err
     assert worst_coeff <= 1e-13, f"eigenfunction truncation not exact: {worst_coeff}"
-
-    worst_order_gap = 0.0
-    for gamma_exp in (0.7, 1.0, 2.3):
-        for alpha in (0.3, 0.5, 0.8):
-            if 0.0 < gamma_exp < alpha:
-                continue  # outside the exact monomial rule's domain
-            errs = []
-            for level in range(5):
-                m = 64 * 2 ** level
-                grid = np.linspace(0.0, 1.0, m + 1)
-                coeff, _ = caputo_monomial(gamma_exp, alpha)
-                errs.append(abs(caputo_l1(grid ** gamma_exp, 1.0 / m, alpha, m) - coeff))
-            if max(errs) < 1e-12:
-                continue  # exact for piecewise-linear data
-            for i in range(4):
-                order = math.log2(errs[i] / errs[i + 1])
-                worst_order_gap = max(worst_order_gap, abs(order - (2.0 - alpha)))
-    crit.finish(worst_order_gap)
+    _criterion(suites, 7, "Caputo eigenfunction and L1 order", 0.3, 10.0,
+               "caputo/caputo-l1-order")
 
 
-def test_08_pde_residuals():
-    crit = _Criterion(8, "PDE residuals", 1e-10, 5.0)
-    worst = 0.0
-    for n in range(11):
-        for alpha in (0.3, 0.5, 0.8):
-            worst = max(worst, residual_tf_diffusion(n, alpha, 1.0))
-    for n in range(7):
-        for alpha in (0.3, 0.5, 0.8):
-            for beta in (0.3, 0.5, 0.8):
-                worst = max(worst, residual_laguerre(n, alpha, beta, 1.0))
-    crit.finish(worst)
+def test_08_pde_residuals(suites):
+    _criterion(suites, 8, "PDE residuals", 1e-10, 5.0,
+               "pde-residuals/tf-diffusion-residual", "pde-residuals/laguerre-residual")
 
 
-def test_09_subordination_chain():
-    crit = _Criterion(9, "subordination moment chain", 1e-13, 1.0)
-    worst = 0.0
-    for n in range(9):
-        for alpha, beta in ((0.3, 0.4), (0.5, 0.7), (0.8, 0.6)):
-            x, t, b = 0.8, 0.9, 1.3
-            xa = x ** alpha
-            for r in range(n + 1):
-                direct = (
-                    (math.factorial(n) // math.factorial(r))
-                    * (-xa) ** r
-                    * (b * t ** beta) ** (n - r)
-                    * rgamma(1.0 + alpha * r)
-                    * rgamma(1.0 + beta * (n - r))
-                )
-                moment = (
-                    math.comb(n, r)
-                    * (-xa) ** r
-                    * b ** (n - r)
-                    * rgamma(1.0 + alpha * r)
-                    * levy_subordination_moment(beta, n - r, t)
-                )
-                worst = max(worst, abs(direct - moment) / max(1.0, abs(direct)))
-    crit.finish(worst)
+def test_09_subordination_chain(suites):
+    _criterion(suites, 9, "subordination moment chain", 1e-13, 1.0,
+               "pde-residuals/subordination-term-consistency")
 
 
-def test_10_sheffer_ladder():
-    crit = _Criterion(10, "Sheffer ladder", 1e-9, 2.0)
-    worst = 0.0
-    for alpha in (0.3, 0.5, 0.8):
-        for y in (-1.0, 0.5, 2.0):
-            gd = series_log_derivative(series_reciprocal(appell_A_fhp(alpha, y, 14)))
-            for n in range(11):
-                p = fhp_coeffs(n, alpha, y)
-                want_up = fhp_coeffs(n + 1, alpha, y)
-                scale = max(1.0, max(abs(c) for c in want_up.coefficients))
-                worst = max(worst, raising_apply(p, gd).max_coeff_diff(want_up) / scale)
-                if n >= 1:
-                    want_dn = fhp_coeffs(n - 1, alpha, y).scale(float(n))
-                    scale = max(1.0, max(abs(c) for c in want_dn.coefficients))
-                    worst = max(worst, lowering_apply(p).max_coeff_diff(want_dn) / scale)
-                pm = lowering_apply(raising_apply(p, gd))
-                mp_ = raising_apply(lowering_apply(p), gd)
-                scale = max(1.0, max(abs(c) for c in p.coefficients))
-                worst = max(worst, (pm - mp_).max_coeff_diff(p) / scale)
-    for alpha in (0.3, 0.5, 0.8):
-        for beta in (0.5, 1.0, 1.6):
-            for x in (0.4, 0.6):
-                gd = series_log_derivative(series_reciprocal(appell_A_mlp(alpha, beta, x, 14)))
-                for n in range(11):
-                    p = mlp_coeffs(n, alpha, beta, x)
-                    want_up = mlp_coeffs(n + 1, alpha, beta, x)
-                    scale = max(1.0, max(abs(c) for c in want_up.coefficients))
-                    worst = max(worst, raising_apply(p, gd).max_coeff_diff(want_up) / scale)
-                    if n >= 1:
-                        want_dn = mlp_coeffs(n - 1, alpha, beta, x).scale(float(n))
-                        scale = max(1.0, max(abs(c) for c in want_dn.coefficients))
-                        worst = max(worst, lowering_apply(p).max_coeff_diff(want_dn) / scale)
-                    pm = lowering_apply(raising_apply(p, gd))
-                    mp_ = raising_apply(lowering_apply(p), gd)
-                    scale = max(1.0, max(abs(c) for c in p.coefficients))
-                    worst = max(worst, (pm - mp_).max_coeff_diff(p) / scale)
-    crit.finish(worst)
+def test_10_sheffer_ladder(suites):
+    _criterion(suites, 10, "Sheffer ladder", 1e-9, 2.0,
+               "sheffer-ladder/ladder-raising-fhp", "sheffer-ladder/ladder-lowering-fhp",
+               "sheffer-ladder/ladder-raising-mlp", "sheffer-ladder/ladder-lowering-mlp",
+               "sheffer-ladder/ladder-commutator")
 
 
 def test_11_cli_determinism():
-    crit = _Criterion(11, "CLI determinism", 0.0, 30.0)
+    start = time.perf_counter()
     cmd = [sys.executable, "-m", "mlpoly.cli", "verify", "--suite", "all", "--seed", "42"]
     first = subprocess.run(cmd, capture_output=True)
     second = subprocess.run(cmd, capture_output=True)
     assert first.returncode == 0, first.stdout.decode()
     assert second.returncode == 0
     mismatch = 0.0 if first.stdout == second.stdout else 1.0
-    crit.finish(mismatch)
+    _finish(11, "CLI determinism", 0.0, 30.0, mismatch, time.perf_counter() - start)

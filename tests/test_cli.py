@@ -221,6 +221,39 @@ class TestRejectedInput:
         assert out == ""
         assert "--coeffs" in err
 
+    def test_fhp_overflowing_power_of_x(self, capsys):
+        code, out, err = _run(capsys, "eval-fhp", "--n", "3", "--alpha", "0.5",
+                              "--x", "1e200", "--y", "1")
+        assert code == 2
+        assert out == ""
+        assert "x**3" in err
+
+    def test_solve_overflowing_power_of_x(self, capsys):
+        code, out, err = _run(
+            capsys, "solve", "--problem", "tf-diffusion", "--n", "3", "--alpha", "0.5",
+            "--t", "0.5", "--grid-min", "0", "--grid-max", "1e200",
+        )
+        assert code == 2
+        assert out == ""
+        assert "x**3" in err
+
+    def test_laguerre_parameter_out_of_domain(self, capsys):
+        code, out, err = _run(
+            capsys, "solve", "--problem", "laguerre-monomial", "--n", "2", "--alpha", "-0.5",
+            "--beta", "0.5", "--t", "0.5", "--grid-min", "0", "--grid-max", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "alpha must lie in (0, 1)" in err
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "out.json"
+        code, out, err = _run(capsys, "eval-ml", "--alpha", "1", "--z", "1",
+                              "--output", str(target))
+        assert code == 1
+        assert out == ""
+        assert "cannot write output file" in err and str(target) in err
+
     def test_missing_config_file(self, capsys, tmp_path):
         missing = tmp_path / "absent.cfg"
         code, out, err = _run(capsys, "eval-ml", "--alpha", "1", "--z", "1",

@@ -235,6 +235,15 @@ class TestLaguerreEvolution:
         with pytest.raises(DomainError):
             solve_laguerre_wright(0.5, 0.5, 0.5, 1.0, 1.0, 0.0)
 
+    def test_parameter_domains(self):
+        # the messages are those of LaguerreProblem
+        with pytest.raises(DomainError, match=r"alpha must lie in \(0, 1\)"):
+            solve_laguerre_monomial(2, -0.5, 0.5, 1.0, 0.5, 0.5)
+        with pytest.raises(DomainError, match=r"beta must lie in \(0, 1\]"):
+            solve_laguerre_wright(0.5, 0.5, -0.5, 1.0, 0.5, 0.5)
+        with pytest.raises(DomainError, match="b must be positive"):
+            solve_laguerre_monomial(2, 0.5, 0.5, 0.0, 0.5, 0.5)
+
 
 class TestResiduals:
     def test_low_orders_vanish(self):
@@ -251,9 +260,6 @@ class TestResiduals:
             for alpha in (0.3, 0.5, 0.8):
                 for k in (0.7, 1.0):
                     assert residual_tf_diffusion(n, alpha, k) <= 1e-10
-
-    def test_diffusion_exponent_labels(self):
-        assert residual_tf_diffusion(6, 0.45, 1.0, t_exponent_form=False) <= 1e-10
 
     def test_laguerre_sweep(self):
         for n in range(7):

@@ -52,6 +52,12 @@ class TestAlgebra:
         assert (3.0 * p).terms == ((6.0, 1.0),)
         assert p.scale(0.0).is_zero()
 
+    def test_multiplication_by_scalars_only(self):
+        p = FracPoly([(2.0, 1.0)])
+        assert (2.0 * p).terms == (p * 2.0).terms == ((4.0, 1.0),)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            p * p
+
     def test_times_x(self):
         p = FracPoly([(1.0, 0.0), (1.0, 0.5)])
         assert p.times_x().exponents == (1.0, 1.5)
