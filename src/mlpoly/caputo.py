@@ -13,7 +13,6 @@ from scipy.special import gammaln as _gammaln
 
 from . import config
 from .errors import DomainError
-from .fracpoly import FracPoly
 from .gamma_core import rgamma
 
 

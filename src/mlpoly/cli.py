@@ -101,21 +101,22 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value configuration file")
     common.add_argument("--output", help="write to this path instead of stdout")
-    common.add_argument("--format", choices=("csv", "json"), default="json")
+    formatted = argparse.ArgumentParser(add_help=False, parents=[common])
+    formatted.add_argument("--format", choices=("csv", "json"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval-ml", parents=[common],
+    p = sub.add_parser("eval-ml", parents=[formatted],
                        help="evaluate a Mittag-Leffler function")
     p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--z", type=_finite_float, required=True)
     p.add_argument("--beta", type=_finite_float, default=None)
     p.add_argument("--gamma", type=_finite_float, default=None)
-    p.add_argument("--tol", type=_finite_float, default=None,
-                   help="series tolerance (overrides the config file)")
-    p.add_argument("--term-budget", type=int, default=None,
-                   help="series term budget (overrides the config file)")
+    p.add_argument("--tol", dest="series_tol", type=_finite_float, default=argparse.SUPPRESS,
+                   help="series_tol for this command (overrides the config file)")
+    p.add_argument("--term-budget", dest="term_budget", type=int, default=argparse.SUPPRESS,
+                   help="term_budget for this command (overrides the config file)")
 
-    p = sub.add_parser("eval-fhp", parents=[common],
+    p = sub.add_parser("eval-fhp", parents=[formatted],
                        help="evaluate a fractional Hermite polynomial")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=_finite_float, required=True)
@@ -124,7 +125,7 @@ def _build_parser():
     p.add_argument("--coeffs", action="store_true",
                    help="emit the coefficient list instead of a point value")
 
-    p = sub.add_parser("eval-mlp", parents=[common],
+    p = sub.add_parser("eval-mlp", parents=[formatted],
                        help="evaluate a Mittag-Leffler polynomial")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=_finite_float, required=True)
@@ -134,7 +135,7 @@ def _build_parser():
     p.add_argument("--coeffs", action="store_true",
                    help="emit the coefficient list (in y) instead of a point value")
 
-    p = sub.add_parser("solve", parents=[common],
+    p = sub.add_parser("solve", parents=[formatted],
                        help="solve a Cauchy problem onto a grid")
     p.add_argument("--problem", required=True,
                    choices=("tf-diffusion", "case-i", "case-ii",
@@ -174,13 +175,6 @@ def _build_parser():
 
 
 def _cmd_eval_ml(args):
-    overrides = {}
-    if args.tol is not None:
-        overrides["series_tol"] = args.tol
-    if args.term_budget is not None:
-        overrides["term_budget"] = args.term_budget
-    if overrides:
-        config.configure(**overrides)
     if args.gamma is not None:
         beta = 1.0 if args.beta is None else args.beta
         result = ml_three(args.alpha, beta, args.gamma, args.z)
@@ -298,8 +292,7 @@ def _cmd_solve(args):
 
 def _cmd_verify(args):
     results = run_suites(args.suite, n_max=args.n_max, seed=args.seed)
-    report, ok = format_report(results, n_max=args.n_max, seed=args.seed)
-    return report, ok
+    return format_report(results, n_max=args.n_max, seed=args.seed)
 
 
 def _cmd_table(args):
@@ -314,35 +307,39 @@ def _cmd_table(args):
     return "\n".join(lines) + "\n"
 
 
+def _settings(args):
+    """The config file's pairs, overridden by --tol and --term-budget where given."""
+    path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    try:
+        settings = config.load_config_file(path) if path else {}
+    except OSError as exc:
+        raise _UsageError(f"cannot read config file {path!r}: {exc.strerror}") from None
+    given = vars(args)  # --tol and --term-budget are absent unless given
+    flags = {key: given[key] for key in ("series_tol", "term_budget") if key in given}
+    return {**settings, **flags}
+
+
 def run(argv=None):
     """Execute one command; returns the process exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
-        if config_path:
-            try:
-                config.load_config_file(config_path)
-            except OSError as exc:
-                raise _UsageError(
-                    f"cannot read config file {config_path!r}: {exc.strerror}"
-                ) from None
-        if args.command == "eval-ml":
-            text = _cmd_eval_ml(args)
-        elif args.command == "eval-fhp":
-            text = _cmd_eval_fhp(args)
-        elif args.command == "eval-mlp":
-            text = _cmd_eval_mlp(args)
-        elif args.command == "solve":
-            text = _cmd_solve(args)
-        elif args.command == "table":
-            text = _cmd_table(args)
-        else:
-            text, ok = _cmd_verify(args)
-            _emit(text, args.output)
-            return 0 if ok else 2
+        ok = True
+        with config.override(**_settings(args)):
+            if args.command == "eval-ml":
+                text = _cmd_eval_ml(args)
+            elif args.command == "eval-fhp":
+                text = _cmd_eval_fhp(args)
+            elif args.command == "eval-mlp":
+                text = _cmd_eval_mlp(args)
+            elif args.command == "solve":
+                text = _cmd_solve(args)
+            elif args.command == "table":
+                text = _cmd_table(args)
+            else:
+                text, ok = _cmd_verify(args)
         _emit(text, args.output)
-        return 0
+        return 0 if ok else 2
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

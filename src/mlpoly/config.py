@@ -1,10 +1,12 @@
-"""Numeric defaults, kept in one place.
+"""Numeric settings, kept in one place.
 
-Every tolerance or budget the library consults at run time lives here as a
-module-level name.  :func:`configure` and :func:`load_config_file` mutate
-them (used by the command-line interface); library functions also accept
-explicit keyword overrides where it matters.
+Only ``SERIES_TOL`` and ``TERM_BUDGET`` can be changed, and only inside a
+``with override(...)`` block, which restores them on exit.  The other names
+are constants.
 """
+
+import math
+from contextlib import contextmanager
 
 from .errors import DomainError
 
@@ -22,16 +24,7 @@ TERM_BUDGET = 400
 #: cancellation noise dwarfs the requested tolerance.
 HONESTY_FACTOR = 100.0
 
-# Contract tolerances for the gamma kernel ------------------------------------
-
-LN_GAMMA_RTOL = 1e-13
-RGAMMA_RTOL = 1e-12
-
 # Generalized polynomials ------------------------------------------------------
-
-#: Coefficients with magnitude strictly below this are dropped when a
-#: FracPoly is normalized.  0.0 keeps everything except exact zeros.
-DROP_TOL = 0.0
 
 #: Two exponents within this absolute distance are considered equal when
 #: merging FracPoly terms or aligning coefficient tables.
@@ -44,31 +37,56 @@ IDENTITY_ATOL = 1e-12
 RESIDUAL_TOL = 1e-10
 
 
-_MUTABLE = {
-    "SERIES_TOL": float,
-    "TERM_BUDGET": int,
-    "HONESTY_FACTOR": float,
-    "DROP_TOL": float,
-    "EXP_SNAP": float,
-    "IDENTITY_RTOL": float,
-    "IDENTITY_ATOL": float,
-    "RESIDUAL_TOL": float,
-}
+def _series_tol(value):
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        tol = math.nan
+    if not 0.0 < tol < math.inf:  # NaN fails too
+        raise DomainError(f"series_tol must be a finite number > 0, got {value!r}")
+    return tol
 
 
-def configure(**kwargs):
-    """Override configuration values by name (lower- or upper-case keys)."""
-    for key, value in kwargs.items():
-        name = key.upper()
-        if name not in _MUTABLE:
-            raise DomainError(f"unknown configuration key: {key!r}")
-        globals()[name] = _MUTABLE[name](value)
+def _term_budget(value):
+    try:  # only ints and strings parse: int(1.5) would truncate, int("1.5") raises
+        budget = int(value) if isinstance(value, (int, str)) else 0
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise DomainError(f"term_budget must be an integer >= 1, got {value!r}")
+    return budget
+
+
+_SETTINGS = {"series_tol": _series_tol, "term_budget": _term_budget}
+
+
+@contextmanager
+def override(**settings):
+    """Set ``series_tol`` and ``term_budget`` for the length of a ``with`` block.
+
+    Values may be numbers or strings (as read from a config file); all are
+    checked before any is set, and an unknown key or a bad value raises
+    :class:`DomainError` naming the key.  The values hold process-wide (not
+    per thread) while the block runs and are restored however it ends.
+    """
+    for key in settings:
+        if key not in _SETTINGS:
+            raise DomainError(f"unknown configuration key: {key!r}, not one of {sorted(_SETTINGS)}")
+    parsed = {key.upper(): _SETTINGS[key](value) for key, value in settings.items()}
+    saved = {name: globals()[name] for name in parsed}
+    globals().update(parsed)
+    try:
+        yield
+    finally:
+        globals().update(saved)
 
 
 def load_config_file(path):
-    """Load ``key = value`` lines (TOML-style scalars, '#' comments) from *path*."""
-    overrides = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read ``key = value`` lines ('#' comments) from *path* into a dict of
+    strings, without applying them: :func:`override` checks and applies them.
+    Bytes that are not UTF-8 become U+FFFD, which no key or value accepts."""
+    pairs = {}
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -76,6 +94,5 @@ def load_config_file(path):
             if "=" not in line:
                 raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, value = line.partition("=")
-            overrides[key.strip()] = value.strip()
-    configure(**overrides)
-    return overrides
+            pairs[key.strip()] = value.strip()
+    return pairs

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from . import config
 from .caputo import caputo_monomial
 from .errors import DomainError, VerificationError
-from .fracpoly import FracPoly
 from .fractional_hermite import (
     _convolution_degrees,
     _convolution_i_weights,
@@ -48,7 +47,7 @@ from .fractional_hermite import (
     _oplus_sum,
     _weighted_sum,
 )
-from .gamma_core import _check_n, factorial_ratios, rgamma
+from .gamma_core import _check_n, _powers, _worst, factorial_ratios, rgamma
 from .mittag_leffler import MLSeries, WrightSeries
 
 
@@ -287,7 +286,7 @@ class CaseIIPlan(_FhpPlan):
         self._weights = _convolution_ii_weights(table, a)
         self._gammas = _gamma_weights(table)
         self._binoms = _oplus_binoms(table.top, alpha)
-        self._a_powers = table.y_powers(a)
+        self._a_powers = _powers(a, table.top // 2, "a")
 
     def _t_side(self, t):
         self._check_t(t)
@@ -349,15 +348,12 @@ class LaguerreMonomialPlan(GridPlan):
     def _x_side(self, x):
         if x < 0.0:
             raise DomainError(f"x must be nonnegative, got {x}")
-        xa = math.pow(x, self._alpha)
-        return [(-xa) ** r for r in range(self._n + 1)]
+        return _powers(-math.pow(x, self._alpha), self._n, "(-x**alpha)")
 
     def _t_side(self, t):
         if not t > 0.0:
             raise DomainError(f"t must be positive, got {t}")
-        u = self._b * t ** self._beta
-        n = self._n
-        return [u ** (n - r) for r in range(n + 1)]
+        return _powers(self._b * t ** self._beta, self._n, "(b*t**beta)")[::-1]
 
     def _formula(self, xs, us):
         total = 0.0
@@ -470,7 +466,7 @@ def _table_residual(lhs_terms, rhs_terms):
     for key in lhs.keys() | rhs.keys():
         lv = lhs.get(key, 0.0)
         rv = rhs.get(key, 0.0)
-        worst = max(worst, abs(lv - rv) / max(1.0, abs(lv), abs(rv)))
+        worst = _worst(worst, abs(lv - rv) / max(1.0, abs(lv), abs(rv)))
     return worst
 
 

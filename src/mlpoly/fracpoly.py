@@ -5,8 +5,7 @@ Mittag-Leffler polynomials, and truncated power series with fractional
 exponents.  Terms are kept sorted by strictly increasing exponent; exponents
 closer than ``config.EXP_SNAP`` are merged (fractional exponents arrive from
 float arithmetic along different routes, e.g. ``a*r - a`` versus
-``a*(r-1)``), and coefficients below the configured drop tolerance are
-removed.
+``a*(r-1)``), and exact zero coefficients are removed.
 """
 
 import json
@@ -22,9 +21,8 @@ class FracPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms=(), drop_tol=None, snap=None):
-        drop = config.DROP_TOL if drop_tol is None else float(drop_tol)
-        snap = config.EXP_SNAP if snap is None else float(snap)
+    def __init__(self, terms=()):
+        snap = config.EXP_SNAP
         merged = []  # sorted (exponent, coefficient) pairs
         for coeff, exponent in sorted(terms, key=lambda t: t[1]):
             coeff = float(coeff)
@@ -39,9 +37,7 @@ class FracPoly:
                 merged[-1][1] += coeff
             else:
                 merged.append([exponent, coeff])
-        self._terms = tuple(
-            (c, mu) for mu, c in merged if c != 0.0 and abs(c) >= drop
-        )
+        self._terms = tuple((c, mu) for mu, c in merged if c != 0.0)
 
     # -- construction helpers --------------------------------------------
 
@@ -82,10 +78,9 @@ class FracPoly:
     def has_integer_exponents(self, tol=1e-9):
         return all(abs(mu - round(mu)) <= tol for _, mu in self._terms)
 
-    def coeff_at(self, exponent, snap=None):
-        snap = config.EXP_SNAP if snap is None else snap
+    def coeff_at(self, exponent):
         for c, mu in self._terms:
-            if abs(mu - exponent) <= snap:
+            if abs(mu - exponent) <= config.EXP_SNAP:
                 return c
         return 0.0
 

@@ -17,9 +17,9 @@ import functools
 import math
 from operator import mul
 
-from .errors import DomainError, FloatOverflowError
+from .errors import DomainError
 from .fracpoly import FracPoly
-from .gamma_core import _check_n, factorial_ratios, frac_binom, rgamma
+from .gamma_core import _check_n, _powers, factorial_ratios, frac_binom, rgamma
 
 
 def _check_alpha_closed(alpha):
@@ -30,16 +30,6 @@ def _check_alpha_closed(alpha):
 def _check_alpha_open(alpha):
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-
-
-def _powers(v, top, name):
-    """[v**0, v**1, ..., v**top]; ``name`` is v's name in the overflow error."""
-    try:
-        return [v ** e for e in range(top + 1)]
-    except OverflowError:
-        raise FloatOverflowError(
-            f"{name}**{top} exceeds the double-precision range at {name} = {v!r}"
-        ) from None
 
 
 class _FhpTable:
@@ -217,7 +207,7 @@ def fhp_oplus_eval(n, x, w, a, alpha):
     """
     table = _fhp_table((_check_n(n),), alpha)
     wp = table.y_powers(w)
-    ap = table.y_powers(a)
+    ap = _powers(a, table.top // 2, "a")
     oplus = [_oplus(binoms, wp, ap) for binoms in _oplus_binoms(table.top, alpha)]
     return _oplus_sum(table.top, _gamma_weights(table), table.x_powers(x), oplus)
 
@@ -242,7 +232,7 @@ def _convolution_i_weights(n, a):
     ratios = factorial_ratios(
         n, tuple(math.factorial(r) * math.factorial(n - 2 * r) for r in range(n // 2 + 1))
     )
-    return [ratio * a ** r for r, ratio in enumerate(ratios)]
+    return list(map(mul, ratios, _powers(a, n // 2, "a")))
 
 
 def _gamma_weights(table):
@@ -252,7 +242,7 @@ def _gamma_weights(table):
 
 def _convolution_ii_weights(table, a):
     """n!/(n-2r)! a**r / Gamma(1+alpha*r), the weight of H[alpha]_{n-2r} in convolution ii."""
-    return [g * a ** r for r, g in enumerate(_gamma_weights(table))]
+    return list(map(mul, _gamma_weights(table), _powers(a, table.top // 2, "a")))
 
 
 def _oplus_binoms(n, alpha):

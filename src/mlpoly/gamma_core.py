@@ -11,7 +11,6 @@ import math
 
 from scipy.special import gammaln as _gammaln
 
-from . import config
 from .errors import DomainError, FloatOverflowError, IndeterminateFormError
 
 _PI = math.pi
@@ -75,7 +74,7 @@ def rgamma(x):
     """Reciprocal gamma 1/Gamma(x), entire in x.
 
     Returns exactly 0.0 at the poles x = 0, -1, -2, ...; elsewhere the
-    relative error target is ``config.RGAMMA_RTOL``.
+    relative error target is 1e-12.
     """
     _require_finite(x, "x")
     if x >= 0.5:
@@ -119,6 +118,21 @@ def factorial_ratios(n, denominators):
         raise FloatOverflowError(
             f"n = {n}: an integer factor n!/(...) exceeds the double-precision range"
         ) from None
+
+
+def _powers(v, top, name):
+    """[v**0, v**1, ..., v**top]; ``name`` is v's name in the overflow error."""
+    try:
+        return [v ** e for e in range(top + 1)]
+    except OverflowError:
+        raise FloatOverflowError(
+            f"{name}**{top} exceeds the double-precision range at {name} = {v!r}"
+        ) from None
+
+
+def _worst(*gaps):
+    """The largest of ``gaps``, or NaN if any is NaN (``max`` drops a NaN that is not first)."""
+    return math.nan if any(map(math.isnan, gaps)) else max(gaps)
 
 
 def frac_binom(n, r, alpha):

@@ -23,7 +23,7 @@ from . import config
 from .caputo import caputo_monomial
 from .errors import DomainError, VerificationError
 from .fracpoly import FracPoly
-from .gamma_core import _check_n, ln_gamma, rgamma
+from .gamma_core import _check_n, _powers, ln_gamma, rgamma
 from .mittag_leffler import ml_two, wright
 
 
@@ -37,14 +37,11 @@ def mlp_eval(n, alpha, beta, x, y):
     n = _check_n(n)
     _check_pos(alpha, "alpha")
     _check_pos(beta, "beta")
+    xp = _powers(-x, n, "(-x)")
+    yp = _powers(y, n, "y")
     total = 0.0
     for r in range(n + 1):
-        total += (
-            math.comb(n, r)
-            * (-x) ** r
-            * y ** (n - r)
-            * rgamma(beta + alpha * r)
-        )
+        total += math.comb(n, r) * xp[r] * yp[n - r] * rgamma(beta + alpha * r)
     return total
 
 
@@ -53,11 +50,9 @@ def mlp_coeffs(n, alpha, beta, x):
     n = _check_n(n)
     _check_pos(alpha, "alpha")
     _check_pos(beta, "beta")
+    xp = _powers(-x, n, "(-x)")
     return FracPoly(
-        [
-            (math.comb(n, r) * (-x) ** r * rgamma(beta + alpha * r), float(n - r))
-            for r in range(n + 1)
-        ]
+        [(math.comb(n, r) * xp[r] * rgamma(beta + alpha * r), float(n - r)) for r in range(n + 1)]
     )
 
 

@@ -31,7 +31,7 @@ from .fractional_hermite import (
     oplus_power,
     umbral_hermite_shift,
 )
-from .gamma_core import levy_subordination_moment, rgamma
+from .gamma_core import _worst, levy_subordination_moment, rgamma
 from .mittag_leffler import ml_one, ml_two, wright
 from .ml_polynomials import (
     konhauser,
@@ -116,7 +116,7 @@ def suite_fhp_identities(n_max=12, seed=42):
                 FracPoly([(6.0 * y * g1, 1), (1.0, 3)]),
             ]
             for n, want in enumerate(expected):
-                worst = max(worst, fhp_coeffs(n, alpha, y).max_coeff_diff(want))
+                worst = _worst(worst, fhp_coeffs(n, alpha, y).max_coeff_diff(want))
     results.append(CheckResult("fhp-low-order-closed-forms", worst <= 1e-12, worst, 1e-12))
 
     # alpha = 1 is the classical family
@@ -124,7 +124,7 @@ def suite_fhp_identities(n_max=12, seed=42):
     for n in range(min(n_max, 15) + 1):
         for _ in range(5):
             x, y = rng.uniform(-1.5, 1.5, size=2)
-            worst = max(worst, _rel_gap(fhp_eval(n, 1.0, x, y), _classical_hermite(n, x, y)))
+            worst = _worst(worst, _rel_gap(fhp_eval(n, 1.0, x, y), _classical_hermite(n, x, y)))
     results.append(CheckResult("fhp-classical-reduction", worst <= 1e-10, worst, 1e-10))
 
     # closed zero-argument values against the evaluator
@@ -132,7 +132,7 @@ def suite_fhp_identities(n_max=12, seed=42):
     for n in range(n_max + 1):
         for alpha in (0.3, 0.5, 0.8, 1.0):
             for y in (-1.0, 0.5, 2.0):
-                worst = max(worst, abs(fhp_at_zero(n, alpha, y) - fhp_eval(n, alpha, 0.0, y)))
+                worst = _worst(worst, abs(fhp_at_zero(n, alpha, y) - fhp_eval(n, alpha, 0.0, y)))
     results.append(CheckResult("fhp-at-zero", worst <= 1e-12, worst, 1e-12))
 
     # forward shift in x: d/dx lowers n by one with the same gamma values
@@ -142,7 +142,7 @@ def suite_fhp_identities(n_max=12, seed=42):
             for y in (-1.0, 0.5, 2.0):
                 image = fhp_coeffs(n, alpha, y).derivative()
                 target = fhp_coeffs(n - 1, alpha, y).scale(float(n))
-                worst = max(worst, _scaled_gap(image, target))
+                worst = _worst(worst, _scaled_gap(image, target))
     results.append(CheckResult("fhp-forward-shift-x", worst <= 1e-12, worst, 1e-12))
 
     # forward shift in y: the Caputo derivative drops n by two
@@ -167,7 +167,7 @@ def suite_fhp_identities(n_max=12, seed=42):
                     for s in range((n - 2) // 2 + 1)
                 ]
             )
-            worst = max(worst, _scaled_gap(caputo_poly(p, alpha), q.scale(float(n * (n - 1)))))
+            worst = _worst(worst, _scaled_gap(caputo_poly(p, alpha), q.scale(float(n * (n - 1)))))
     results.append(CheckResult("fhp-forward-shift-y", worst <= 1e-10, worst, 1e-10))
 
     # exponential generating function against the closed product
@@ -180,7 +180,7 @@ def suite_fhp_identities(n_max=12, seed=42):
                 lam ** n / math.factorial(n) * fhp_eval(n, alpha, x, y) for n in range(31)
             )
             closed = math.exp(x * lam) * ml_one(alpha, y * lam * lam).value
-            worst = max(worst, abs(partial - closed))
+            worst = _worst(worst, abs(partial - closed))
     results.append(CheckResult("fhp-egf", worst <= 1e-10, worst, 1e-10))
 
     # the two convolution identities
@@ -190,14 +190,14 @@ def suite_fhp_identities(n_max=12, seed=42):
         a, w = rng.uniform(-1.0, 1.0, size=2)
         alpha = rng.uniform(0.15, 0.95)
         for n in range(n_max + 1):
-            worst_i = max(
+            worst_i = _worst(
                 worst_i,
                 _rel_gap(
                     umbral_hermite_shift(n, x, a, w, alpha),
                     convolution_identity_i_rhs(n, x, a, w, alpha),
                 ),
             )
-            worst_ii = max(
+            worst_ii = _worst(
                 worst_ii,
                 _rel_gap(
                     fhp_oplus_eval(n, x, w, a, alpha),
@@ -214,12 +214,9 @@ def suite_fhp_identities(n_max=12, seed=42):
         s = rng.uniform(0.2, 2.0)
         alpha = rng.uniform(0.2, 1.0)
         for n in range(min(n_max, 10) + 1):
-            worst = max(
+            worst = _worst(
                 worst,
                 _rel_gap(fhp_eval(n, alpha, s * x, s * s * y), s ** n * fhp_eval(n, alpha, x, y)),
-            )
-            worst = max(
-                worst,
                 _rel_gap(oplus_power(s * x, s * y, n, alpha), s ** n * oplus_power(x, y, n, alpha)),
             )
     results.append(CheckResult("fhp-homogeneity", worst <= 1e-9, worst, 1e-9))
@@ -242,7 +239,7 @@ def suite_mlp_gf(n_max=10, seed=42):
         y = rng.uniform(0.4, 1.1)
         lam = rng.uniform(0.3, 1.0) * 0.5 / (abs(x) + abs(y))
         partial = sum(lam ** n * mlp_eval(n, alpha, beta, x, y) for n in range(41))
-        worst = max(worst, abs(partial - mlp_ogf_closed(lam, alpha, beta, x, y)))
+        worst = _worst(worst, abs(partial - mlp_ogf_closed(lam, alpha, beta, x, y)))
     results.append(CheckResult("mlp-ogf", worst <= 1e-9, worst, 1e-9))
 
     worst = 0.0
@@ -256,7 +253,7 @@ def suite_mlp_gf(n_max=10, seed=42):
             lam ** n / math.factorial(n) * mlp_eval(n, alpha, beta, x, y)
             for n in range(31)
         )
-        worst = max(worst, abs(partial - mlp_egf_closed(lam, alpha, beta, x, y)))
+        worst = _worst(worst, abs(partial - mlp_egf_closed(lam, alpha, beta, x, y)))
     results.append(CheckResult("mlp-egf", worst <= 1e-9, worst, 1e-9))
 
     worst = 0.0
@@ -266,7 +263,7 @@ def suite_mlp_gf(n_max=10, seed=42):
         x = rng.uniform(-1.0, 1.0)
         y = rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0])
         for n in range(n_max + 1):
-            worst = max(
+            worst = _worst(
                 worst,
                 _rel_gap(mlp_one_var_reduction(n, alpha, beta, x, y), mlp_eval(n, alpha, beta, x, y)),
             )
@@ -275,7 +272,7 @@ def suite_mlp_gf(n_max=10, seed=42):
     worst = 0.0
     for n in range(min(n_max, 10) + 1):
         for x in np.linspace(0.0, 4.0, 9):
-            worst = max(
+            worst = _worst(
                 worst,
                 _rel_gap(konhauser(n, 1.0, 1.0, float(x), 1.0), _laguerre_explicit(n, float(x))),
             )
@@ -293,7 +290,7 @@ def suite_mlp_gf(n_max=10, seed=42):
                     for j in range(r):
                         poch *= (-n + j)
                     series_coeff = poch / math.factorial(r) * rgamma(beta + alpha * r)
-                    worst = max(worst, abs(series_coeff - poly.coeff_at(float(n - r))))
+                    worst = _worst(worst, abs(series_coeff - poly.coeff_at(float(n - r))))
     results.append(CheckResult("mlp-prabhakar-consistency", worst <= 1e-12, worst, 1e-12))
 
     worst = 0.0
@@ -301,7 +298,7 @@ def suite_mlp_gf(n_max=10, seed=42):
         for alpha in (0.3, 0.5, 0.9):
             for y in (0.5, 1.0, 2.0):
                 lhs, rhs = mlp_operational_check(n, alpha, y, n)
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+                worst = _worst(worst, float(np.max(np.abs(lhs - rhs))))
     results.append(CheckResult("mlp-operational", worst <= 1e-10, worst, 1e-10))
 
     return results
@@ -329,7 +326,7 @@ def suite_caputo(n_max=12, seed=42):
         a, b = rng.uniform(-3, 3, size=2)
         combo = caputo_poly(p.scale(a) + q.scale(b), alpha)
         split = caputo_poly(p, alpha).scale(a) + caputo_poly(q, alpha).scale(b)
-        worst = max(worst, combo.max_coeff_diff(split))
+        worst = _worst(worst, combo.max_coeff_diff(split))
     results.append(CheckResult("caputo-linearity", worst <= 1e-12, worst, 1e-12))
 
     worst = 0.0
@@ -338,7 +335,7 @@ def suite_caputo(n_max=12, seed=42):
             for n_terms in (6, 12, 14):
                 image = caputo_poly(_ml_truncation_poly(alpha, a, n_terms), alpha)
                 target = _ml_truncation_poly(alpha, a, n_terms - 1).scale(a)
-                worst = max(worst, image.max_coeff_diff(target))
+                worst = _worst(worst, image.max_coeff_diff(target))
     results.append(CheckResult("caputo-eigenfunction-truncation", worst <= 1e-13, worst, 1e-13))
 
     worst = 0.0
@@ -354,10 +351,10 @@ def suite_caputo(n_max=12, seed=42):
                 coeff, expo = caputo_monomial(gamma_exp, alpha)
                 exact = coeff * 1.0 ** expo
                 errs.append(abs(caputo_l1(grid ** gamma_exp, h, alpha, m) - exact))
-            if max(errs) < 1e-12:
+            if _worst(*errs) < 1e-12:
                 continue  # the scheme is exact for linear data
             orders = [math.log2(errs[i] / errs[i + 1]) for i in range(4)]
-            worst = max(worst, max(abs(o - (2.0 - alpha)) for o in orders))
+            worst = _worst(worst, *(abs(o - (2.0 - alpha)) for o in orders))
     results.append(CheckResult("caputo-l1-order", worst <= 0.3, worst, 0.3))
 
     worst = 0.0
@@ -366,7 +363,7 @@ def suite_caputo(n_max=12, seed=42):
             for a in (-1.0, 0.7):
                 caputo_value = a * ml_one(alpha, a * t ** alpha).value
                 want = t ** (-alpha) * rgamma(1.0 - alpha) + a * ml_one(alpha, a * t ** alpha).value
-                worst = max(worst, _rel_gap(rl_from_caputo(caputo_value, 1.0, t, alpha), want))
+                worst = _worst(worst, _rel_gap(rl_from_caputo(caputo_value, 1.0, t, alpha), want))
     results.append(CheckResult("caputo-riemann-liouville-shift", worst <= 1e-12, worst, 1e-12))
 
     return results
@@ -382,15 +379,15 @@ def suite_pde_residuals(n_max=10, seed=42):
     worst = 0.0
     for n in range(min(n_max, 10) + 1):
         for alpha in (0.3, 0.5, 0.8):
-            worst = max(worst, residual_tf_diffusion(n, alpha, 1.0))
-            worst = max(worst, residual_tf_diffusion(n, alpha, 0.7))
+            worst = _worst(worst, residual_tf_diffusion(n, alpha, 1.0),
+                           residual_tf_diffusion(n, alpha, 0.7))
     results.append(CheckResult("tf-diffusion-residual", worst <= 1e-10, worst, 1e-10))
 
     worst = 0.0
     for n in range(min(n_max, 6) + 1):
         for alpha in (0.3, 0.5, 0.8):
             for beta in (0.3, 0.5, 0.8):
-                worst = max(worst, residual_laguerre(n, alpha, beta, 1.0))
+                worst = _worst(worst, residual_laguerre(n, alpha, beta, 1.0))
     results.append(CheckResult("laguerre-residual", worst <= 1e-10, worst, 1e-10))
 
     # every solution reproduces its initial datum at t -> 0+
@@ -405,11 +402,11 @@ def suite_pde_residuals(n_max=10, seed=42):
         b = rng.uniform(0.5, 2.0)
         x = rng.uniform(0.1, 1.5)
         y = rng.uniform(0.2, 1.5)
-        worst = max(worst, abs(solve_case_i(n, a, alpha, k, x, 0.0) - _classical_hermite(n, x, a)))
-        worst = max(worst, abs(solve_case_ii(n, a, alpha, k, x, 0.0) - fhp_eval(n, alpha, x, a)))
+        worst = _worst(worst, abs(solve_case_i(n, a, alpha, k, x, 0.0) - _classical_hermite(n, x, a)))
+        worst = _worst(worst, abs(solve_case_ii(n, a, alpha, k, x, 0.0) - fhp_eval(n, alpha, x, a)))
         ic = (-(x ** alpha)) ** n * rgamma(1.0 + alpha * n)
-        worst = max(worst, abs(solve_laguerre_monomial(n, alpha, beta, b, x, tiny ** (1.0 / beta)) - ic))
-        worst = max(
+        worst = _worst(worst, abs(solve_laguerre_monomial(n, alpha, beta, b, x, tiny ** (1.0 / beta)) - ic))
+        worst = _worst(
             worst,
             abs(
                 solve_laguerre_wright(y, alpha, beta, b, x, (tiny / (b * y)) ** (1.0 / beta))
@@ -427,11 +424,11 @@ def suite_pde_residuals(n_max=10, seed=42):
         x = rng.uniform(-1.5, 1.5)
         t = rng.uniform(0.1, 1.5)
         w = k * t ** alpha
-        worst_i = max(
+        worst_i = _worst(
             worst_i,
             _rel_gap(solve_case_i(n, a, alpha, k, x, t), umbral_hermite_shift(n, x, a, w, alpha)),
         )
-        worst_ii = max(
+        worst_ii = _worst(
             worst_ii,
             _rel_gap(solve_case_ii(n, a, alpha, k, x, t), fhp_oplus_eval(n, x, w, a, alpha)),
         )
@@ -460,7 +457,7 @@ def suite_pde_residuals(n_max=10, seed=42):
                     * rgamma(1.0 + alpha * r)
                     * levy_subordination_moment(beta, n - r, t)
                 )
-                worst = max(worst, _rel_gap(direct, moment))
+                worst = _worst(worst, _rel_gap(direct, moment))
     results.append(CheckResult("subordination-term-consistency", worst <= 1e-13, worst, 1e-13))
 
     return results
@@ -475,11 +472,11 @@ def _ladder_gaps(coeffs, gd, n_max):
     up = down = comm = 0.0
     for n in range(n_max + 1):
         p = coeffs(n)
-        up = max(up, _scaled_gap(raising_apply(p, gd), coeffs(n + 1)))
+        up = _worst(up, _scaled_gap(raising_apply(p, gd), coeffs(n + 1)))
         if n >= 1:
-            down = max(down, _scaled_gap(lowering_apply(p), coeffs(n - 1).scale(float(n))))
+            down = _worst(down, _scaled_gap(lowering_apply(p), coeffs(n - 1).scale(float(n))))
         commutator = lowering_apply(raising_apply(p, gd)) - raising_apply(lowering_apply(p), gd)
-        comm = max(comm, _scaled_gap(commutator, p))
+        comm = _worst(comm, _scaled_gap(commutator, p))
     return up, down, comm
 
 
@@ -493,7 +490,7 @@ def suite_sheffer_ladder(n_max=10, seed=42):
         for y in (-1.0, 0.5, 2.0):
             gd = series_log_derivative(series_reciprocal(appell_A_fhp(alpha, y, n_max + 4)))
             gaps = _ladder_gaps(lambda n: fhp_coeffs(n, alpha, y), gd, n_max)
-            fhp = tuple(map(max, fhp, gaps))
+            fhp = tuple(map(_worst, fhp, gaps))
 
     # x stays moderate: large x pushes the first zero of the Wright prefactor
     # toward the origin and the reciprocal-series route becomes ill-conditioned
@@ -503,14 +500,14 @@ def suite_sheffer_ladder(n_max=10, seed=42):
             for x in (0.4, 0.6):
                 gd = series_log_derivative(series_reciprocal(appell_A_mlp(alpha, beta, x, n_max + 4)))
                 gaps = _ladder_gaps(lambda n: mlp_coeffs(n, alpha, beta, x), gd, n_max)
-                mlp = tuple(map(max, mlp, gaps))
+                mlp = tuple(map(_worst, mlp, gaps))
 
     for name, worst in (
         ("ladder-raising-fhp", fhp[0]),
         ("ladder-lowering-fhp", fhp[1]),
         ("ladder-raising-mlp", mlp[0]),
         ("ladder-lowering-mlp", mlp[1]),
-        ("ladder-commutator", max(fhp[2], mlp[2])),
+        ("ladder-commutator", _worst(fhp[2], mlp[2])),
     ):
         results.append(CheckResult(name, worst <= 1e-9, worst, 1e-9))
 
@@ -521,7 +518,7 @@ def suite_sheffer_ladder(n_max=10, seed=42):
             deriv = appell_A_fhp(alpha, y, 14).derivative()
             for r in range(1, 7):
                 closed = (2.0 / alpha) * y ** r * rgamma(alpha * r)
-                worst = max(worst, abs(deriv.coeffs[2 * r - 1] - closed))
+                worst = _worst(worst, abs(deriv.coeffs[2 * r - 1] - closed))
     results.append(CheckResult("appell-A-prime-consistency", worst <= 1e-10, worst, 1e-10))
 
     # cocycle of h for both families
@@ -535,12 +532,12 @@ def suite_sheffer_ladder(n_max=10, seed=42):
         _, h12 = aux_v_h_fhp(l1 + l2, x, alpha, y)
         _, ha = aux_v_h_fhp(l1, x, alpha, y)
         _, hb = aux_v_h_fhp(l2, l1 + x, alpha, y)
-        worst = max(worst, _rel_gap(h12, ha * hb))
+        worst = _worst(worst, _rel_gap(h12, ha * hb))
         xp = rng.uniform(0.2, 1.0)
         _, h12 = aux_v_h_mlp(l1 + l2, x, alpha, beta, xp)
         _, ha = aux_v_h_mlp(l1, x, alpha, beta, xp)
         _, hb = aux_v_h_mlp(l2, l1 + x, alpha, beta, xp)
-        worst = max(worst, _rel_gap(h12, ha * hb))
+        worst = _worst(worst, _rel_gap(h12, ha * hb))
     results.append(CheckResult("h-cocycle", worst <= 1e-9, worst, 1e-9))
 
     # the generic evaluator collapses to q = 1, T = lam + x and the closed v, h
@@ -556,7 +553,7 @@ def suite_sheffer_ladder(n_max=10, seed=42):
         if q != 1.0 or big_t != lam + x:
             worst = math.inf
         v2, h2 = aux_v_h_fhp(lam, x, alpha, y)
-        worst = max(worst, _rel_gap(v, v2), _rel_gap(h, h2))
+        worst = _worst(worst, _rel_gap(v, v2), _rel_gap(h, h2))
     results.append(CheckResult("appell-specialization", worst <= 1e-9, worst, 1e-9))
 
     return results

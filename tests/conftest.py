@@ -1,16 +1,4 @@
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
-
-from mlpoly import config
-
-
-@pytest.fixture(autouse=True)
-def _restore_config():
-    saved = {name: getattr(config, name) for name in config._MUTABLE}
-    yield
-    for name, value in saved.items():
-        setattr(config, name, value)

@@ -6,7 +6,6 @@ import pytest
 from mlpoly.caputo import caputo_l1, caputo_monomial, caputo_poly, rl_from_caputo
 from mlpoly.errors import DomainError
 from mlpoly.fracpoly import FracPoly
-from mlpoly.fractional_hermite import fhp_coeffs
 from mlpoly.gamma_core import rgamma
 from mlpoly.mittag_leffler import ml_one
 

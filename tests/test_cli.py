@@ -9,6 +9,13 @@ from mlpoly import config
 from mlpoly.cli import run
 
 
+def _config_values():
+    return {name: value for name, value in vars(config).items() if name.isupper()}
+
+
+_CONFIG_DEFAULTS = _config_values()
+
+
 def _run(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -254,6 +261,36 @@ class TestRejectedInput:
         assert out == ""
         assert "cannot write output file" in err and str(target) in err
 
+    @pytest.mark.parametrize("argv", [
+        ("eval-mlp", "--n", "3", "--alpha", "0.5", "--beta", "1", "--x", "1e200", "--y", "1"),
+        ("eval-mlp", "--n", "3", "--alpha", "0.5", "--beta", "1", "--x", "1", "--y", "1e200"),
+        ("table", "--family", "mlp", "--alpha", "0.5", "--x", "1e200", "--n-max", "3"),
+        ("solve", "--problem", "case-i", "--n", "4", "--a", "1e200", "--alpha", "0.5",
+         "--t", "0.5", "--grid-min", "0", "--grid-max", "1", "--grid-points", "3"),
+        ("solve", "--problem", "case-ii", "--n", "4", "--a", "1e200", "--alpha", "0.5",
+         "--t", "0.5", "--grid-min", "0", "--grid-max", "1", "--grid-points", "3"),
+        ("solve", "--problem", "laguerre-monomial", "--n", "4", "--alpha", "0.5", "--beta", "0.5",
+         "--t", "0.5", "--grid-min", "0", "--grid-max", "1e200", "--grid-points", "3"),
+        ("solve", "--problem", "laguerre-monomial", "--n", "4", "--alpha", "0.5", "--beta", "0.5",
+         "--b", "1e300", "--grid-var", "t", "--x", "0.5", "--grid-min", "0.1", "--grid-max", "1",
+         "--grid-points", "3"),
+    ], ids=["mlp-x", "mlp-y", "table-mlp", "case-i-a", "case-ii-a", "laguerre-x", "laguerre-b"])
+    def test_overflowing_float_power(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "exceeds the double-precision range" in err
+
+    @pytest.mark.parametrize("command", [
+        ("verify", "--suite", "caputo"),
+        ("table", "--family", "fhp", "--alpha", "0.5"),
+    ], ids=["verify", "table"])
+    def test_format_only_where_it_applies(self, capsys, command):
+        code, out, err = _run(capsys, *command, "--format", "json")
+        assert code == 1
+        assert out == ""
+        assert "--format" in err
+
     def test_missing_config_file(self, capsys, tmp_path):
         missing = tmp_path / "absent.cfg"
         code, out, err = _run(capsys, "eval-ml", "--alpha", "1", "--z", "1",
@@ -297,6 +334,66 @@ class TestConfig:
         monkeypatch.setenv("MLPOLY_CONFIG", str(cfg))
         code, _, _ = _run(capsys, "eval-ml", "--alpha", "0.5", "--z", "2.0")
         assert code == 2
+
+    @pytest.mark.parametrize("text, name", [
+        ("series_tol = abc\n", "series_tol"),
+        ("term_budget = 1.5\n", "term_budget"),
+        ("series_tol = nan\n", "series_tol"),
+        ("exp_snap = 5\n", "exp_snap"),
+    ], ids=["tol-abc", "budget-1.5", "tol-nan", "exp_snap"])
+    def test_bad_config_value_rejected(self, capsys, tmp_path, text, name):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code, out, err = _run(capsys, "eval-fhp", "--n", "4", "--alpha", "0.5", "--y", "1",
+                              "--coeffs", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and name in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--tol", "-1", "series_tol"),
+        ("--tol", "0", "series_tol"),
+        ("--term-budget", "0", "term_budget"),
+    ], ids=["tol-negative", "tol-zero", "budget-zero"])
+    def test_bad_setting_flag_rejected(self, capsys, flag, value, name):
+        code, out, err = _run(capsys, "eval-ml", "--alpha", "1", "--z", "1", flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and name in err
+
+    def test_undecodable_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(b"\xff\xfe = 1\n")
+        code, out, err = _run(capsys, "eval-ml", "--alpha", "1", "--z", "1", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert "unknown configuration key" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, config_text, use_env, want", [
+        (("eval-ml", "--alpha", "1", "--z", "1", "--tol", "1e-3"), None, False, 0),
+        (("eval-ml", "--alpha", "0.5", "--z", "2", "--term-budget", "3"), None, False, 2),
+        (("eval-ml", "--alpha", "1", "--z", "1", "--tol", "-1", "--term-budget", "7"),
+         None, False, 1),
+        (("eval-ml", "--alpha", "0.5", "--z", "2"), "term_budget = 3\n", False, 2),
+        (("eval-ml", "--alpha", "1", "--z", "1"), "series_tol = 1e-3\nterm_budget = 50\n",
+         True, 0),
+        (("eval-fhp", "--n", "-1", "--alpha", "0.5", "--x", "1", "--y", "1"),
+         "series_tol = 1e-3\n", True, 1),
+        (("verify", "--suite", "caputo", "--n-max", "4"), "term_budget = 3\n", False, 2),
+    ], ids=["tol", "term-budget", "bad-tol", "config", "env", "env-bad-input", "config-verify"])
+    def test_settings_do_not_outlive_run(self, capsys, tmp_path, monkeypatch,
+                                         argv, config_text, use_env, want):
+        argv = list(argv)
+        if config_text is not None:
+            cfg = tmp_path / "settings.cfg"
+            cfg.write_text(config_text)
+            if use_env:
+                monkeypatch.setenv("MLPOLY_CONFIG", str(cfg))
+            else:
+                argv += ["--config", str(cfg)]
+        code, _, _ = _run(capsys, *argv)
+        assert code == want
+        assert _config_values() == _CONFIG_DEFAULTS
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

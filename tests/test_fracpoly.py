@@ -1,5 +1,4 @@
 import json
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -34,10 +33,6 @@ class TestNormalization:
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             FracPoly([(float("nan"), 1.0)])
-
-    def test_drop_tolerance(self):
-        p = FracPoly([(1e-20, 1.0), (1.0, 2.0)], drop_tol=1e-15)
-        assert p.terms == ((1.0, 2.0),)
 
 
 class TestAlgebra:

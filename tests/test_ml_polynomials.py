@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mlpoly.errors import DomainError, VerificationError
+from mlpoly.errors import DomainError
 from mlpoly.fracpoly import FracPoly
 from mlpoly.gamma_core import gamma, rgamma
 from mlpoly.mittag_leffler import ml_three

@@ -7,7 +7,7 @@ from mlpoly.errors import DomainError, SingularityError
 from mlpoly.fracpoly import FracPoly
 from mlpoly.fractional_hermite import fhp_coeffs
 from mlpoly.gamma_core import gamma, rgamma
-from mlpoly.mittag_leffler import ml_one, ml_two, wright
+from mlpoly.mittag_leffler import ml_one, ml_two
 from mlpoly.ml_polynomials import mlp_coeffs
 from mlpoly.sheffer import (
     PowerSeries,

@@ -180,17 +180,15 @@ def test_cli_solve_bytes_equal_scalar_point_by_point(capsys, problem, grid_var, 
     assert out == _profile_text(SolutionProfile(grid, values, meta), fmt)
 
 
-def test_case_ii_grid_still_checks_both_routes_at_every_point(capsys, tmp_path):
+def test_case_ii_grid_still_checks_both_routes_at_every_point(capsys, monkeypatch):
     # with zero tolerances any rounding gap between the two routes is a disagreement
-    cfg = tmp_path / "strict.cfg"
-    cfg.write_text("identity_rtol = 0\nidentity_atol = 0\n")
+    monkeypatch.setattr(config, "IDENTITY_RTOL", 0.0)
+    monkeypatch.setattr(config, "IDENTITY_ATOL", 0.0)
     argv = ["solve", "--problem", "case-ii", "--n", "12", "--a", "0.5", "--alpha", "0.6",
-            "--k", "1.2", "--t", "0.7", "--grid-min=-2", "--grid-max=2", "--grid-points", "11",
-            "--config", str(cfg)]
+            "--k", "1.2", "--t", "0.7", "--grid-min=-2", "--grid-max=2", "--grid-points", "11"]
     assert run(argv) == 2
     assert "disagree" in capsys.readouterr().err
 
-    config.configure(identity_rtol=0.0, identity_atol=0.0)
     solution = CaseIIPlan(12, 0.5, 0.6, 1.2).along_x(0.7)
     w = 1.2 * 0.7 ** 0.6
     raised = []
