@@ -8,12 +8,9 @@ cross-check; nothing in the library consumes it.
 
 import math
 
-import numpy as np
-from scipy.special import gammaln as _gammaln
-
 from . import config
 from .errors import DomainError
-from .gamma_core import rgamma
+from .gamma_core import _lgamma, rgamma
 
 
 def _check_order(alpha):
@@ -39,7 +36,7 @@ def caputo_monomial(gamma_exp, alpha):
         raise DomainError(
             f"exponent {gamma_exp} in (0, alpha={alpha}) leaves the representable domain"
         )
-    coeff = math.exp(_gammaln(1.0 + gamma_exp) - _gammaln(1.0 + gamma_exp - alpha))
+    coeff = math.exp(_lgamma(1.0 + gamma_exp) - _lgamma(1.0 + gamma_exp - alpha))
     return coeff, max(gamma_exp - alpha, 0.0)
 
 
@@ -67,6 +64,8 @@ def caputo_l1(samples, h, alpha, t_index):
     is the validation oracle for :func:`caputo_monomial`, not a production
     path.
     """
+    import numpy as np
+
     _check_order(alpha)
     if not h > 0.0:
         raise DomainError(f"grid spacing must be positive, got {h}")

@@ -7,15 +7,14 @@ error, 2 numerical failure (non-convergence or a failed verification).
 """
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 
-import numpy as np
-
 from . import config
-from .errors import ConvergenceError, DomainError, MLPolyError
+from .errors import ConvergenceError, DomainError, FloatOverflowError, MLPolyError
 from .fokker_planck import (
     CaseIIPlan,
     CaseIPlan,
@@ -30,7 +29,6 @@ from .fokker_planck import (
 from .fractional_hermite import fhp_coeffs, fhp_eval
 from .mittag_leffler import ml_one, ml_three, ml_two
 from .ml_polynomials import mlp_coeffs, mlp_eval
-from .verify import SUITE_NAMES, format_report, run_suites
 
 CONFIG_ENV_VAR = "MLPOLY_CONFIG"
 
@@ -70,6 +68,25 @@ def _json_ready(obj):
     return obj
 
 
+def _require_finite(data):
+    """Refuse to print a value that is not finite (JSON has no NaN or Infinity).
+
+    ``data`` maps each output field to a number or a list of numbers.  The
+    first value that is not finite raises :class:`FloatOverflowError` naming
+    its field.  Coefficient output needs no gate: a :class:`FracPoly` holds
+    finite terms only.
+    """
+    for name, value in data.items():
+        is_list = isinstance(value, (list, tuple))
+        for i, v in enumerate(value if is_list else [value]):
+            if not math.isfinite(v):
+                field = f"{name}[{i}]" if is_list else name
+                raise FloatOverflowError(
+                    f"{field} = {v!r} is not a finite number: the result leaves "
+                    f"the double-precision range"
+                )
+
+
 def _emit(text, output):
     if output:
         try:
@@ -82,6 +99,7 @@ def _emit(text, output):
 
 
 def _record_text(command, params, data, fmt):
+    _require_finite(data)
     if fmt == "json":
         payload = {"meta": {"command": command, "params": params}, "data": data}
         return json.dumps(_json_ready(payload), sort_keys=True) + "\n"
@@ -91,12 +109,15 @@ def _record_text(command, params, data, fmt):
 
 
 def _profile_text(profile, fmt):
+    _require_finite({"grid": profile.grid, "values": profile.values})
     if fmt == "json":
         return json.dumps(_json_ready(profile.to_json_obj()), sort_keys=True) + "\n"
     return profile.to_csv()
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and kept for the process."""
     parser = _Parser(prog="mlpoly", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value configuration file")
@@ -159,7 +180,7 @@ def _build_parser():
     p = sub.add_parser("verify", parents=[common],
                        help="run the identity-verification suites")
     p.add_argument("--suite", default="all",
-                   choices=SUITE_NAMES + ("identities", "all"))
+                   choices=config.SUITE_NAMES + ("identities", "all"))
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--seed", type=int, default=42)
 
@@ -264,12 +285,25 @@ def _solve_plan(args):
     return LaguerreWrightPlan(_require(args, "y-param"), args.alpha, beta, args.b)
 
 
+def _linspace(start, stop, num):
+    """``numpy.linspace(start, stop, num)`` for num >= 2, bit for bit, as a list."""
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:  # a subnormal spacing: numpy divides by div before scaling
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
+
+
 def _cmd_solve(args):
     if args.grid_points < 2:
         raise _UsageError("--grid-points must be at least 2")
     if args.grid_max <= args.grid_min:
         raise _UsageError("--grid-max must exceed --grid-min")
-    grid = [float(g) for g in np.linspace(args.grid_min, args.grid_max, args.grid_points)]
+    grid = _linspace(args.grid_min, args.grid_max, args.grid_points)
     if args.grid_var == "x":
         t = _require(args, "t")
         solution = _solve_plan(args).along_x(t)
@@ -291,6 +325,8 @@ def _cmd_solve(args):
 
 
 def _cmd_verify(args):
+    from .verify import format_report, run_suites
+
     results = run_suites(args.suite, n_max=args.n_max, seed=args.seed)
     return format_report(results, n_max=args.n_max, seed=args.seed)
 

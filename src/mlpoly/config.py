@@ -36,6 +36,10 @@ IDENTITY_RTOL = 1e-9
 IDENTITY_ATOL = 1e-12
 RESIDUAL_TOL = 1e-10
 
+#: The suites of ``mlpoly.verify``, named here so that the CLI can offer them
+#: without importing the suites.
+SUITE_NAMES = ("fhp-identities", "mlp-gf", "caputo", "pde-residuals", "sheffer-ladder")
+
 
 def _series_tol(value):
     try:

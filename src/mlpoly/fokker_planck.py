@@ -304,7 +304,7 @@ class CaseIIPlan(_FhpPlan):
             config.IDENTITY_RTOL * max(abs(by_series), abs(by_oplus)),
             config.IDENTITY_ATOL,
         )
-        if gap > allowed:
+        if not gap <= allowed:  # a NaN gap (both routes infinite) fails too
             raise VerificationError(
                 f"the two closed forms disagree: |{by_series!r} - {by_oplus!r}| = {gap:.3e}"
             )

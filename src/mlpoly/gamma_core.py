@@ -4,12 +4,13 @@ Everything downstream reduces to gamma ratios: the fractional binomial,
 the Stieltjes moments of the one-sided Levy stable law, and the moments of
 the subordination density.  Ratios are always evaluated as ``exp`` of
 log-gamma differences, never as quotients of two gamma values, so that
-moderately large arguments cannot overflow an intermediate.
+moderately large arguments cannot overflow an intermediate.  Single values
+come from ``math.gamma`` while it is finite: it is accurate to a few ulps
+(exact at small integers), where ``exp`` of a log-gamma value inherits the
+rounding of a number of size |log Gamma|.  Everything is standard library.
 """
 
 import math
-
-from scipy.special import gammaln as _gammaln
 
 from .errors import DomainError, FloatOverflowError, IndeterminateFormError
 
@@ -43,6 +44,15 @@ def _near_pole(x, tol=1e-12):
     return r <= 0 and abs(x - r) <= tol * max(1.0, abs(x))
 
 
+def _lgamma(x):
+    """log|Gamma(x)| away from the poles, +inf where it leaves the double range
+    (``math.lgamma`` raises there)."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
+
+
 def _sinpi(x):
     # sin(pi*x) with argument reduction; plain sin(pi*x) loses relative
     # accuracy near the integers where the reflection formula needs it most.
@@ -56,18 +66,18 @@ def ln_gamma(x):
     _require_finite(x, "x")
     if x <= 0.0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return float(_gammaln(x))
+    return _lgamma(x)
 
 
 def gamma(x):
     """Gamma function on the real line; raises at the poles 0, -1, -2, ..."""
     _require_finite(x, "x")
     if x >= 0.5:
-        return math.exp(_gammaln(x))
+        return math.gamma(x)
     if _nonpos_int(x):
         raise DomainError(f"gamma pole at x = {x}")
     # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-    return _PI / (_sinpi(x) * math.exp(_gammaln(1.0 - x)))
+    return _PI / (_sinpi(x) * math.gamma(1.0 - x))
 
 
 def rgamma(x):
@@ -78,12 +88,12 @@ def rgamma(x):
     """
     _require_finite(x, "x")
     if x >= 0.5:
-        return math.exp(-_gammaln(x))
+        return 1.0 / math.gamma(x) if x < 171.0 else math.exp(-_lgamma(x))
     if _nonpos_int(x):
         return 0.0
     # 1/Gamma(x) = sin(pi x) Gamma(1-x) / pi; Gamma(1-x) may overflow for
     # very negative x, which faithfully reflects the growth of 1/Gamma.
-    return _sinpi(x) * math.exp(_gammaln(1.0 - x)) / _PI
+    return _sinpi(x) * math.gamma(1.0 - x) / _PI
 
 
 def log_abs_rgamma(x):
@@ -95,12 +105,12 @@ def log_abs_rgamma(x):
     """
     _require_finite(x, "x")
     if x >= 0.5:
-        return 1.0, -float(_gammaln(x))
+        return 1.0, -_lgamma(x)
     if _nonpos_int(x):
         return 0.0, -math.inf
     s = _sinpi(x)
     sign = 1.0 if s > 0 else -1.0
-    return sign, math.log(abs(s)) + float(_gammaln(1.0 - x)) - math.log(_PI)
+    return sign, math.log(abs(s)) + _lgamma(1.0 - x) - math.log(_PI)
 
 
 def factorial_ratios(n, denominators):
@@ -125,9 +135,22 @@ def _powers(v, top, name):
     try:
         return [v ** e for e in range(top + 1)]
     except OverflowError:
-        raise FloatOverflowError(
-            f"{name}**{top} exceeds the double-precision range at {name} = {v!r}"
-        ) from None
+        raise _power_overflow(v, top, name) from None
+
+
+def _check_power(v, top, name):
+    """Raise what :func:`_powers` raises, without the list: v**top overflows
+    exactly when some v**e, e <= top, does."""
+    try:
+        v ** top
+    except OverflowError:
+        raise _power_overflow(v, top, name) from None
+
+
+def _power_overflow(v, top, name):
+    return FloatOverflowError(
+        f"{name}**{top} exceeds the double-precision range at {name} = {v!r}"
+    )
 
 
 def _worst(*gaps):
@@ -149,9 +172,9 @@ def frac_binom(n, r, alpha):
     if alpha == 1.0:
         return float(math.comb(int(n), int(r)))
     return math.exp(
-        _gammaln(1.0 + alpha * n)
-        - _gammaln(1.0 + alpha * r)
-        - _gammaln(1.0 + alpha * (n - r))
+        _lgamma(1.0 + alpha * n)
+        - _lgamma(1.0 + alpha * r)
+        - _lgamma(1.0 + alpha * (n - r))
     )
 
 

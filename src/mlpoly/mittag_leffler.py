@@ -2,16 +2,22 @@
 
 All evaluators share one engine: terms are produced in log space (so huge
 intermediate terms cannot overflow), summed with Neumaier compensation, and
-the run stops once two consecutive terms fall below ``tol * |partial sum|``.
+the run stops once two consecutive terms fall below ``tol * |partial sum|``
+and the geometric bound on the neglected tail, ``|t_r| rho / (1 - rho)`` with
+``rho`` the last term ratio, falls below ``tol/2 * |partial sum|``.  The tail
+bound is certified once the term ratios can no longer increase: Gamma is
+log-convex, so Gamma(x)/Gamma(x + alpha) decreases for x > 0 (Gorenflo,
+Loutchko & Luchko, Fract. Calc. Appl. Anal. 5 (2002); Hilfer & Seybold,
+Integral Transforms Spec. Funct. 17 (2006)).
 The returned error estimate is a documented heuristic, not a proven bound:
-last neglected terms (truncation), plus ``8 * eps * sum|terms|`` (summation
-rounding under cancellation), plus ``32 * eps * max_exponent * |value|``
-(rounding of the log-space exponents themselves, which dominates when the
-terms carry exponents of hundreds).  An evaluation whose estimate exceeds
-``HONESTY_FACTOR * max(tol*|value|, tol)`` is refused with a
-:class:`ConvergenceError` instead of silently returning cancellation noise —
-this is what bounds the honest domain for strongly alternating arguments
-(large negative z at small alpha).
+the last two terms plus the tail bound (truncation), plus
+``8 * eps * sum|terms|`` (summation rounding under cancellation), plus
+``32 * eps * max_exponent * |value|`` (rounding of the log-space exponents
+themselves, which dominates when the terms carry exponents of hundreds).
+An evaluation whose estimate exceeds ``HONESTY_FACTOR * max(tol*|value|, tol)``
+is refused with a :class:`ConvergenceError` instead of silently returning
+cancellation noise — this is what bounds the honest domain for strongly
+alternating arguments (large negative z at small alpha).
 """
 
 import math
@@ -63,11 +69,23 @@ class EvalResult:
             raise DomainError("abs_error_estimate must be nonnegative")
 
 
-def _sum_series(term_fn, tol, budget, what):
+def _tail_bound(at, aprev, factor):
+    """Bound on the sum of the terms after |t_r| = ``at`` when every later
+    term ratio is at most ``factor * at / aprev`` (a geometric series);
+    inf when that ratio is not below 1.  An exact-zero term ends the series."""
+    if at == 0.0:
+        return 0.0
+    rho = factor * at / aprev if aprev else math.inf
+    return at * rho / (1.0 - rho) if rho < 1.0 else math.inf
+
+
+def _sum_series(term_fn, tol, budget, what, ratio_factor):
     """Compensated summation of term_fn(0), term_fn(1), ... with stop control.
 
     ``term_fn(r)`` returns ``(term, exponent_scale)`` where exponent_scale is
     the magnitude of the log-space exponent pieces that produced the term.
+    ``ratio_factor(r)`` returns m such that every term ratio |t_(k+1)/t_k|,
+    k >= r, is at most m * |t_r/t_(r-1)|, or inf where no such m is known.
     """
     tol = config.SERIES_TOL if tol is None else float(tol)
     budget = config.TERM_BUDGET if budget is None else int(budget)
@@ -79,6 +97,7 @@ def _sum_series(term_fn, tol, budget, what):
     converged = False
     used = 0
     last = 0.0
+    tail = 0.0
     for r in range(budget):
         try:
             t, scale = term_fn(r)
@@ -102,15 +121,19 @@ def _sum_series(term_fn, tol, budget, what):
         s = u
         thresh = tol * abs(s + comp)
         if r >= 1 and at <= thresh and abs(prev) <= thresh:
-            last = at
-            converged = True
-            break
+            tail = _tail_bound(at, abs(prev), ratio_factor(r))
+            if tail <= 0.5 * thresh:
+                last = at
+                converged = True
+                break
+            tail = 0.0
         prev = t
         last = at
     value = s + comp
     estimate = (
         last
         + (abs(prev) if math.isfinite(prev) else 0.0)
+        + tail
         + _SUM_ERR_FACTOR * _EPS * sum_abs
         + _EXP_ERR_FACTOR * _EPS * max_scale * abs(value)
     )
@@ -177,6 +200,13 @@ def _check_series(alpha, beta, name):
         raise DomainError(f"{name} and z must be finite")
 
 
+def _gamma_ratio_factor(alpha, beta):
+    """ratio_factor of a series whose term ratio is |z| Gamma(beta+alpha(r-1)) /
+    Gamma(beta+alpha r) times a nonincreasing factor: the gamma quotient stops
+    increasing once both arguments are positive (log-convexity of Gamma)."""
+    return lambda r: 1.0 if beta + alpha * (r - 1) > 0.0 else math.inf
+
+
 def _ml_two_sum(alpha, beta, z, tol, budget, row):
     if not math.isfinite(z):
         raise DomainError("beta and z must be finite")
@@ -197,7 +227,8 @@ def _ml_two_sum(alpha, beta, z, tol, budget, row):
             return 0.0, 1.0
         return gsign * zsign * math.exp(glog + zlog), abs(glog) + abs(zlog)
 
-    return _sum_series(term, tol, budget, f"E_({alpha},{beta})({z})")
+    return _sum_series(term, tol, budget, f"E_({alpha},{beta})({z})",
+                       _gamma_ratio_factor(alpha, beta))
 
 
 def ml_three(alpha, beta, gamma, z, tol=None, budget=None):
@@ -242,7 +273,14 @@ def ml_three(alpha, beta, gamma, z, tol=None, budget=None):
         )
         return value, abs(state["log"]) + abs(glog) + abs(zlog) + lfact
 
-    return _sum_series(term, tol, budget, f"E^{gamma}_({alpha},{beta})({z})")
+    def ratio_factor(r):
+        # the ratio carries |gamma+r-1|/r beside the gamma quotient (beta > 0):
+        # nonincreasing for gamma >= 1, increasing towards its limit 1 otherwise
+        if gamma >= 1.0:
+            return 1.0
+        return r / (gamma + r - 1) if gamma + r - 1 > 0.0 else math.inf
+
+    return _sum_series(term, tol, budget, f"E^{gamma}_({alpha},{beta})({z})", ratio_factor)
 
 
 def wright(alpha, mu, z, tol=None, budget=None):
@@ -287,7 +325,8 @@ def _wright_sum(alpha, mu, z, tol, budget, row):
         value = gsign * zsign * math.exp(glog + zlog - lfact)
         return value, abs(glog) + abs(zlog) + lfact
 
-    return _sum_series(term, tol, budget, f"W_({alpha},{mu})({z})")
+    return _sum_series(term, tol, budget, f"W_({alpha},{mu})({z})",
+                       _gamma_ratio_factor(alpha, mu))
 
 
 def relaxation_cole_cole(alpha, tau, t):

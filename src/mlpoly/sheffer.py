@@ -21,8 +21,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, SingularityError
 from .fracpoly import FracPoly
 from .gamma_core import rgamma
@@ -31,9 +29,9 @@ from .mittag_leffler import ml_one, ml_two, wright
 # The reciprocal/division recurrences and the raising operator sum are
 # ill-conditioned when the underlying series has a nearby zero (coefficients
 # grow geometrically and the low-order output coefficients emerge from large
-# cancellations).  Internal accumulation in extended precision keeps the
-# returned doubles correctly rounded; the public types stay float.
-_LD = np.longdouble
+# cancellations).  Internal accumulation in extended precision (numpy's
+# longdouble, imported where it is used) keeps the returned doubles correctly
+# rounded; the public types stay float.
 
 
 @dataclass(frozen=True)
@@ -85,9 +83,11 @@ def series_reciprocal(s):
 
     Requires a nonzero constant term.
     """
+    import numpy as np
+
     if s.coeffs[0] == 0.0:
         raise DomainError("series with zero constant term has no reciprocal")
-    a = np.asarray(s.coeffs, dtype=_LD)
+    a = np.asarray(s.coeffs, dtype=np.longdouble)
     out = np.zeros_like(a)
     out[0] = 1.0 / a[0]
     for r in range(1, a.size):
@@ -97,11 +97,13 @@ def series_reciprocal(s):
 
 def series_log_derivative(s):
     """Logarithmic derivative s'/s as a series of order N-1."""
+    import numpy as np
+
     if s.coeffs[0] == 0.0:
         raise DomainError("series with zero constant term has no logarithmic derivative")
-    a = np.asarray(s.coeffs, dtype=_LD)
-    d = a[1:] * np.arange(1, a.size, dtype=_LD)
-    out = np.zeros(d.size, dtype=_LD)
+    a = np.asarray(s.coeffs, dtype=np.longdouble)
+    d = a[1:] * np.arange(1, a.size, dtype=np.longdouble)
+    out = np.zeros(d.size, dtype=np.longdouble)
     for r in range(d.size):
         k = min(r, a.size - 1)
         acc = d[r] - np.dot(a[1 : k + 1], out[r - k : r][::-1]) if r else d[r]
@@ -215,6 +217,8 @@ def raising_apply(p, log_deriv_g):
     sum_k c_k D**k truncates at deg(p), so the series must carry at least
     deg(p)+1 coefficients.
     """
+    import numpy as np
+
     _require_integer_exponents(p)
     deg = p.degree()
     deg = 0 if deg is None else int(round(deg))
@@ -222,15 +226,15 @@ def raising_apply(p, log_deriv_g):
         raise DomainError(
             f"series order {log_deriv_g.order} is insufficient for degree {deg}"
         )
-    dense = np.zeros(deg + 2, dtype=_LD)
+    dense = np.zeros(deg + 2, dtype=np.longdouble)
     for c, mu in p.terms:
         dense[int(round(mu))] = c
-    result = np.zeros(deg + 2, dtype=_LD)
+    result = np.zeros(deg + 2, dtype=np.longdouble)
     result[1:] = dense[:-1]  # x * p
     work = dense.copy()
     for k in range(deg + 1):
-        result -= _LD(log_deriv_g.coeffs[k]) * work
-        work[:-1] = work[1:] * np.arange(1, deg + 2, dtype=_LD)  # d/dx
+        result -= np.longdouble(log_deriv_g.coeffs[k]) * work
+        work[:-1] = work[1:] * np.arange(1, deg + 2, dtype=np.longdouble)  # d/dx
         work[-1] = 0.0
         if not work.any():
             break

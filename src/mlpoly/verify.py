@@ -8,10 +8,9 @@ so the library's mathematical claims can be exercised from the command line
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import config
 from .caputo import caputo_l1, caputo_monomial, caputo_poly, rl_from_caputo
+from .config import SUITE_NAMES
 from .fokker_planck import (
     residual_laguerre,
     residual_tf_diffusion,
@@ -53,8 +52,6 @@ from .sheffer import (
     series_log_derivative,
     series_reciprocal,
 )
-
-SUITE_NAMES = ("fhp-identities", "mlp-gf", "caputo", "pde-residuals", "sheffer-ladder")
 
 _ALIASES = {"identities": "fhp-identities", "all": None}
 
@@ -101,6 +98,8 @@ def _laguerre_explicit(n, x):
 
 
 def suite_fhp_identities(n_max=12, seed=42):
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     results = []
 
@@ -228,6 +227,8 @@ def suite_fhp_identities(n_max=12, seed=42):
 
 
 def suite_mlp_gf(n_max=10, seed=42):
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     results = []
 
@@ -315,6 +316,8 @@ def _ml_truncation_poly(alpha, a, n_terms):
 
 
 def suite_caputo(n_max=12, seed=42):
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     results = []
 
@@ -373,6 +376,8 @@ def suite_caputo(n_max=12, seed=42):
 
 
 def suite_pde_residuals(n_max=10, seed=42):
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     results = []
 
@@ -481,6 +486,8 @@ def _ladder_gaps(coeffs, gd, n_max):
 
 
 def suite_sheffer_ladder(n_max=10, seed=42):
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     results = []
     n_max = min(n_max, 10)

@@ -3,10 +3,11 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from mlpoly import config
-from mlpoly.cli import run
+from mlpoly import FloatOverflowError, SolutionProfile, config
+from mlpoly.cli import _build_parser, _linspace, _profile_text, _record_text, run
 
 
 def _config_values():
@@ -291,6 +292,33 @@ class TestRejectedInput:
         assert out == ""
         assert "--format" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_nonfinite_value_is_not_printed(self, capsys, fmt):
+        # x**12 and y**6 fit the double range; their product with the ratio does not
+        code, out, err = _run(capsys, "eval-fhp", "--n", "12", "--alpha", "0.5", "--x", "1e25",
+                              "--y", "1e50", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert "value = inf is not a finite number" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_case_ii_routes_both_infinite(self, capsys, fmt):
+        code, out, err = _run(
+            capsys, "solve", "--problem", "case-ii", "--n", "6", "--a", "1e102", "--alpha", "0.5",
+            "--t", "0.5", "--grid-min", "0", "--grid-max", "1", "--grid-points", "2",
+            "--format", fmt,
+        )
+        assert code == 2
+        assert out == ""
+        assert "disagree" in err
+
+    def test_mlp_value_beyond_the_double_range(self, capsys):
+        code, out, err = _run(capsys, "eval-mlp", "--n", "1", "--alpha", "0.5", "--beta", "1",
+                              "--x=-1e308", "--y", "1e308")
+        assert code == 2
+        assert out == ""
+        assert "exceeds the double-precision range" in err
+
     def test_missing_config_file(self, capsys, tmp_path):
         missing = tmp_path / "absent.cfg"
         code, out, err = _run(capsys, "eval-ml", "--alpha", "1", "--z", "1",
@@ -298,6 +326,51 @@ class TestRejectedInput:
         assert code == 1
         assert out == ""
         assert str(missing) in err
+
+
+class TestOutputGate:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_profile_names_the_nonfinite_point(self, fmt):
+        profile = SolutionProfile([0.0, 1.0, 2.0], [1.0, 2.0, math.inf], {"problem": "case-i"})
+        with pytest.raises(FloatOverflowError, match=r"values\[2\] = inf"):
+            _profile_text(profile, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_record_names_the_nonfinite_field(self, fmt):
+        with pytest.raises(FloatOverflowError, match="value = nan"):
+            _record_text("eval-fhp", {"n": 2}, {"value": math.nan}, fmt)
+
+    def test_finite_output_passes(self):
+        assert _record_text("eval-fhp", {"n": 2}, {"value": 1.5}, "csv") == "value\n1.5\n"
+
+
+class TestGrid:
+    EDGES = [
+        (0.0, 1.0, 2), (-2.0, 2.0, 1001), (0.05, 2.0, 61), (-1.0, 1.0, 21),
+        (0.0, 5e-324, 2), (0.0, 5e-324, 3), (0.0, 1.5e-323, 7), (-1e-310, 1e-310, 11),
+        (1.0, 1.0 + 2.220446049250313e-16, 5), (-1e308, 1e308, 3), (-1e300, 1e300, 4),
+        (1e15, 1e15 + 3.0, 7), (-3.0, -1e-300, 9),
+    ]
+
+    @staticmethod
+    def _bits(values):
+        return [float(v).hex() for v in values]
+
+    @pytest.mark.parametrize("start,stop,num", EDGES)
+    def test_linspace_equals_numpy_bit_for_bit_at_edges(self, start, stop, num):
+        with np.errstate(all="ignore"):
+            want = np.linspace(start, stop, num)
+        got = _linspace(start, stop, num)
+        assert all(type(v) is float for v in got)
+        assert self._bits(got) == self._bits(want)
+
+    def test_linspace_equals_numpy_bit_for_bit_at_random(self):
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            start = float(rng.uniform(-10.0, 10.0)) * 10.0 ** int(rng.integers(-8, 8))
+            stop = start + float(rng.uniform(1e-6, 20.0)) * 10.0 ** int(rng.integers(-8, 8))
+            num = int(rng.integers(2, 400))
+            assert self._bits(_linspace(start, stop, num)) == self._bits(np.linspace(start, stop, num))
 
 
 class TestVerify:
@@ -406,6 +479,12 @@ class TestConfig:
 
 
 class TestDeterminism:
+    def test_parser_is_built_once(self, capsys):
+        parser = _build_parser()
+        assert _run(capsys, "eval-ml", "--alpha", "1", "--z", "1")[0] == 0
+        assert _run(capsys, "eval-ml", "--alpha", "bad", "--z", "1")[0] == 1
+        assert _build_parser() is parser
+
     def test_verify_byte_identical(self):
         cmd = [sys.executable, "-m", "mlpoly.cli", "verify", "--suite",
                "sheffer-ladder", "--n-max", "6", "--seed", "42"]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mlpoly.errors import DomainError
+from mlpoly.errors import DomainError, VerificationError
 from mlpoly.fokker_planck import (
     DiffusionProblem,
     FhpInitial,
@@ -167,6 +167,11 @@ class TestFhpSeedCase:
             x = rng.uniform(-1.5, 1.5)
             t = rng.uniform(0.0, 1.5)
             solve_case_ii(n, a, alpha, k, x, t)  # raises on disagreement
+
+    def test_both_routes_infinite_disagree(self):
+        # inf - inf is NaN: a NaN gap must fail the comparison, not pass it
+        with pytest.raises(VerificationError, match="disagree"):
+            solve_case_ii(6, 1e102, 0.5, 1.0, 0.0, 0.5)
 
 
 class TestLaguerreEvolution:

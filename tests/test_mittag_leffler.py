@@ -12,6 +12,7 @@ from mlpoly.mittag_leffler import (
     MLParams,
     MLSeries,
     WrightSeries,
+    _tail_bound,
     ml_one,
     ml_three,
     ml_two,
@@ -76,6 +77,41 @@ class TestMlOne:
                 got = ml_one(alpha, z)
                 want = ml_series_mp(alpha, 1.0, z)
                 assert abs(got.value - want) <= max(got.abs_error_estimate, 1e-14)
+
+
+class TestCertifiedTail:
+    def test_tail_bound(self):
+        assert _tail_bound(0.0, 1.0, math.inf) == 0.0  # an exact-zero term ends the series
+        assert _tail_bound(1.0, 2.0, 1.0) == 1.0  # ratio 1/2: 1/2 + 1/4 + ...
+        assert _tail_bound(1.0, 4.0, 2.0) == 1.0  # the ratio bound is scaled by the factor
+        assert _tail_bound(1.0, 1.0, 1.0) == math.inf  # no geometric decay
+        assert _tail_bound(1.0, 0.0, 1.0) == math.inf  # no ratio after an exact-zero term
+        assert _tail_bound(1e-20, 1.0, math.inf) == math.inf  # no bound known yet
+
+    def test_slow_positive_series_within_tol(self):
+        # the two-term rule left 9.96e-13 of truncation here; the tail bound
+        # stops only when at most tol/2 is left
+        got = ml_one(0.45, 5.0)
+        want = ml_series_mp(0.45, 1.0, 5.0)
+        assert abs(got.value - want) <= 0.6e-12 * abs(want)
+        assert abs(got.value - want) <= got.abs_error_estimate
+
+    @pytest.mark.parametrize("alpha,beta,z", [
+        (0.3, 1.0, 3.0), (0.45, 1.0, 5.0), (0.6, 1.0, 8.0), (0.5, -1.5, 3.0), (0.5, 0.0, 4.0),
+    ])
+    def test_estimate_covers_positive_series(self, alpha, beta, z):
+        got = ml_two(alpha, beta, z)
+        assert abs(got.value - ml_series_mp(alpha, beta, z)) <= got.abs_error_estimate
+
+    @pytest.mark.parametrize("alpha,beta,gamma,z", [
+        (0.5, 1.0, 0.3, 3.0), (0.4, 1.0, 0.2, 2.5), (0.8, 1.5, -0.5, 3.0), (0.6, 1.0, 2.5, 2.0),
+    ])
+    def test_prabhakar_ratio_bounded_by_its_limit(self, alpha, beta, gamma, z):
+        # for gamma < 1 the Pochhammer factor (gamma+r)/(r+1) grows towards 1
+        got = ml_three(alpha, beta, gamma, z)
+        want = prabhakar_mp(alpha, beta, gamma, z)
+        assert abs(got.value - want) <= 1e-12 * abs(want)
+        assert abs(got.value - want) <= got.abs_error_estimate
 
 
 class TestMlTwo:

@@ -1,13 +1,16 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mlpoly.errors import DomainError
+from mlpoly import ml_polynomials
+from mlpoly.errors import DomainError, FloatOverflowError, VerificationError
 from mlpoly.fracpoly import FracPoly
 from mlpoly.gamma_core import gamma, rgamma
 from mlpoly.mittag_leffler import ml_three
 from mlpoly.ml_polynomials import (
+    _rgamma_int_exp,
     frac_laguerre_apply,
     konhauser,
     mlp_coeffs,
@@ -17,6 +20,7 @@ from mlpoly.ml_polynomials import (
     mlp_one_var_reduction,
     mlp_operational_check,
 )
+from mlpoly.verify import run_suites
 
 from oracles import laguerre_explicit, mlp_mp
 
@@ -55,11 +59,48 @@ class TestMlpEval:
                 mlp_eval(n, alpha, beta, x, y), rel=1e-12, abs=1e-12
             )
 
+    def test_correctly_rounded(self):
+        # the exact sum over the float arguments and the float gamma row, rounded once
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(0, 25))
+            alpha = float(rng.uniform(0.1, 2.0))
+            beta = float(rng.uniform(0.1, 3.0))
+            x, y = (float(v) * 10.0 ** int(e) for v, e in zip(rng.uniform(-3, 3, 2), rng.integers(-6, 6, 2)))
+            exact = sum(
+                math.comb(n, r) * Fraction(-x) ** r * Fraction(y) ** (n - r)
+                * Fraction(rgamma(beta + alpha * r))
+                for r in range(n + 1)
+            )
+            assert mlp_eval(n, alpha, beta, x, y) == float(exact)
+
+    def test_shared_gamma_row_changes_nothing(self):
+        # the gamma entries are shared across degrees at one (alpha, beta)
+        degrees = (12, 3, 20, 0, 7)
+        shared = [mlp_eval(n, 0.37, 1.21, 0.8, 0.6) for n in degrees]
+        fresh = []
+        for n in degrees:
+            _rgamma_int_exp.cache_clear()
+            fresh.append(mlp_eval(n, 0.37, 1.21, 0.8, 0.6))
+        assert shared == fresh
+
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_one_variable_reduction_check_passes(self, seed):
+        # these seeds failed at 1.4e-12 to 1.5e-11 while the sum was rounded term by term
+        [(_, checks)] = run_suites("mlp-gf", n_max=10, seed=seed)
+        check = next(c for c in checks if c.name == "mlp-one-var-reduction")
+        assert check.passed, check
+
     def test_domain(self):
         with pytest.raises(DomainError):
             mlp_eval(2, 0.0, 1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             mlp_eval(2, 0.5, 0.0, 1.0, 1.0)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                mlp_eval(2, 0.5, 1.0, bad, 1.0)
+            with pytest.raises(DomainError):
+                mlp_eval(2, 0.5, 1.0, 1.0, bad)
 
 
 class TestOneVarReduction:
@@ -88,6 +129,13 @@ class TestOneVarReduction:
     def test_y_zero_rejected(self):
         with pytest.raises(DomainError):
             mlp_one_var_reduction(2, 0.5, 1.0, 0.3, 0.0)
+
+    def test_overflowing_quotient_or_power_is_named(self):
+        # x/y = inf reached the exact sum as an infinite argument
+        with pytest.raises(FloatOverflowError, match="x/y"):
+            mlp_one_var_reduction(2, 0.5, 1.0, 1e300, 1e-10)
+        with pytest.raises(FloatOverflowError, match=r"y\*\*2"):
+            mlp_one_var_reduction(2, 0.5, 1.0, 1e300, 1e300)
 
 
 class TestKonhauser:
@@ -223,6 +271,11 @@ class TestOperationalConstruction:
     def test_truncation_precondition(self):
         with pytest.raises(DomainError):
             mlp_operational_check(4, 0.5, 1.0, 3)
+
+    def test_nan_gap_fails(self, monkeypatch):
+        monkeypatch.setattr(ml_polynomials, "mlp_eval", lambda *args: math.nan)
+        with pytest.raises(VerificationError):
+            mlp_operational_check(2, 0.5, 1.0, 2)
 
 
 class TestPrabhakarConsistency:

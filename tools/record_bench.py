@@ -1,0 +1,202 @@
+"""Record a benchmark comparison of this checkout against a baseline revision.
+
+    python3 tools/record_bench.py --baseline HEAD~1 --out BENCH_6.json --workdir /tmp/bench
+
+The baseline is exported with ``git archive`` into ``--workdir``; the change
+is this working tree.  For every workload the unchanged ``perfbench/run.py``
+of each tree runs ``PAIRS`` times in alternating order, ``SECONDS`` per run
+(pair i uses seed ``FIRST_SEED`` + i; the baseline goes first on even i), and
+the file records, per end-to-end metric, each side's runs, median and
+quartiles, and how many pairs the change won.  It also records:
+
+* ``cli_wall_s``: the wall time of each CLI command as a fresh process, the
+  median of ``CLI_REPEATS`` runs per side, alternating, next to a bare
+  ``python -c pass``;
+* ``import``: ``process.import_*`` from one traced ``run.py`` per side;
+* ``accuracy``: for ``eval-ml`` on a fixed grid of (alpha, beta, z), the
+  largest |value - oracle| / abs_error_estimate against the 50-digit sums in
+  ``tests/oracles.py`` (1 or less means every estimate holds).
+"""
+
+import argparse
+import io
+import itertools
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PAIRS = 10
+FIRST_SEED = 11
+SECONDS = 20.0
+CLI_REPEATS = 7
+
+ACCURACY_GRID = {
+    "alpha": (0.3, 0.45, 0.6, 0.8, 1.0, 1.7),
+    "beta": (0.5, 1.0, 2.0),
+    "z": (-2.0, -1.0, -0.3, 0.4, 1.5, 3.0, 5.0),
+}
+
+#: argv of each command timed as a fresh process (the cli-cold shapes)
+CLI_COMMANDS = {
+    "eval-ml": ["eval-ml", "--alpha", "0.6", "--beta", "1.2", "--z", "0.8"],
+    "eval-fhp": ["eval-fhp", "--n", "10", "--alpha", "0.5", "--x", "0.7", "--y", "0.9"],
+    "eval-mlp": ["eval-mlp", "--n", "10", "--alpha", "0.5", "--beta", "1.2", "--x", "0.7", "--y", "0.9"],
+    "table": ["table", "--family", "fhp", "--n-max", "10", "--alpha", "0.5", "--y", "0.9"],
+    "solve": ["solve", "--problem", "case-i", "--n", "8", "--a", "0.5", "--alpha", "0.6", "--k", "1.1",
+              "--t", "0.7", "--grid-min=-1.0", "--grid-max=1.0", "--grid-points", "21", "--format", "csv"],
+    "verify": ["verify", "--suite", "all", "--seed", "0"],
+}
+
+# Run in a child interpreter with one tree's ``src`` first on sys.path: prints
+# the eval-ml JSON records (or null for a refused point), one list.
+_ACCURACY_CHILD = """
+import contextlib, io, json, sys
+from mlpoly.cli import run
+out = []
+for alpha, beta, z in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = run(["eval-ml", "--alpha", repr(alpha), "--beta", repr(beta), "--z", repr(z)])
+    out.append(json.loads(buf.getvalue())["data"] if code == 0 else None)
+print(json.dumps(out))
+"""
+
+
+def export_baseline(rev, dest):
+    """Extract the files of git revision ``rev`` into ``dest``."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    dest.mkdir(parents=True, exist_ok=True)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest)
+    return dest
+
+
+def env_for(tree):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(tree / "src")
+    return env
+
+
+def bench_run(tree, workload, seed, seconds, trace=0):
+    """One perfbench run of ``tree``; returns its result object (last stdout line)."""
+    proc = subprocess.run(
+        [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{tree} {workload} seed {seed}: {proc.stderr[-500:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values):
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def compare_workload(trees, workload, seeds, seconds, better):
+    runs = {side: [] for side in trees}
+    for i, seed in enumerate(seeds):
+        order = ("baseline", "change") if i % 2 == 0 else ("change", "baseline")
+        for side in order:
+            runs[side].append(bench_run(trees[side], workload, seed, seconds))
+        print(f"{workload} pair {i + 1}/{len(seeds)} done", file=sys.stderr, flush=True)
+    metrics = {}
+    for name in runs["baseline"][0]["metrics"]:
+        entry = {"unit": runs["baseline"][0]["metrics"][name]["unit"], "better": better[name]}
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in trees}
+        for side in trees:
+            entry[side] = {"runs": values[side], **quartiles(values[side])}
+        sign = 1.0 if better[name] == "higher" else -1.0
+        entry["change_wins"] = sum(sign * (c - b) > 0 for b, c in zip(values["baseline"], values["change"]))
+        entry["pairs"] = len(seeds)
+        metrics[name] = entry
+    checks = {side: [{"correct": r["correct"], "attempted": r["attempted"], "failed": r["failed"]}
+                     for r in runs[side]] for side in trees}
+    return {"seconds": seconds, "seeds": list(seeds), "metrics": metrics, "runs": checks}
+
+
+def cli_wall_times(trees, repeats):
+    def wall(tree, argv):
+        start = time.perf_counter()
+        subprocess.run([sys.executable] + argv, cwd=tree, env=env_for(tree),
+                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        return time.perf_counter() - start
+
+    commands = {"python -c pass": ["-c", "pass"]}
+    commands.update({name: ["-m", "mlpoly.cli"] + argv for name, argv in CLI_COMMANDS.items()})
+    out = {}
+    for name, argv in commands.items():
+        times = {side: [] for side in trees}
+        for i in range(repeats):
+            for side in (("baseline", "change") if i % 2 == 0 else ("change", "baseline")):
+                times[side].append(wall(trees[side], argv))
+        out[name] = {side: statistics.median(t) for side, t in times.items()}
+    return out
+
+
+def accuracy(trees):
+    sys.path.insert(0, str(ROOT / "tests"))
+    import oracles
+
+    points = list(itertools.product(*ACCURACY_GRID.values()))
+    refs = [oracles.ml_series_mp(alpha, beta, z) for alpha, beta, z in points]
+    out = {}
+    for side, tree in trees.items():
+        proc = subprocess.run([sys.executable, "-c", _ACCURACY_CHILD, json.dumps(points)],
+                              cwd=tree, env=env_for(tree), capture_output=True, text=True, check=True)
+        records = json.loads(proc.stdout)
+        ratios = [abs(rec["value"] - ref) / rec["abs_error_estimate"]
+                  for rec, ref in zip(records, refs) if rec is not None]
+        out[side] = {"points": len(points), "refused": records.count(None),
+                     "max_err_over_estimate": max(ratios),
+                     "terms_used": sum(rec["terms_used"] for rec in records if rec is not None)}
+    return out
+
+
+def import_metrics(trees, seconds):
+    out = {}
+    for side, tree in trees.items():
+        result = bench_run(tree, "series-eval", 1, seconds, trace=1)
+        out[side] = {k: v["value"] for k, v in result["metrics"].items() if k.startswith("process.")}
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--baseline", required=True, help="git revision to compare against")
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--workdir", required=True, help="where the baseline tree is exported")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    trees = {"baseline": export_baseline(args.baseline, Path(args.workdir) / "baseline"), "change": ROOT}
+    rev = subprocess.run(["git", "rev-parse", args.baseline], cwd=ROOT, capture_output=True,
+                         text=True, check=True).stdout.strip()
+    record = {
+        "baseline": rev,
+        "machine": {"python": platform.python_version(), "platform": platform.platform(),
+                    "cpus": os.cpu_count()},
+        "accuracy": accuracy(trees),
+        "cli_wall_s": cli_wall_times(trees, CLI_REPEATS),
+        "import": import_metrics(trees, 3.0),
+        "workloads": {},
+    }
+    seeds = range(FIRST_SEED, FIRST_SEED + PAIRS)
+    for workload in (w["name"] for w in spec["workloads"]):
+        record["workloads"][workload] = compare_workload(trees, workload, seeds, SECONDS, better)
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
