@@ -9,13 +9,9 @@ cross-check; nothing in the library consumes it.
 import math
 
 from . import config
+from ._validate import degree, open_unit, positive
 from .errors import DomainError
 from .gamma_core import _lgamma, rgamma
-
-
-def _check_order(alpha):
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"Caputo order must lie in (0, 1), got {alpha}")
 
 
 def caputo_monomial(gamma_exp, alpha):
@@ -26,7 +22,7 @@ def caputo_monomial(gamma_exp, alpha):
     are snap-tolerant: exponents created by repeated float subtraction may
     sit a few ulps off 0 or alpha.
     """
-    _check_order(alpha)
+    open_unit(alpha, "Caputo order")
     snap = config.EXP_SNAP
     if not math.isfinite(gamma_exp) or gamma_exp < -snap:
         raise DomainError(f"exponent must be finite and >= 0, got {gamma_exp}")
@@ -42,7 +38,7 @@ def caputo_monomial(gamma_exp, alpha):
 
 def caputo_poly(p, alpha):
     """Term-wise Caputo derivative of a :class:`FracPoly`."""
-    _check_order(alpha)
+    open_unit(alpha, "Caputo order")
 
     def rule(c, mu):
         try:
@@ -66,13 +62,12 @@ def caputo_l1(samples, h, alpha, t_index):
     """
     import numpy as np
 
-    _check_order(alpha)
-    if not h > 0.0:
-        raise DomainError(f"grid spacing must be positive, got {h}")
+    open_unit(alpha, "Caputo order")
+    positive(h, "grid spacing")
     g = np.asarray(samples, dtype=float)
-    n = int(t_index)
-    if n < 2:
-        raise DomainError(f"need at least 2 grid points before t_index, got {n}")
+    if t_index < 2:
+        raise DomainError(f"need at least 2 grid points before t_index, got {t_index}")
+    n = degree(t_index, "t_index")
     if g.ndim != 1 or g.size <= n:
         raise DomainError(
             f"samples must cover indices 0..{n}, got {g.size} values"
@@ -87,7 +82,6 @@ def rl_from_caputo(caputo_value, g0, t, alpha):
     """Riemann-Liouville value from the Caputo one:
     RL = Caputo + t**(-alpha) * g(0) / Gamma(1 - alpha).
     """
-    _check_order(alpha)
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    open_unit(alpha, "Caputo order")
+    positive(t, "t")
     return caputo_value + g0 * t ** (-alpha) * rgamma(1.0 - alpha)

@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import config
+from ._validate import degree, half_open_unit, nonnegative, open_unit, positive
 from .caputo import caputo_monomial
 from .errors import DomainError, VerificationError
 from .fractional_hermite import (
@@ -47,7 +48,7 @@ from .fractional_hermite import (
     _oplus_sum,
     _weighted_sum,
 )
-from .gamma_core import _check_n, _powers, _worst, factorial_ratios, rgamma
+from .gamma_core import _powers, _worst, factorial_ratios, rgamma
 from .mittag_leffler import MLSeries, WrightSeries
 
 
@@ -102,21 +103,10 @@ class DiffusionProblem:
     initial: object
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not self.k > 0.0:
-            raise DomainError(f"diffusivity k must be positive, got {self.k}")
+        open_unit(self.alpha, "alpha")
+        positive(self.k, "diffusivity k")
         if not isinstance(self.initial, (MonomialInitial, HermiteInitial, FhpInitial, SeriesInitial)):
             raise DomainError(f"unsupported initial datum: {self.initial!r}")
-
-
-def _check_laguerre(alpha, beta, b):
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if not 0.0 < beta <= 1.0:
-        raise DomainError(f"beta must lie in (0, 1], got {beta}")
-    if not b > 0.0:
-        raise DomainError(f"b must be positive, got {b}")
 
 
 @dataclass(frozen=True)
@@ -127,7 +117,9 @@ class LaguerreProblem:
     initial: object
 
     def __post_init__(self):
-        _check_laguerre(self.alpha, self.beta, self.b)
+        open_unit(self.alpha, "alpha")
+        half_open_unit(self.beta, "beta")
+        positive(self.b, "b")
         if not isinstance(self.initial, (LaguerreMonomialInitial, WrightInitial)):
             raise DomainError(f"unsupported initial datum: {self.initial!r}")
 
@@ -215,25 +207,19 @@ class _FhpPlan(GridPlan):
     w = k t**alpha; ``_combine`` turns the polynomial values into the solution.
     """
 
-    #: solve_tf_diffusion asks t > 0 of every datum, the Hermite cases t >= 0
-    _t_positive = False
+    #: the domain of t: t >= 0 here, t > 0 for every datum of tf_diffusion_plan
+    _t_domain = staticmethod(nonnegative)
 
     def __init__(self, degrees, alpha, k):
         self._table = _fhp_table(degrees, alpha)
         self._alpha = alpha
         self._k = k
 
-    def _check_t(self, t):
-        if self._t_positive and not t > 0.0:
-            raise DomainError(f"t must be positive, got {t}")
-        if t < 0.0:
-            raise DomainError(f"t must be nonnegative, got {t}")
-
     def _x_side(self, x):
         return self._table.x_powers(x)
 
     def _t_side(self, t):
-        self._check_t(t)
+        self._t_domain(t, "t")
         table = self._table
         return table.coeffs(table.y_powers(self._k * t ** self._alpha))
 
@@ -242,18 +228,14 @@ class _FhpPlan(GridPlan):
 
 
 class _MonomialPlan(_FhpPlan):
-    _t_positive = True
-
     def __init__(self, n, alpha, k):
-        super().__init__((_check_n(n),), alpha, k)
+        super().__init__((degree(n, "n"),), alpha, k)
 
     def _combine(self, values):
         return values[0]
 
 
 class _SeriesPlan(_FhpPlan):
-    _t_positive = True
-
     def __init__(self, coeffs, alpha, k):
         super().__init__(range(len(coeffs)), alpha, k)
         self._coeffs = coeffs
@@ -289,7 +271,7 @@ class CaseIIPlan(_FhpPlan):
         self._a_powers = _powers(a, table.top // 2, "a")
 
     def _t_side(self, t):
-        self._check_t(t)
+        self._t_domain(t, "t")
         table = self._table
         wp = table.y_powers(self._k * t ** self._alpha)
         ap = self._a_powers
@@ -315,19 +297,19 @@ def tf_diffusion_plan(prob, n_terms=None):
     """Grid plan of :func:`solve_tf_diffusion` for a :class:`DiffusionProblem`."""
     init = prob.initial
     if isinstance(init, MonomialInitial):
-        return _MonomialPlan(init.n, prob.alpha, prob.k)
-    if isinstance(init, SeriesInitial):
-        last = len(init.coeffs) - 1 if n_terms is None else int(n_terms)
-        if not 0 <= last < len(init.coeffs):
+        plan = _MonomialPlan(init.n, prob.alpha, prob.k)
+    elif isinstance(init, SeriesInitial):
+        last = len(init.coeffs) - 1 if n_terms is None else n_terms
+        if last < 0 or last >= len(init.coeffs):  # NaN goes on to the degree check
             raise DomainError(
                 f"truncation {n_terms} outside the stored coefficients (0..{len(init.coeffs) - 1})"
             )
-        return _SeriesPlan(init.coeffs[:last + 1], prob.alpha, prob.k)
-    if isinstance(init, HermiteInitial):
+        plan = _SeriesPlan(init.coeffs[:degree(last, "n_terms") + 1], prob.alpha, prob.k)
+    elif isinstance(init, HermiteInitial):
         plan = CaseIPlan(init.n, init.a, prob.alpha, prob.k)
     else:
         plan = CaseIIPlan(init.n, init.a, prob.alpha, prob.k)
-    plan._t_positive = True
+    plan._t_domain = positive
     return plan
 
 
@@ -335,8 +317,10 @@ class LaguerreMonomialPlan(GridPlan):
     """Grid plan of :func:`solve_laguerre_monomial`."""
 
     def __init__(self, n, alpha, beta, b):
-        n = _check_n(n)
-        _check_laguerre(alpha, beta, b)
+        n = degree(n, "n")
+        open_unit(alpha, "alpha")
+        half_open_unit(beta, "beta")
+        positive(b, "b")
         self._n = n
         self._alpha = alpha
         self._beta = beta
@@ -346,13 +330,11 @@ class LaguerreMonomialPlan(GridPlan):
         self._rgammas_t = [rgamma(1.0 + beta * (n - r)) for r in range(n + 1)]
 
     def _x_side(self, x):
-        if x < 0.0:
-            raise DomainError(f"x must be nonnegative, got {x}")
+        nonnegative(x, "x")
         return _powers(-math.pow(x, self._alpha), self._n, "(-x**alpha)")
 
     def _t_side(self, t):
-        if not t > 0.0:
-            raise DomainError(f"t must be positive, got {t}")
+        positive(t, "t")
         return _powers(self._b * t ** self._beta, self._n, "(b*t**beta)")[::-1]
 
     def _formula(self, xs, us):
@@ -367,7 +349,9 @@ class LaguerreWrightPlan(GridPlan):
     side that varies, with its gamma row shared across the grid."""
 
     def __init__(self, y_param, alpha, beta, b):
-        _check_laguerre(alpha, beta, b)
+        open_unit(alpha, "alpha")
+        half_open_unit(beta, "beta")
+        positive(b, "b")
         self._y = y_param
         self._alpha = alpha
         self._beta = beta
@@ -376,13 +360,11 @@ class LaguerreWrightPlan(GridPlan):
         self._ml = MLSeries(beta, 1.0)
 
     def _x_side(self, x):
-        if x < 0.0:
-            raise DomainError(f"x must be nonnegative, got {x}")
+        nonnegative(x, "x")
         return self._wright(-self._y * math.pow(x, self._alpha)).value
 
     def _t_side(self, t):
-        if not t > 0.0:
-            raise DomainError(f"t must be positive, got {t}")
+        positive(t, "t")
         return self._ml(self._b * self._y * t ** self._beta).value
 
     def _formula(self, w_value, ml_value):
@@ -477,11 +459,9 @@ def residual_tf_diffusion(n, alpha, k):
     value is the worst normalized coefficient mismatch (0 up to rounding,
     since the identity is algebraic).
     """
-    n = _check_n(n)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if not k > 0.0:
-        raise DomainError(f"k must be positive, got {k}")
+    n = degree(n, "n")
+    open_unit(alpha, "alpha")
+    positive(k, "k")
 
     # F term r: n!/(n-2r)! * k**r / Gamma(1+alpha r) * x**(n-2r) * t**(alpha r)
     lhs = []  # Caputo derivative in t kills r = 0
@@ -508,13 +488,10 @@ def residual_laguerre(n, alpha, beta, b):
     table with x-exponents alpha*r and t-exponents beta*(n-r); returns the
     worst normalized mismatch.
     """
-    n = _check_n(n)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"beta must lie in (0, 1), got {beta}")
-    if not b > 0.0:
-        raise DomainError(f"b must be positive, got {b}")
+    n = degree(n, "n")
+    open_unit(alpha, "alpha")
+    open_unit(beta, "beta")
+    positive(b, "b")
 
     # G term r: n!/r! (-1)**r b**(n-r)/(Gamma(1+alpha r) Gamma(1+beta(n-r)))
     #           * x**(alpha r) * t**(beta (n-r))

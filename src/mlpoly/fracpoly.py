@@ -13,7 +13,7 @@ import math
 import numbers
 
 from . import config
-from .errors import DomainError
+from .errors import DomainError, FloatOverflowError
 
 
 class FracPoly:
@@ -28,6 +28,10 @@ class FracPoly:
             coeff = float(coeff)
             exponent = float(exponent)
             if not (math.isfinite(coeff) and math.isfinite(exponent)):
+                if math.isinf(coeff) and math.isfinite(exponent):
+                    raise FloatOverflowError(
+                        f"the coefficient of x**{exponent} exceeds the double-precision range"
+                    )
                 raise DomainError(f"non-finite term ({coeff}, {exponent})")
             if abs(exponent) <= snap:
                 exponent = 0.0

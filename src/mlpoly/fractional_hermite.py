@@ -17,19 +17,9 @@ import functools
 import math
 from operator import mul
 
-from .errors import DomainError
+from ._validate import degree, half_open_unit, open_unit
 from .fracpoly import FracPoly
-from .gamma_core import _check_n, _powers, factorial_ratios, frac_binom, rgamma
-
-
-def _check_alpha_closed(alpha):
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-
-
-def _check_alpha_open(alpha):
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+from .gamma_core import _powers, factorial_ratios, frac_binom, rgamma
 
 
 class _FhpTable:
@@ -50,7 +40,7 @@ class _FhpTable:
 
     def __init__(self, degrees, alpha):
         """``degrees``: checked nonnegative integers; ``alpha`` is checked here."""
-        _check_alpha_closed(alpha)
+        half_open_unit(alpha, "alpha")
         self.degrees = degrees
         self.top = max(degrees)
         self.rgammas = tuple(rgamma(1.0 + alpha * r) for r in range(self.top // 2 + 1))
@@ -97,7 +87,7 @@ def fhp_coeffs(n, alpha, y):
 
     Degree n, one monomial per r = 0..n//2, leading coefficient 1.
     """
-    n = _check_n(n)
+    n = degree(n, "n")
     table = _fhp_table((n,), alpha)
     return FracPoly(
         [(c, float(n - 2 * r)) for r, c in enumerate(table.coeffs(table.y_powers(y))[0])]
@@ -106,7 +96,7 @@ def fhp_coeffs(n, alpha, y):
 
 def fhp_eval(n, alpha, x, y):
     """Value of H[alpha]_n(x, y) by the direct finite sum."""
-    table = _fhp_table((_check_n(n),), alpha)
+    table = _fhp_table((degree(n, "n"),), alpha)
     return table.values(table.coeffs(table.y_powers(y)), table.x_powers(x))[0]
 
 
@@ -115,8 +105,8 @@ def fhp_at_zero(n, alpha, y):
 
     Parity is decided on the integer n, never through floating trigonometry.
     """
-    n = _check_n(n)
-    _check_alpha_closed(alpha)
+    n = degree(n, "n")
+    half_open_unit(alpha, "alpha")
     if n % 2:
         return 0.0
     half = n // 2
@@ -129,8 +119,8 @@ def oplus_power(x, y, n, alpha):
     C_alpha is the fractional binomial; alpha = 1 recovers (x + y)**n and the
     power is homogeneous: (a*x (+)_alpha a*y)**n = a**n (x (+)_alpha y)**n.
     """
-    n = _check_n(n)
-    _check_alpha_closed(alpha)
+    n = degree(n, "n")
+    half_open_unit(alpha, "alpha")
     return _oplus(_frac_binom_row(n, alpha), _powers(x, n, "x"), _powers(y, n, "y"))
 
 
@@ -157,8 +147,8 @@ def umbral_hermite_shift(n, x, a, w, alpha):
 
     w = 0 recovers the classical H_n(x, a); a = 0 recovers fhp_eval(n, alpha, x, w).
     """
-    n = _check_n(n)
-    _check_alpha_open(alpha)
+    n = degree(n, "n")
+    open_unit(alpha, "alpha")
     total = 0.0
     nfact = math.factorial(n)
     for r in range(n // 2 + 1):
@@ -205,7 +195,7 @@ def fhp_oplus_eval(n, x, w, a, alpha):
     """H[alpha]_n(x, w (+)_alpha a): the second argument's powers are expanded
     through the deformed binomial before being inserted into the defining sum.
     """
-    table = _fhp_table((_check_n(n),), alpha)
+    table = _fhp_table((degree(n, "n"),), alpha)
     wp = table.y_powers(w)
     ap = _powers(a, table.top // 2, "a")
     oplus = [_oplus(binoms, wp, ap) for binoms in _oplus_binoms(table.top, alpha)]
@@ -217,7 +207,7 @@ def fhp_oplus_eval(n, x, w, a, alpha):
 
 def _convolution_degrees(n):
     """n, n-2, ..., the degrees of the Hermite polynomials in a convolution sum."""
-    return range(_check_n(n), -1, -2)
+    return range(degree(n, "n"), -1, -2)
 
 
 def _weighted_sum(weights, values):

@@ -12,21 +12,10 @@ rounding of a number of size |log Gamma|.  Everything is standard library.
 
 import math
 
+from ._validate import degree, finite, half_open_unit, open_unit, positive
 from .errors import DomainError, FloatOverflowError, IndeterminateFormError
 
 _PI = math.pi
-
-
-def _require_finite(x, name):
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-
-
-def _check_n(n):
-    """A nonnegative integer degree (an int or an integral float), as int."""
-    if n < 0 or int(n) != n:
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
-    return int(n)
 
 
 def _nonpos_int(x):
@@ -53,6 +42,17 @@ def _lgamma(x):
         return math.inf
 
 
+def _math_gamma(arg, x):
+    """``math.gamma(arg)``, or :class:`FloatOverflowError` naming x when the
+    value leaves the double-precision range."""
+    try:
+        return math.gamma(arg)
+    except OverflowError:
+        raise FloatOverflowError(
+            f"Gamma({arg!r}) exceeds the double-precision range at x = {x!r}"
+        ) from None
+
+
 def _sinpi(x):
     # sin(pi*x) with argument reduction; plain sin(pi*x) loses relative
     # accuracy near the integers where the reflection formula needs it most.
@@ -63,21 +63,22 @@ def _sinpi(x):
 
 def ln_gamma(x):
     """Natural log of the gamma function for x > 0."""
-    _require_finite(x, "x")
+    finite(x, "x")
     if x <= 0.0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
     return _lgamma(x)
 
 
 def gamma(x):
-    """Gamma function on the real line; raises at the poles 0, -1, -2, ..."""
-    _require_finite(x, "x")
+    """Gamma function on the real line; raises at the poles 0, -1, -2, ...,
+    and :class:`FloatOverflowError` where a gamma value leaves the double range."""
+    finite(x, "x")
     if x >= 0.5:
-        return math.gamma(x)
+        return _math_gamma(x, x)
     if _nonpos_int(x):
         raise DomainError(f"gamma pole at x = {x}")
     # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-    return _PI / (_sinpi(x) * math.gamma(1.0 - x))
+    return _PI / (_sinpi(x) * _math_gamma(1.0 - x, x))
 
 
 def rgamma(x):
@@ -86,14 +87,14 @@ def rgamma(x):
     Returns exactly 0.0 at the poles x = 0, -1, -2, ...; elsewhere the
     relative error target is 1e-12.
     """
-    _require_finite(x, "x")
+    finite(x, "x")
     if x >= 0.5:
         return 1.0 / math.gamma(x) if x < 171.0 else math.exp(-_lgamma(x))
     if _nonpos_int(x):
         return 0.0
-    # 1/Gamma(x) = sin(pi x) Gamma(1-x) / pi; Gamma(1-x) may overflow for
-    # very negative x, which faithfully reflects the growth of 1/Gamma.
-    return _sinpi(x) * math.gamma(1.0 - x) / _PI
+    # 1/Gamma(x) = sin(pi x) Gamma(1-x) / pi; for very negative x, Gamma(1-x)
+    # overflows as 1/Gamma(x) itself leaves the double range
+    return _sinpi(x) * _math_gamma(1.0 - x, x) / _PI
 
 
 def log_abs_rgamma(x):
@@ -103,7 +104,7 @@ def log_abs_rgamma(x):
     reciprocal is an exact zero.  Used by the series evaluators to combine
     z**r / Gamma(arg) in log space without intermediate overflow.
     """
-    _require_finite(x, "x")
+    finite(x, "x")
     if x >= 0.5:
         return 1.0, -_lgamma(x)
     if _nonpos_int(x):
@@ -163,12 +164,11 @@ def frac_binom(n, r, alpha):
 
     Reduces to the ordinary binomial coefficient at alpha = 1.
     """
-    if n < 0 or r < 0 or int(n) != n or int(r) != r:
-        raise DomainError(f"n, r must be nonnegative integers, got n={n}, r={r}")
+    degree(n, "n")
+    degree(r, "r")
     if r > n:
         raise DomainError(f"require r <= n, got r={r} > n={n}")
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+    half_open_unit(alpha, "alpha")
     if alpha == 1.0:
         return float(math.comb(int(n), int(r)))
     return math.exp(
@@ -187,9 +187,8 @@ def stieltjes_moment(alpha, sigma):
     poles the ratio is 0/0 and an :class:`IndeterminateFormError` is raised;
     a pole in the numerator alone also has no finite value.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    _require_finite(sigma, "sigma")
+    open_unit(alpha, "alpha")
+    finite(sigma, "sigma")
     num_arg = 1.0 - sigma / alpha
     den_arg = 1.0 - sigma
     num_pole = _near_pole(num_arg)
@@ -211,11 +210,7 @@ def levy_subordination_moment(beta, m, t):
     """m-th moment of the inverse-stable subordination density:
     m! * t**(beta*m) / Gamma(1 + beta*m).
     """
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"beta must lie in (0, 1), got {beta}")
-    if m < 0 or int(m) != m:
-        raise DomainError(f"m must be a nonnegative integer, got {m}")
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    m = int(m)
+    open_unit(beta, "beta")
+    m = degree(m, "m")
+    positive(t, "t")
     return math.factorial(m) * t ** (beta * m) * rgamma(1.0 + beta * m)

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 from . import config
+from ._validate import half_open_unit, nonnegative, positive
 from .errors import ConvergenceError, DomainError
 from .gamma_core import log_abs_rgamma
 
@@ -47,8 +48,7 @@ class MLParams:
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta) and math.isfinite(self.gamma)):
             raise DomainError("MLParams fields must be finite")
-        if not self.alpha > 0.0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
+        positive(self.alpha, "alpha")
 
     @property
     def truncates(self):
@@ -170,65 +170,56 @@ def ml_two(alpha, beta, z, tol=None, budget=None):
 
     beta = 0 is legal: the r = 0 term carries 1/Gamma(0) = 0 and drops out.
     """
-    _check_series(alpha, beta, "beta")
-    return _ml_two_sum(alpha, beta, z, tol, budget, [])
+    return MLSeries(alpha, beta)(z, tol, budget)
 
 
 class MLSeries:
     """E_{alpha,beta}(z) at many arguments z, as :func:`ml_two` computes it.
 
-    The row log|1/Gamma(beta + alpha*r)| is computed once per index r and
-    shared by every z, so a grid pays the gamma kernel once per index rather
-    than once per term.  Each call keeps its own stopping rule and error
-    estimate.
+    The row of gamma terms is computed once per index r and shared by every
+    z, so a grid pays the gamma kernel once per index rather than once per
+    term.  Each call keeps its own stopping rule and error estimate.
+    :class:`WrightSeries` is the same series with 1/r! in each term.
     """
 
+    _symbol, _param, _factorial = "E", "beta", False
+
     def __init__(self, alpha, beta):
-        _check_series(alpha, beta, "beta")
+        positive(alpha, "alpha")
+        if not math.isfinite(beta):
+            raise DomainError(f"{self._param} and z must be finite")
         self.alpha = alpha
         self.beta = beta
+        # per index r: sign and log of 1/Gamma(beta + alpha*r), and log r!
+        # (0.0 in E_{alpha,beta}), filled in order of r
         self._row = []
 
     def __call__(self, z, tol=None, budget=None):
-        return _ml_two_sum(self.alpha, self.beta, z, tol, budget, self._row)
+        if not math.isfinite(z):
+            raise DomainError(f"{self._param} and z must be finite")
+        alpha, beta, row, factorial = self.alpha, self.beta, self._row, self._factorial
+        zneg, zlog1 = z < 0.0, _log_abs(z)
 
+        def term(r):
+            if r < len(row):
+                gsign, glog, flog = row[r]
+            else:
+                gsign, glog = log_abs_rgamma(beta + alpha * r)
+                flog = math.lgamma(r + 1) if factorial else 0.0
+                row.append((gsign, glog, flog))
+            if gsign == 0.0:
+                return 0.0, 1.0
+            zsign = -1.0 if (zneg and r % 2) else 1.0
+            zlog = r * zlog1 if r else 0.0
+            if zlog == -math.inf:
+                return 0.0, 1.0
+            return gsign * zsign * math.exp(glog + zlog - flog), abs(glog) + abs(zlog) + flog
 
-def _check_series(alpha, beta, name):
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    if not math.isfinite(beta):
-        raise DomainError(f"{name} and z must be finite")
-
-
-def _gamma_ratio_factor(alpha, beta):
-    """ratio_factor of a series whose term ratio is |z| Gamma(beta+alpha(r-1)) /
-    Gamma(beta+alpha r) times a nonincreasing factor: the gamma quotient stops
-    increasing once both arguments are positive (log-convexity of Gamma)."""
-    return lambda r: 1.0 if beta + alpha * (r - 1) > 0.0 else math.inf
-
-
-def _ml_two_sum(alpha, beta, z, tol, budget, row):
-    if not math.isfinite(z):
-        raise DomainError("beta and z must be finite")
-    zneg, zlog1 = z < 0.0, _log_abs(z)
-
-    def term(r):
-        if r < len(row):  # the row is shared by every z and filled in order of r
-            gsign, glog = row[r]
-        else:
-            entry = log_abs_rgamma(beta + alpha * r)
-            row.append(entry)
-            gsign, glog = entry
-        if gsign == 0.0:
-            return 0.0, 1.0
-        zsign = -1.0 if (zneg and r % 2) else 1.0
-        zlog = r * zlog1 if r else 0.0
-        if zlog == -math.inf:
-            return 0.0, 1.0
-        return gsign * zsign * math.exp(glog + zlog), abs(glog) + abs(zlog)
-
-    return _sum_series(term, tol, budget, f"E_({alpha},{beta})({z})",
-                       _gamma_ratio_factor(alpha, beta))
+        # the term ratio is |z| Gamma(beta+alpha(r-1)) / Gamma(beta+alpha r) times
+        # a nonincreasing factor (1, or 1/r in W): the gamma quotient stops
+        # increasing once both arguments are positive (log-convexity of Gamma)
+        return _sum_series(term, tol, budget, f"{self._symbol}_({alpha},{beta})({z})",
+                           lambda r: 1.0 if beta + alpha * (r - 1) > 0.0 else math.inf)
 
 
 def ml_three(alpha, beta, gamma, z, tol=None, budget=None):
@@ -285,48 +276,18 @@ def ml_three(alpha, beta, gamma, z, tol=None, budget=None):
 
 def wright(alpha, mu, z, tol=None, budget=None):
     """Wright function W_{alpha,mu}(z) = sum z**r / (r! Gamma(mu+alpha*r))."""
-    _check_series(alpha, mu, "mu")
-    return _wright_sum(alpha, mu, z, tol, budget, [])
+    return WrightSeries(alpha, mu)(z, tol, budget)
 
 
-class WrightSeries:
+class WrightSeries(MLSeries):
     """W_{alpha,mu}(z) at many arguments z, as :func:`wright` computes it,
-    sharing the row log|1/Gamma(mu + alpha*r)| like :class:`MLSeries`."""
+    sharing the row of gamma terms like :class:`MLSeries`."""
+
+    _symbol, _param, _factorial = "W", "mu", True
 
     def __init__(self, alpha, mu):
-        _check_series(alpha, mu, "mu")
-        self.alpha = alpha
+        super().__init__(alpha, mu)
         self.mu = mu
-        self._row = []
-
-    def __call__(self, z, tol=None, budget=None):
-        return _wright_sum(self.alpha, self.mu, z, tol, budget, self._row)
-
-
-def _wright_sum(alpha, mu, z, tol, budget, row):
-    if not math.isfinite(z):
-        raise DomainError("mu and z must be finite")
-    zneg, zlog1 = z < 0.0, _log_abs(z)
-
-    def term(r):
-        if r < len(row):  # the row is shared by every z and filled in order of r
-            gsign, glog = row[r]
-        else:
-            entry = log_abs_rgamma(mu + alpha * r)
-            row.append(entry)
-            gsign, glog = entry
-        if gsign == 0.0:
-            return 0.0, 1.0
-        zsign = -1.0 if (zneg and r % 2) else 1.0
-        zlog = r * zlog1 if r else 0.0
-        if zlog == -math.inf:
-            return 0.0, 1.0
-        lfact = math.lgamma(r + 1)
-        value = gsign * zsign * math.exp(glog + zlog - lfact)
-        return value, abs(glog) + abs(zlog) + lfact
-
-    return _sum_series(term, tol, budget, f"W_({alpha},{mu})({z})",
-                       _gamma_ratio_factor(alpha, mu))
 
 
 def relaxation_cole_cole(alpha, tau, t):
@@ -334,12 +295,9 @@ def relaxation_cole_cole(alpha, tau, t):
 
     alpha = 1 is the Debye limit exp(-t/tau).
     """
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if not tau > 0.0:
-        raise DomainError(f"tau must be positive, got {tau}")
-    if t < 0.0:
-        raise DomainError(f"t must be nonnegative, got {t}")
+    half_open_unit(alpha, "alpha")
+    positive(tau, "tau")
+    nonnegative(t, "t")
     return ml_one(alpha, -((t / tau) ** alpha)).value
 
 
@@ -349,14 +307,10 @@ def relaxation_hn(alpha, beta, tau, t):
 
     beta = 1 recovers the Cole-Cole function.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    if not tau > 0.0:
-        raise DomainError(f"tau must be positive, got {tau}")
-    if t < 0.0:
-        raise DomainError(f"t must be nonnegative, got {t}")
+    half_open_unit(alpha, "alpha")
+    positive(beta, "beta")
+    positive(tau, "tau")
+    nonnegative(t, "t")
     if t == 0.0:
         return 1.0
     u = (t / tau) ** alpha

@@ -19,16 +19,12 @@ import functools
 import math
 
 from . import config
+from ._validate import degree, finite, open_unit, positive
 from .caputo import caputo_monomial
 from .errors import DomainError, FloatOverflowError, VerificationError
 from .fracpoly import FracPoly
-from .gamma_core import _check_n, _check_power, _powers, _require_finite, ln_gamma, rgamma
+from .gamma_core import _check_power, _powers, ln_gamma, rgamma
 from .mittag_leffler import ml_two, wright
-
-
-def _check_pos(value, name):
-    if not value > 0.0:
-        raise DomainError(f"{name} must be positive, got {value}")
 
 
 def _int_exp(v):
@@ -52,11 +48,11 @@ def mlp_eval(n, alpha, beta, x, y):
     rounded once: the value is the correctly rounded sum, however much its
     terms cancel.
     """
-    n = _check_n(n)
-    _check_pos(alpha, "alpha")
-    _check_pos(beta, "beta")
-    _require_finite(x, "x")
-    _require_finite(y, "y")
+    n = degree(n, "n")
+    positive(alpha, "alpha")
+    positive(beta, "beta")
+    finite(x, "x")
+    finite(y, "y")
     # a power beyond the double range is refused, naming its base, even where
     # the exact sum would fit
     _check_power(-x, n, "(-x)")
@@ -87,9 +83,9 @@ def mlp_eval(n, alpha, beta, x, y):
 
 def mlp_coeffs(n, alpha, beta, x):
     """Coefficient form of E^{-n}_{alpha,beta}(x, .) as a :class:`FracPoly` in y."""
-    n = _check_n(n)
-    _check_pos(alpha, "alpha")
-    _check_pos(beta, "beta")
+    n = degree(n, "n")
+    positive(alpha, "alpha")
+    positive(beta, "beta")
     xp = _powers(-x, n, "(-x)")
     return FracPoly(
         [(math.comb(n, r) * xp[r] * rgamma(beta + alpha * r), float(n - r)) for r in range(n + 1)]
@@ -98,7 +94,7 @@ def mlp_coeffs(n, alpha, beta, x):
 
 def mlp_one_var_reduction(n, alpha, beta, x, y):
     """Homogeneity route y**n * E^{-n}_{alpha,beta}(x/y, 1); undefined at y = 0."""
-    n = _check_n(n)
+    n = degree(n, "n")
     if y == 0.0:
         raise DomainError("one-variable reduction is undefined at y = 0; use mlp_eval")
     _check_power(y, n, "y")
@@ -114,9 +110,9 @@ def konhauser(n, alpha, beta, x, y):
     Equals 1 at n = 0 for every beta; at alpha = beta = 1, y = 1 it is the
     classical Laguerre polynomial L_n(x).
     """
-    n = _check_n(n)
-    _check_pos(alpha, "alpha")
-    _check_pos(beta, "beta")
+    n = degree(n, "n")
+    positive(alpha, "alpha")
+    positive(beta, "beta")
     integer_alpha = alpha == int(alpha)
     if x < 0.0 and not integer_alpha:
         raise DomainError(f"x**{alpha} is not real for x = {x} < 0")
@@ -133,8 +129,8 @@ def mlp_ogf_closed(lam, alpha, beta, x, y):
     sum_n lam**n E^{-n}_{alpha,beta}(x, y) = E_{alpha,beta}(-lam*x/(1-lam*y)) / (1-lam*y),
     valid for |lam*y| < 1.
     """
-    _check_pos(alpha, "alpha")
-    _check_pos(beta, "beta")
+    positive(alpha, "alpha")
+    positive(beta, "beta")
     if abs(lam * y) >= 1.0:
         raise DomainError(f"|lambda*y| must be < 1, got {abs(lam * y)}")
     return ml_two(alpha, beta, -lam * x / (1.0 - lam * y)).value / (1.0 - lam * y)
@@ -144,8 +140,8 @@ def mlp_egf_closed(lam, alpha, beta, x, y):
     """Closed exponential generating function
     sum_n lam**n/n! E^{-n}_{alpha,beta}(x, y) = exp(lam*y) * W_{alpha,beta}(-lam*x).
     """
-    _check_pos(alpha, "alpha")
-    _check_pos(beta, "beta")
+    positive(alpha, "alpha")
+    positive(beta, "beta")
     return math.exp(lam * y) * wright(alpha, beta, -lam * x).value
 
 
@@ -156,8 +152,7 @@ def frac_laguerre_apply(p, alpha):
     constants are annihilated (x d/dx kills them before the Caputo step).
     Exponents in (0, alpha) would go negative and raise.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    open_unit(alpha, "alpha")
 
     def rule(c, mu):
         if mu == 0.0:
@@ -179,11 +174,11 @@ def mlp_operational_check(n, alpha, y, n_terms, x_grid=None):
     """
     import numpy as np
 
-    n = _check_n(n)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    n = degree(n, "n")
+    open_unit(alpha, "alpha")
     if n_terms < n:
         raise DomainError(f"n_terms must be >= n, got {n_terms} < {n}")
+    n_terms = degree(n_terms, "n_terms")
     grid = np.linspace(0.0, 2.0, 41) if x_grid is None else np.asarray(x_grid, dtype=float)
     if np.any(grid < 0.0):
         raise DomainError("x grid must be nonnegative for real x**alpha")
@@ -192,7 +187,7 @@ def mlp_operational_check(n, alpha, y, n_terms, x_grid=None):
     acc = seed
     power = seed
     weight = 1.0
-    for r in range(1, int(n_terms) + 1):
+    for r in range(1, n_terms + 1):
         power = frac_laguerre_apply(power, alpha)
         if power.is_zero():
             break

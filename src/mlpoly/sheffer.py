@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from ._validate import degree, positive
 from .errors import DomainError, SingularityError
 from .fracpoly import FracPoly
 from .gamma_core import rgamma
@@ -119,25 +120,23 @@ def appell_A_fhp(alpha, y, n_order):
 
     Even coefficients y**r / Gamma(1+alpha*r); odd coefficients vanish.
     """
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    positive(alpha, "alpha")
     if n_order < 2:
         raise DomainError(f"order must be >= 2, got {n_order}")
-    coeffs = [0.0] * (int(n_order) + 1)
-    for r in range(0, int(n_order) // 2 + 1):
+    n_order = degree(n_order, "order")
+    coeffs = [0.0] * (n_order + 1)
+    for r in range(0, n_order // 2 + 1):
         coeffs[2 * r] = y ** r * rgamma(1.0 + alpha * r)
     return PowerSeries(tuple(coeffs))
 
 
 def appell_A_mlp(alpha, beta, x, n_order):
     """EGF prefactor of the Mittag-Leffler family: A(lam) = W_{alpha,beta}(-lam x)."""
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    positive(alpha, "alpha")
+    positive(beta, "beta")
     if n_order < 1:
         raise DomainError(f"order must be >= 1, got {n_order}")
-    n_order = max(int(n_order), 2)
+    n_order = max(degree(n_order, "order"), 2)
     coeffs = tuple(
         (-x) ** r * rgamma(beta + alpha * r) / math.factorial(r)
         for r in range(n_order + 1)
@@ -166,8 +165,7 @@ def aux_v_h_fhp(lam, x, alpha, y):
 
     x = 1 is a pole of the prefactor and raises.
     """
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    positive(alpha, "alpha")
     if x == 1.0:
         raise SingularityError("v has a pole at x = 1")
     s = x - 1.0
@@ -185,10 +183,8 @@ def aux_v_h_mlp(lam, y, alpha, beta, x):
         v = -x * W_{alpha,beta+alpha}[-x(y-1)] / W_{alpha,beta}[-x(y-1)]
         h = W_{alpha,beta}[-x(lam+y-1)] / W_{alpha,beta}[-x(y-1)]
     """
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    positive(alpha, "alpha")
+    positive(beta, "beta")
     den = wright(alpha, beta, -x * (y - 1.0)).value
     if den == 0.0:
         raise SingularityError("W_{alpha,beta}[-x(y-1)] = 0: denominators vanish")

@@ -301,6 +301,17 @@ class TestRejectedInput:
         assert out == ""
         assert "value = inf is not a finite number" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("eval-fhp", "--n", "12", "--alpha", "0.5", "--y", "1e50", "--coeffs"),
+        ("table", "--family", "fhp", "--alpha", "0.5", "--y", "1e50", "--n-max", "12"),
+    ], ids=["eval-fhp-coeffs", "table-fhp"])
+    def test_overflowing_coefficient(self, capsys, argv):
+        # y**6 fits the double range; its product with 12!/Gamma(4) does not
+        code, out, err = _run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "the coefficient of x**0.0 exceeds the double-precision range" in err
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_case_ii_routes_both_infinite(self, capsys, fmt):
         code, out, err = _run(

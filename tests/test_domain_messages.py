@@ -6,10 +6,12 @@ The rows cover every entry point that checks a parameter domain, at the
 boundaries 0 and 1, at a negative value and at NaN.
 
 ``UNCHANGED`` holds messages that must never change.  ``MENDED`` holds
-inputs that used to escape the domain checks: a non-finite integer argument
-raised a raw ``ValueError`` or ``OverflowError``, a NaN passed a
-nonnegativity check written as ``v < 0`` and came back as NaN (or as a
-failed verification), or a NaN was refused under another argument's name.
+inputs that a check written without NaN and infinity in mind lets through
+(a non-finite integer argument reaches ``int()`` and raises a raw
+``ValueError`` or ``OverflowError``; a NaN passes ``v < 0`` and comes back
+as NaN, as a failed verification, or refused under another argument's
+name), and the integer check of ``frac_binom``, which names the one
+argument it refuses.
 """
 
 import math
@@ -182,7 +184,7 @@ UNCHANGED = [
 ]
 
 MENDED = [
-    # a non-finite integer argument: raw ValueError / OverflowError before
+    # a non-finite integer argument
     (fhp_eval, (NAN, 0.5, 1.0, 1.0), "n must be a nonnegative integer, got nan"),
     (fhp_eval, (INF, 0.5, 1.0, 1.0), "n must be a nonnegative integer, got inf"),
     (frac_binom, (NAN, 1, 0.5), "n must be a nonnegative integer, got nan"),
@@ -192,10 +194,10 @@ MENDED = [
     (caputo_l1, (SAMPLES, 0.1, 0.5, NAN), "t_index must be a nonnegative integer, got nan"),
     (tf_diffusion_plan, (SERIES, NAN), "n_terms must be a nonnegative integer, got nan"),
     (mlp_operational_check, (2, 0.5, 1.0, NAN), "n_terms must be a nonnegative integer, got nan"),
-    # the integer check of frac_binom now names the one argument it refuses
-    # (was "n, r must be nonnegative integers, got n=-1, r=0")
+    # frac_binom checks n and r one at a time, naming the one it refuses
     (frac_binom, (-1, 0, 0.5), "n must be a nonnegative integer, got -1"),
-    # a NaN passed `v < 0`: NaN returned, a VerificationError, or the wrong name
+    (frac_binom, (3, 1.5, 0.5), "r must be a nonnegative integer, got 1.5"),
+    # a NaN in a nonnegative argument
     (solve_laguerre_monomial, (2, 0.5, 0.5, 1.0, NAN, 1.0), "x must be nonnegative, got nan"),
     (solve_case_i, (2, 0.3, 0.5, 1.0, 1.0, NAN), "t must be nonnegative, got nan"),
     (solve_case_ii, (2, 0.3, 0.5, 1.0, 1.0, NAN), "t must be nonnegative, got nan"),
@@ -218,7 +220,6 @@ def test_domain_message_is_unchanged(fn, args, message):
     assert str(info.value) == message
 
 
-@pytest.mark.xfail(strict=True, reason="escapes the domain checks before the shared validators")
 @pytest.mark.parametrize("fn, args, message", MENDED, ids=[_row_id(r) for r in MENDED])
 def test_escaped_input_is_refused_by_name(fn, args, message):
     with pytest.raises(DomainError) as info:

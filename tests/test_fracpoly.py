@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlpoly.errors import DomainError
+from mlpoly.errors import DomainError, FloatOverflowError
 from mlpoly.fracpoly import FracPoly
 
 
@@ -33,6 +33,16 @@ class TestNormalization:
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             FracPoly([(float("nan"), 1.0)])
+        with pytest.raises(DomainError):
+            FracPoly([(1.0, float("inf"))])
+        with pytest.raises(DomainError):
+            FracPoly([(float("inf"), float("nan"))])
+
+    def test_infinite_coefficient_is_an_overflow(self):
+        # a coefficient that overflowed is a numerical failure, not bad input
+        with pytest.raises(FloatOverflowError) as info:
+            FracPoly([(1.0, 0.0), (-float("inf"), 2.5)])
+        assert str(info.value) == "the coefficient of x**2.5 exceeds the double-precision range"
 
 
 class TestAlgebra:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlpoly.errors import DomainError, IndeterminateFormError
+from mlpoly.errors import DomainError, FloatOverflowError, IndeterminateFormError
 from mlpoly.gamma_core import (
     frac_binom,
     gamma,
@@ -94,6 +94,18 @@ class TestGamma:
         with pytest.raises(DomainError):
             gamma(-2.0)
 
+    @pytest.mark.parametrize("fn, x, arg", [
+        (gamma, 200.0, 200.0),
+        (gamma, -200.5, 201.5),  # Gamma(1-x) in the reflection formula
+        (rgamma, -200.5, 201.5),
+    ])
+    def test_beyond_the_double_range_names_x(self, fn, x, arg):
+        with pytest.raises(FloatOverflowError) as info:
+            fn(x)
+        assert str(info.value) == (
+            f"Gamma({arg!r}) exceeds the double-precision range at x = {x!r}")
+        assert isinstance(info.value, OverflowError)  # old handlers still catch it
+
 
 class TestFracBinom:
     def test_ordinary_binomial(self):
@@ -167,6 +179,10 @@ class TestStieltjesMoment:
     def test_alpha_domain(self):
         with pytest.raises(DomainError):
             stieltjes_moment(1.0, 0.5)
+
+    def test_numerator_beyond_the_double_range(self):
+        with pytest.raises(FloatOverflowError, match="at x = 201.0"):
+            stieltjes_moment(0.5, -100.0)
 
 
 class TestLevySubordinationMoment:
