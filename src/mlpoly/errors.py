@@ -18,14 +18,18 @@ class ConvergenceError(MLPolyError, ArithmeticError):
     """A series evaluation could not honestly reach the requested tolerance.
 
     Carries the partial result so callers can inspect how far the
-    summation got before giving up.
+    summation got before giving up, and the ``reason`` it gave up:
+    ``"budget"`` (no convergence within the term budget), ``"honesty"`` (the
+    error estimate exceeds the honest allowance) or ``"overflow"`` (a term
+    left the double-precision range).
     """
 
-    def __init__(self, message, partial=None, error_estimate=None, terms_used=None):
+    def __init__(self, message, partial=None, error_estimate=None, terms_used=None, reason=None):
         super().__init__(message)
         self.partial = partial
         self.error_estimate = error_estimate
         self.terms_used = terms_used
+        self.reason = reason
 
 
 class IndeterminateFormError(MLPolyError, ArithmeticError):

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import config
-from ._validate import degree, half_open_unit, nonnegative, open_unit, positive
+from ._validate import degree, finite, half_open_unit, nonnegative, open_unit, positive
 from .caputo import caputo_monomial
 from .errors import DomainError, VerificationError
 from .fractional_hermite import (
@@ -82,6 +82,8 @@ class SeriesInitial:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        for i, c in enumerate(self.coeffs):
+            finite(c, f"coeffs[{i}]")
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,7 @@ class DiffusionProblem:
     def __post_init__(self):
         open_unit(self.alpha, "alpha")
         positive(self.k, "diffusivity k")
+        finite(self.k, "diffusivity k")
         if not isinstance(self.initial, (MonomialInitial, HermiteInitial, FhpInitial, SeriesInitial)):
             raise DomainError(f"unsupported initial datum: {self.initial!r}")
 
@@ -120,6 +123,7 @@ class LaguerreProblem:
         open_unit(self.alpha, "alpha")
         half_open_unit(self.beta, "beta")
         positive(self.b, "b")
+        finite(self.b, "b")
         if not isinstance(self.initial, (LaguerreMonomialInitial, WrightInitial)):
             raise DomainError(f"unsupported initial datum: {self.initial!r}")
 
@@ -211,6 +215,7 @@ class _FhpPlan(GridPlan):
     _t_domain = staticmethod(nonnegative)
 
     def __init__(self, degrees, alpha, k):
+        finite(k, "k")
         self._table = _fhp_table(degrees, alpha)
         self._alpha = alpha
         self._k = k
@@ -220,6 +225,7 @@ class _FhpPlan(GridPlan):
 
     def _t_side(self, t):
         self._t_domain(t, "t")
+        finite(t, "t")
         table = self._table
         return table.coeffs(table.y_powers(self._k * t ** self._alpha))
 
@@ -248,6 +254,7 @@ class CaseIPlan(_FhpPlan):
     """Grid plan of :func:`solve_case_i`."""
 
     def __init__(self, n, a, alpha, k):
+        finite(a, "a")
         super().__init__(_convolution_degrees(n), alpha, k)
         self._weights = _convolution_i_weights(self._table.top, a)
 
@@ -263,6 +270,7 @@ class CaseIIPlan(_FhpPlan):
     """
 
     def __init__(self, n, a, alpha, k):
+        finite(a, "a")
         super().__init__(_convolution_degrees(n), alpha, k)
         table = self._table
         self._weights = _convolution_ii_weights(table, a)
@@ -272,6 +280,7 @@ class CaseIIPlan(_FhpPlan):
 
     def _t_side(self, t):
         self._t_domain(t, "t")
+        finite(t, "t")
         table = self._table
         wp = table.y_powers(self._k * t ** self._alpha)
         ap = self._a_powers
@@ -321,6 +330,7 @@ class LaguerreMonomialPlan(GridPlan):
         open_unit(alpha, "alpha")
         half_open_unit(beta, "beta")
         positive(b, "b")
+        finite(b, "b")
         self._n = n
         self._alpha = alpha
         self._beta = beta
@@ -331,10 +341,12 @@ class LaguerreMonomialPlan(GridPlan):
 
     def _x_side(self, x):
         nonnegative(x, "x")
+        finite(x, "x")
         return _powers(-math.pow(x, self._alpha), self._n, "(-x**alpha)")
 
     def _t_side(self, t):
         positive(t, "t")
+        finite(t, "t")
         return _powers(self._b * t ** self._beta, self._n, "(b*t**beta)")[::-1]
 
     def _formula(self, xs, us):
@@ -352,6 +364,8 @@ class LaguerreWrightPlan(GridPlan):
         open_unit(alpha, "alpha")
         half_open_unit(beta, "beta")
         positive(b, "b")
+        finite(b, "b")
+        finite(y_param, "y_param")
         self._y = y_param
         self._alpha = alpha
         self._beta = beta
@@ -361,10 +375,12 @@ class LaguerreWrightPlan(GridPlan):
 
     def _x_side(self, x):
         nonnegative(x, "x")
+        finite(x, "x")
         return self._wright(-self._y * math.pow(x, self._alpha)).value
 
     def _t_side(self, t):
         positive(t, "t")
+        finite(t, "t")
         return self._ml(self._b * self._y * t ** self._beta).value
 
     def _formula(self, w_value, ml_value):

@@ -17,7 +17,7 @@ import functools
 import math
 from operator import mul
 
-from ._validate import degree, half_open_unit, open_unit
+from ._validate import degree, finite, half_open_unit, open_unit
 from .fracpoly import FracPoly
 from .gamma_core import _powers, factorial_ratios, frac_binom, rgamma
 
@@ -53,6 +53,7 @@ class _FhpTable:
         return _powers(y, self.top // 2, "y")
 
     def x_powers(self, x):
+        finite(x, "x")
         return _powers(x, self.top, "x")
 
     def coeffs(self, yp):
@@ -96,6 +97,7 @@ def fhp_coeffs(n, alpha, y):
 
 def fhp_eval(n, alpha, x, y):
     """Value of H[alpha]_n(x, y) by the direct finite sum."""
+    finite(y, "y")
     table = _fhp_table((degree(n, "n"),), alpha)
     return table.values(table.coeffs(table.y_powers(y)), table.x_powers(x))[0]
 

@@ -16,6 +16,7 @@ from ._validate import degree, finite, half_open_unit, open_unit, positive
 from .errors import DomainError, FloatOverflowError, IndeterminateFormError
 
 _PI = math.pi
+_INF = math.inf
 
 
 def _nonpos_int(x):
@@ -104,6 +105,11 @@ def log_abs_rgamma(x):
     reciprocal is an exact zero.  Used by the series evaluators to combine
     z**r / Gamma(arg) in log space without intermediate overflow.
     """
+    if 0.5 <= x < _INF:  # the series' common case, in one call
+        try:
+            return 1.0, -math.lgamma(x)
+        except OverflowError:
+            pass  # log Gamma(x) beyond the double range: the checked path gives -inf
     finite(x, "x")
     if x >= 0.5:
         return 1.0, -_lgamma(x)

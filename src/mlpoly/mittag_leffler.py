@@ -1,7 +1,22 @@
 """Series evaluators for the Mittag-Leffler family and the Wright function.
 
-All evaluators share one engine: terms are produced in log space (so huge
-intermediate terms cannot overflow), summed with Neumaier compensation, and
+All evaluators share one engine, :func:`_sum_series`, the one summation
+loop.  Each evaluator describes its series by a row: entry r is a tuple
+``(sign, a, b, p)`` with
+
+* ``sign`` the sign of the coefficient (0.0 for an exact-zero term, at a
+  pole of Gamma or past a Pochhammer truncation),
+* ``a`` the log of the coefficient's numerator (``-log|Gamma(beta+alpha*r)|``,
+  plus ``log|(gamma)_r|`` in the Prabhakar function),
+* ``b`` the log of its denominator (``log r!``, or 0.0 in E_{alpha,beta}),
+* ``p`` the magnitude of the numerator's log pieces (``|a|``, or
+  ``|log|(gamma)_r|| + |log|1/Gamma||``),
+
+and the loop forms term r inline as ``sign * zsign * exp((a + r*log|z|) - b)``
+in log space (so huge intermediate terms cannot overflow), where zsign is the
+sign of z**r.  The row is built lazily through a ``grow(r)`` callback, and
+:class:`MLSeries` and :class:`WrightSeries` keep theirs across arguments.
+The terms are summed with Neumaier compensation, and
 the run stops once two consecutive terms fall below ``tol * |partial sum|``
 and the geometric bound on the neglected tail, ``|t_r| rho / (1 - rho)`` with
 ``rho`` the last term ratio, falls below ``tol/2 * |partial sum|``.  The tail
@@ -17,14 +32,15 @@ themselves, which dominates when the terms carry exponents of hundreds).
 An evaluation whose estimate exceeds ``HONESTY_FACTOR * max(tol*|value|, tol)``
 is refused with a :class:`ConvergenceError` instead of silently returning
 cancellation noise — this is what bounds the honest domain for strongly
-alternating arguments (large negative z at small alpha).
+alternating arguments (large negative z at small alpha).  Every refusal
+carries its ``reason``: ``"budget"``, ``"honesty"`` or ``"overflow"``.
 """
 
 import math
 from dataclasses import dataclass
 
 from . import config
-from ._validate import half_open_unit, nonnegative, positive
+from ._validate import finite, half_open_unit, nonnegative, positive
 from .errors import ConvergenceError, DomainError
 from .gamma_core import log_abs_rgamma
 
@@ -79,16 +95,27 @@ def _tail_bound(at, aprev, factor):
     return at * rho / (1.0 - rho) if rho < 1.0 else math.inf
 
 
-def _sum_series(term_fn, tol, budget, what, ratio_factor):
-    """Compensated summation of term_fn(0), term_fn(1), ... with stop control.
+def _sum_series(row, grow, z, tol, budget, label, ratio_factor):
+    """Compensated summation of sum_r row[r] z**r with stop control.
 
-    ``term_fn(r)`` returns ``(term, exponent_scale)`` where exponent_scale is
-    the magnitude of the log-space exponent pieces that produced the term.
-    ``ratio_factor(r)`` returns m such that every term ratio |t_(k+1)/t_k|,
-    k >= r, is at most m * |t_r/t_(r-1)|, or inf where no such m is known.
+    Entry r of ``row`` is ``(sign, a, b, p)`` as the module docstring
+    describes; ``(p + |r*log|z||) + b`` is the magnitude of the log-space
+    exponent pieces of term r.  ``grow(r)`` appends entry r to ``row`` and
+    returns it; entries already in ``row`` are reused.  ``label()`` names the
+    series in a refusal and is formatted only then.  ``ratio_factor(r)``
+    returns m such that every term ratio |t_(k+1)/t_k|, k >= r, is at most
+    m * |t_r/t_(r-1)|, or inf where no such m is known.
     """
     tol = config.SERIES_TOL if tol is None else float(tol)
     budget = config.TERM_BUDGET if budget is None else int(budget)
+    exp = math.exp
+    ninf = -math.inf
+    # log|z| (-inf at z = 0), taken once: z**r has log-magnitude r*log|z| and,
+    # when z < 0, sign -1 for odd r
+    zlog1 = math.log(abs(z)) if z != 0.0 else ninf
+    zflip = -1.0 if z < 0.0 else 1.0
+    zsign = 1.0
+    built = len(row)
     s = 0.0
     comp = 0.0
     sum_abs = 0.0
@@ -100,18 +127,26 @@ def _sum_series(term_fn, tol, budget, what, ratio_factor):
     tail = 0.0
     for r in range(budget):
         try:
-            t, scale = term_fn(r)
+            sign, a, b, p = row[r] if r < built else grow(r)
+            zlog = r * zlog1 if r else 0.0
+            if sign == 0.0 or zlog == ninf:
+                t = 0.0
+                scale = 1.0
+            else:
+                t = sign * zsign * exp(a + zlog - b)
+                scale = p + abs(zlog) + b
         except OverflowError:
             value = s + comp
             raise ConvergenceError(
-                f"{what}: term {r} overflows the double-precision range "
+                f"{label()}: term {r} overflows the double-precision range "
                 f"(partial={value!r})",
-                partial=value, terms_used=r,
+                partial=value, terms_used=r, reason="overflow",
             ) from None
         used = r + 1
         at = abs(t)
         sum_abs += at
-        max_scale = max(max_scale, scale)
+        if scale > max_scale:
+            max_scale = scale
         # Neumaier update
         u = s + t
         if abs(s) >= at:
@@ -129,6 +164,7 @@ def _sum_series(term_fn, tol, budget, what, ratio_factor):
             tail = 0.0
         prev = t
         last = at
+        zsign *= zflip
     value = s + comp
     estimate = (
         last
@@ -139,25 +175,19 @@ def _sum_series(term_fn, tol, budget, what, ratio_factor):
     )
     if not converged:
         raise ConvergenceError(
-            f"{what}: no convergence within {budget} terms "
+            f"{label()}: no convergence within {budget} terms "
             f"(partial={value!r}, estimate={estimate!r})",
-            partial=value, error_estimate=estimate, terms_used=used,
+            partial=value, error_estimate=estimate, terms_used=used, reason="budget",
         )
     allowance = config.HONESTY_FACTOR * max(tol * abs(value), tol)
     if estimate > allowance:
         raise ConvergenceError(
-            f"{what}: rounding floor {estimate:.3e} exceeds the honest allowance "
+            f"{label()}: rounding floor {estimate:.3e} exceeds the honest allowance "
             f"{allowance:.3e}; the argument lies outside the double-precision domain "
             f"(partial={value!r})",
-            partial=value, error_estimate=estimate, terms_used=used,
+            partial=value, error_estimate=estimate, terms_used=used, reason="honesty",
         )
     return EvalResult(value, estimate, used)
-
-
-def _log_abs(z):
-    """log|z| (-inf at z = 0), taken once per series: the term's z**r has
-    log-magnitude r*log|z| and, when z < 0, sign -1 for odd r."""
-    return math.log(abs(z)) if z != 0.0 else -math.inf
 
 
 def ml_one(alpha, z, tol=None, budget=None):
@@ -186,39 +216,30 @@ class MLSeries:
 
     def __init__(self, alpha, beta):
         positive(alpha, "alpha")
+        finite(alpha, "alpha")
         if not math.isfinite(beta):
             raise DomainError(f"{self._param} and z must be finite")
         self.alpha = alpha
         self.beta = beta
-        # per index r: sign and log of 1/Gamma(beta + alpha*r), and log r!
-        # (0.0 in E_{alpha,beta}), filled in order of r
+        # entry r (see _sum_series): 1/Gamma(beta + alpha*r) as sign and log,
+        # and log r! (0.0 in E_{alpha,beta}), filled in order of r
         self._row = []
+
+    def _grow(self, r):
+        gsign, glog = log_abs_rgamma(self.beta + self.alpha * r)
+        entry = (gsign, glog, math.lgamma(r + 1) if self._factorial else 0.0, abs(glog))
+        self._row.append(entry)
+        return entry
 
     def __call__(self, z, tol=None, budget=None):
         if not math.isfinite(z):
             raise DomainError(f"{self._param} and z must be finite")
-        alpha, beta, row, factorial = self.alpha, self.beta, self._row, self._factorial
-        zneg, zlog1 = z < 0.0, _log_abs(z)
-
-        def term(r):
-            if r < len(row):
-                gsign, glog, flog = row[r]
-            else:
-                gsign, glog = log_abs_rgamma(beta + alpha * r)
-                flog = math.lgamma(r + 1) if factorial else 0.0
-                row.append((gsign, glog, flog))
-            if gsign == 0.0:
-                return 0.0, 1.0
-            zsign = -1.0 if (zneg and r % 2) else 1.0
-            zlog = r * zlog1 if r else 0.0
-            if zlog == -math.inf:
-                return 0.0, 1.0
-            return gsign * zsign * math.exp(glog + zlog - flog), abs(glog) + abs(zlog) + flog
-
+        alpha, beta = self.alpha, self.beta
         # the term ratio is |z| Gamma(beta+alpha(r-1)) / Gamma(beta+alpha r) times
         # a nonincreasing factor (1, or 1/r in W): the gamma quotient stops
         # increasing once both arguments are positive (log-convexity of Gamma)
-        return _sum_series(term, tol, budget, f"{self._symbol}_({alpha},{beta})({z})",
+        return _sum_series(self._row, self._grow, z, tol, budget,
+                           lambda: f"{self._symbol}_({alpha},{beta})({z})",
                            lambda r: 1.0 if beta + alpha * (r - 1) > 0.0 else math.inf)
 
 
@@ -236,33 +257,26 @@ def ml_three(alpha, beta, gamma, z, tol=None, budget=None):
     if not math.isfinite(z):
         raise DomainError("z must be finite")
 
-    state = {"sign": 1.0, "log": 0.0}  # (gamma)_r for the current r
-    zneg, zlog1 = z < 0.0, _log_abs(z)
+    row = []
+    psign, plog = 1.0, 0.0  # (gamma)_r as sign and log, r the last index grown
 
-    def term(r):
+    def grow(r):
+        nonlocal psign, plog
         if r > 0:
             factor = gamma + (r - 1)
-            if state["sign"] == 0.0 or factor == 0.0:
-                state["sign"] = 0.0
+            if psign == 0.0 or factor == 0.0:
+                psign = 0.0
             else:
                 if factor < 0.0:
-                    state["sign"] = -state["sign"]
-                state["log"] += math.log(abs(factor))
-        if state["sign"] == 0.0:
-            return 0.0, 1.0
-        gsign, glog = log_abs_rgamma(beta + alpha * r)
-        if gsign == 0.0:
-            return 0.0, 1.0
-        zsign = -1.0 if (zneg and r % 2) else 1.0
-        zlog = r * zlog1 if r else 0.0
-        if zlog == -math.inf:
-            return 0.0, 1.0
-        lfact = math.lgamma(r + 1)
-        value = (
-            state["sign"] * gsign * zsign
-            * math.exp(state["log"] + glog + zlog - lfact)
-        )
-        return value, abs(state["log"]) + abs(glog) + abs(zlog) + lfact
+                    psign = -psign
+                plog += math.log(abs(factor))
+        if psign == 0.0:
+            entry = (0.0, 0.0, 0.0, 0.0)
+        else:
+            gsign, glog = log_abs_rgamma(beta + alpha * r)
+            entry = (psign * gsign, plog + glog, math.lgamma(r + 1), abs(plog) + abs(glog))
+        row.append(entry)
+        return entry
 
     def ratio_factor(r):
         # the ratio carries |gamma+r-1|/r beside the gamma quotient (beta > 0):
@@ -271,7 +285,8 @@ def ml_three(alpha, beta, gamma, z, tol=None, budget=None):
             return 1.0
         return r / (gamma + r - 1) if gamma + r - 1 > 0.0 else math.inf
 
-    return _sum_series(term, tol, budget, f"E^{gamma}_({alpha},{beta})({z})", ratio_factor)
+    return _sum_series(row, grow, z, tol, budget,
+                       lambda: f"E^{gamma}_({alpha},{beta})({z})", ratio_factor)
 
 
 def wright(alpha, mu, z, tol=None, budget=None):

@@ -50,7 +50,9 @@ def mlp_eval(n, alpha, beta, x, y):
     """
     n = degree(n, "n")
     positive(alpha, "alpha")
+    finite(alpha, "alpha")
     positive(beta, "beta")
+    finite(beta, "beta")
     finite(x, "x")
     finite(y, "y")
     # a power beyond the double range is refused, naming its base, even where
@@ -112,7 +114,9 @@ def konhauser(n, alpha, beta, x, y):
     """
     n = degree(n, "n")
     positive(alpha, "alpha")
+    finite(alpha, "alpha")
     positive(beta, "beta")
+    finite(beta, "beta")
     integer_alpha = alpha == int(alpha)
     if x < 0.0 and not integer_alpha:
         raise DomainError(f"x**{alpha} is not real for x = {x} < 0")

@@ -10,8 +10,8 @@ inputs that a check written without NaN and infinity in mind lets through
 (a non-finite integer argument reaches ``int()`` and raises a raw
 ``ValueError`` or ``OverflowError``; a NaN passes ``v < 0`` and comes back
 as NaN, as a failed verification, or refused under another argument's
-name), and the integer check of ``frac_binom``, which names the one
-argument it refuses.
+name; an infinite float passes ``v > 0`` and does the same), and the
+integer check of ``frac_binom``, which names the one argument it refuses.
 """
 
 import math
@@ -204,6 +204,29 @@ MENDED = [
     (relaxation_cole_cole, (0.5, 1.0, NAN), "t must be nonnegative, got nan"),
     (relaxation_hn, (0.5, 1.0, 1.0, NAN), "t must be nonnegative, got nan"),
     (solve_laguerre_wright, (0.5, 0.5, 0.5, 1.0, NAN, 1.0), "x must be nonnegative, got nan"),
+    # an infinite alpha or beta, refused under another argument's name or as a raw OverflowError
+    (ml_two, (INF, 1.0, 1.0), "alpha must be finite, got inf"),
+    (wright, (INF, 1.0, 1.0), "alpha must be finite, got inf"),
+    (MLSeries, (INF, 1.0), "alpha must be finite, got inf"),
+    (mlp_eval, (3, INF, 1.0, 1.0, 1.0), "alpha must be finite, got inf"),
+    (mlp_eval, (3, 0.5, INF, 1.0, 1.0), "beta must be finite, got inf"),
+    (konhauser, (2, INF, 1.0, 1.0, 1.0), "alpha must be finite, got inf"),
+    (konhauser, (2, 0.5, INF, 1.0, 1.0), "beta must be finite, got inf"),
+    # a non-finite float that reached a solver and came back as NaN or inf
+    (solve_laguerre_monomial, (2, 0.5, 0.5, 1.0, INF, 1.0), "x must be finite, got inf"),
+    (solve_laguerre_monomial, (2, 0.5, 0.5, 1.0, 1.0, INF), "t must be finite, got inf"),
+    (solve_laguerre_monomial, (2, 0.5, 0.5, INF, 1.0, 1.0), "b must be finite, got inf"),
+    (DiffusionProblem, (0.5, INF, MonomialInitial(2)), "diffusivity k must be finite, got inf"),
+    (fhp_eval, (2, 0.5, NAN, 1.0), "x must be finite, got nan"),
+    (fhp_eval, (2, 0.5, 1.0, NAN), "y must be finite, got nan"),
+    (solve_case_i, (2, NAN, 0.5, 1.0, 1.0, 1.0), "a must be finite, got nan"),
+    (solve_case_i, (2, 0.3, 0.5, INF, 1.0, 1.0), "k must be finite, got inf"),
+    (solve_case_ii, (2, 0.3, 0.5, 1.0, 1.0, INF), "t must be finite, got inf"),
+    (solve_laguerre_wright, (NAN, 0.5, 0.5, 1.0, 1.0, 1.0), "y_param must be finite, got nan"),
+    (solve_laguerre_wright, (0.5, 0.5, 0.5, 1.0, INF, 1.0), "x must be finite, got inf"),
+    (solve_laguerre_wright, (0.5, 0.5, 0.5, 1.0, 1.0, INF), "t must be finite, got inf"),
+    (LaguerreProblem, (0.5, 0.5, INF, LaguerreMonomialInitial(2)), "b must be finite, got inf"),
+    (SeriesInitial, ((1.0, NAN),), "coeffs[1] must be finite, got nan"),
 ]
 
 

@@ -82,6 +82,22 @@ class TestRgamma:
         sign, lg = log_abs_rgamma(-4.0)
         assert sign == 0.0 and lg == -math.inf
 
+    @pytest.mark.parametrize("x", [0.5, 0.75, 1.0, 2.0, 7.3, 171.5, 1e300])
+    def test_log_abs_fast_path(self, x):
+        # finite x >= 0.5 takes the one-call path; its pair is exactly this
+        sign, lg = log_abs_rgamma(x)
+        assert sign == 1.0 and lg.hex() == (-math.lgamma(x)).hex()
+
+    def test_log_abs_beyond_the_double_range(self):
+        # math.lgamma overflows here; the checked path returns an exact zero reciprocal
+        assert log_abs_rgamma(1e306) == (1.0, -math.inf)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_log_abs_non_finite_message(self, x):
+        with pytest.raises(DomainError) as info:
+            log_abs_rgamma(x)
+        assert str(info.value) == f"x must be finite, got {x!r}"
+
 
 class TestGamma:
     def test_positive(self):

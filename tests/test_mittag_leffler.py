@@ -12,6 +12,7 @@ from mlpoly.mittag_leffler import (
     MLParams,
     MLSeries,
     WrightSeries,
+    _sum_series,
     _tail_bound,
     ml_one,
     ml_three,
@@ -333,3 +334,156 @@ class TestHonestDomain:
         with pytest.raises(ConvergenceError) as excinfo:
             ml_one(0.3, 5.0, budget=50)
         assert excinfo.value.terms_used == 50
+
+
+# -- the engine, pinned bit for bit ------------------------------------------------
+#
+# Captured from the per-term engine that the fused loop replaced: value and
+# error estimate as float.hex(), and terms used; a float for the relaxation
+# functions.  The rows cover z = 0, negative z, beta on a pole of Gamma, a
+# negative integer gamma (a truncated Prabhakar series) and a tolerance of
+# 1e-6.
+
+PINNED = [
+    (ml_one, (0.5, 0.0), {}, ("0x1.0000000000000p+0", "0x1.4000000000000p-47", 3)),
+    (ml_one, (0.5, -2.0), {}, ("0x1.058671b52c518p-2", "0x1.b091de371bc13p-41", 58)),
+    (ml_one, (0.8, 1.5), {}, ("0x1.9f78aeb56de0cp+2", "0x1.cccd17a7836bcp-38", 24)),
+    (ml_one, (1.0, 1.0), {}, ("0x1.5bf0a8b145763p+1", "0x1.8db503924279ep-40", 17)),
+    (ml_one, (2.0, 4.0), {}, ("0x1.e18fa0df2d9bep+1", "0x1.2ddb48b6e8d00p-39", 12)),
+    (ml_one, (0.45, 5.0), {}, ("0x1.a7ccabd8504fap+52", "0x1.35d32df3b346cp+15", 192)),
+    (ml_one, (0.6, -3.0), {}, ("0x1.47129e465f9a4p-3", "0x1.0886d54904d60p-39", 62)),
+    (ml_one, (0.7, 2.0), {"tol": 1e-6}, ("0x1.4f7681085d7cdp+4", "0x1.2154fa534f01ap-16", 22)),
+    (ml_two, (0.7, 0.0, 1.2), {}, ("0x1.b66c95771a24fp+2", "0x1.582d6feb97490p-37", 26)),
+    (ml_two, (0.6, -1.0, 0.9), {}, ("0x1.4e4f95d56be3ep+1", "0x1.bcd1f4c4d005ap-39", 28)),
+    (ml_two, (0.4, 0.0, 0.0), {}, ("0x0.0p+0", "0x0.0p+0", 2)),
+    (ml_two, (0.5, -1.5, 3.0), {}, ("0x1.e0b9970056d38p+21", "0x1.9c713ffd11d19p-17", 81)),
+    (ml_two, (1.3, 2.5, -3.0), {}, ("0x1.63b578ab48e1dp-2", "0x1.05f97110ee5e2p-41", 17)),
+    (ml_two, (0.9, 1.7, -0.25), {}, ("0x1.e2d5e774fee95p-1", "0x1.ac9c308600be0p-41", 12)),
+    (ml_three, (0.5, 1.0, -3.0, 2.0), {}, ("0x1.b191393139f80p-3", "0x1.ed327e6915144p-45", 6)),
+    (ml_three, (0.7, 2.0, -2.0, -1.0), {}, ("0x1.50aa45f034c23p+1", "0x1.cb50e611d9a53p-45", 5)),
+    (ml_three, (0.8, 1.5, -0.5, 3.0), {}, ("-0x1.7918f5eec8ddfp+0", "0x1.b69c5f6522c86p-39", 31)),
+    (ml_three, (0.6, 1.2, 0.9, -1.5), {}, ("0x1.b4a2d58808a07p-2", "0x1.0d7662e27f635p-40", 35)),
+    (ml_three, (0.6, 1.0, 2.5, 2.0), {}, ("0x1.0daa5b956dc8dp+9", "0x1.daddd56006adep-30", 42)),
+    (ml_three, (0.5, 1.0, 0.5, 0.0), {}, ("0x1.0000000000000p+0", "0x1.4000000000000p-47", 3)),
+    (ml_three, (0.4, 0.3, 0.0, 1.5), {}, ("0x1.564b98b0d411dp-2", "0x1.cca90b28c28d9p-49", 3)),
+    (wright, (0.6, 1.3, -2.0), {}, ("0x1.0ecd0068d77b7p-4", "0x1.46678ff397ab0p-44", 17)),
+    (wright, (0.5, 0.0, 1.0), {}, ("0x1.4d0ad89600086p+0", "0x1.e9e3a734c616cp-41", 15)),
+    (wright, (0.4, -1.0, -3.0), {}, ("0x1.766c09bcaa60bp-4", "0x1.67cd68b2eb9e4p-44", 24)),
+    (wright, (1.2, 0.5, 0.0), {}, ("0x1.20dd750429b6bp-1", "0x1.6914d24534246p-48", 3)),
+    (wright, (0.8, 1.0, 5.0), {}, ("0x1.ad91784027e8dp+4", "0x1.42000d18f7612p-36", 18)),
+    (relaxation_cole_cole, (0.6, 1.5, 2.0), {}, "0x1.75a3ad575ecf0p-2"),
+    (relaxation_cole_cole, (1.0, 1.0, 0.5), {}, "0x1.368b2fc6f9605p-1"),
+    (relaxation_hn, (0.7, 0.6, 1.2, 0.9), {}, "0x1.28917891aa86ap-2"),
+    (relaxation_hn, (0.5, 1.0, 1.0, 0.0), {}, "0x1.0000000000000p+0"),
+]
+
+GRID_ZS = (2.5, -1.0, 0.0, 0.3, 4.0, -2.0, 1e-3)
+
+# one MLSeries(0.6, 1.3) and one WrightSeries(0.6, 1.3) over GRID_ZS, in order,
+# so the gamma row is both extended and reused
+PINNED_GRID = {
+    MLSeries: [
+        ("0x1.a4564386e8e19p+6", "0x1.bb705673174b4p-33", 46),
+        ("0x1.10e92ecc69e28p-1", "0x1.2d1973cbd03d8p-41", 27),
+        ("0x1.1d3eff3e060eap+0", "0x1.648ebf0d87924p-47", 3),
+        ("0x1.82276c0e4663ap+0", "0x1.5d28266fa2868p-41", 16),
+        ("0x1.367d9e0d76cabp+14", "0x1.8b50a6253df49p-25", 68),
+        ("0x1.5267430d2baa5p-2", "0x1.2b6c8ec2eecdep-41", 43),
+        ("0x1.1d83300ce20f6p+0", "0x1.2bf83a6f012fap-41", 6),
+    ],
+    WrightSeries: [
+        ("0x1.f00972b4c7cdcp+2", "0x1.330ff2e8c9378p-38", 17),
+        ("0x1.8919f7f5ba895p-2", "0x1.16e6b85d90012p-42", 14),
+        ("0x1.1d3eff3e060eap+0", "0x1.648ebf0d87924p-47", 3),
+        ("0x1.764f88087f307p+0", "0x1.149cae4303ab1p-41", 11),
+        ("0x1.4045921d3688fp+4", "0x1.11d8ca487b10dp-36", 19),
+        ("0x1.0ecd0068d77b7p-4", "0x1.46678ff397ab0p-44", 17),
+        ("0x1.1d8329bbcd895p+0", "0x1.7fd198cf83cd9p-42", 6),
+    ],
+}
+
+# (function, args, kwargs, error type, ConvergenceError.reason, message)
+PINNED_REFUSALS = [
+    (ml_one, (0.6, 2.0), {"budget": 3}, ConvergenceError, "budget",
+     "E_(0.6,1.0)(2.0): no convergence within 3 terms (partial=6.868764645001367, "
+     "estimate=7.260829473722331)"),
+    (ml_one, (0.5, -30.0), {}, ConvergenceError, "budget",
+     "E_(0.5,1.0)(-30.0): no convergence within 400 terms "
+     "(partial=-2.867989116551607e+215, estimate=8.439338765873308e+215)"),
+    (ml_one, (1.0, -40.0), {}, ConvergenceError, "honesty",
+     "E_(1.0,1.0)(-40.0): rounding floor 4.181e+02 exceeds the honest allowance "
+     "1.045e-08; the argument lies outside the double-precision domain "
+     "(partial=-104.54551317911617)"),
+    (ml_one, (0.6, -8.0), {}, ConvergenceError, "honesty",
+     "E_(0.6,1.0)(-8.0): rounding floor 2.338e-01 exceeds the honest allowance "
+     "1.000e-10; the argument lies outside the double-precision domain "
+     "(partial=0.03336581057147473)"),
+    (ml_one, (0.3, -40.0), {}, ConvergenceError, "overflow",
+     "E_(0.3,1.0)(-40.0): term 267 overflows the double-precision range "
+     "(partial=4.321200981777436e+307)"),
+    (wright, (0.3, 1.0, -60.0), {}, ConvergenceError, "honesty",
+     "W_(0.3,1.0)(-60.0): rounding floor 4.972e+01 exceeds the honest allowance "
+     "1.696e-09; the argument lies outside the double-precision domain "
+     "(partial=16.956463338574633)"),
+    (ml_three, (0.5, 1.0, 0.5, -30.0), {}, ConvergenceError, "budget",
+     "E^0.5_(0.5,1.0)(-30.0): no convergence within 400 terms "
+     "(partial=-8.094790902279645e+213, estimate=2.382928321997328e+214)"),
+    (ml_two, (1e308, 1.0, 1.0), {}, DomainError, None,
+     "x must be finite, got inf"),
+]
+
+
+def _fingerprint(out):
+    if isinstance(out, float):
+        return out.hex()
+    return (out.value.hex(), out.abs_error_estimate.hex(), out.terms_used)
+
+
+class TestPinnedEngine:
+    @pytest.mark.parametrize("fn, args, kwargs, want", PINNED,
+                             ids=[f"{r[0].__name__}{r[1]}" for r in PINNED])
+    def test_value_estimate_and_terms(self, fn, args, kwargs, want):
+        assert _fingerprint(fn(*args, **kwargs)) == want
+
+    @pytest.mark.parametrize("cls", [MLSeries, WrightSeries])
+    def test_reused_row(self, cls):
+        series = cls(0.6, 1.3)
+        assert [_fingerprint(series(z)) for z in GRID_ZS] == PINNED_GRID[cls]
+
+    @pytest.mark.parametrize("fn, args, kwargs, error, reason, message", PINNED_REFUSALS,
+                             ids=[f"{r[0].__name__}{r[1]}" for r in PINNED_REFUSALS])
+    def test_refusal(self, fn, args, kwargs, error, reason, message):
+        with pytest.raises(error) as info:
+            fn(*args, **kwargs)
+        assert type(info.value) is error
+        assert str(info.value) == message
+        assert getattr(info.value, "reason", None) == reason
+
+    def test_row_builder_overflow_is_a_refusal(self):
+        # a row entry that leaves the double range refuses like an overflowing exp
+        def grow(r):
+            if r == 2:
+                raise OverflowError("math range error")
+            row.append((1.0, 0.0, 0.0, 0.0))
+            return row[r]
+
+        row = []
+        with pytest.raises(ConvergenceError) as info:
+            _sum_series(row, grow, 0.5, None, None, lambda: "S", lambda r: 1.0)
+        assert str(info.value) == "S: term 2 overflows the double-precision range (partial=1.5)"
+        assert (info.value.reason, info.value.partial, info.value.terms_used) == ("overflow", 1.5, 2)
+
+    def test_label_is_formatted_only_for_a_refusal(self):
+        calls = []
+
+        def label():
+            calls.append(1)
+            return "S"
+
+        row = []
+        result = _sum_series(row, lambda r: row.append((1.0, 0.0, 0.0, 0.0)) or row[r],
+                             0.5, None, None, label, lambda r: 1.0)
+        assert result.value == pytest.approx(2.0, rel=1e-12) and calls == []
+        with pytest.raises(ConvergenceError):
+            _sum_series(row, None, 0.5, None, 3, label, lambda r: 1.0)
+        assert calls == [1]
