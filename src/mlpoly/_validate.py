@@ -31,6 +31,20 @@ def nonnegative(v, name):
         raise DomainError(f"{name} must be nonnegative, got {v}")
 
 
+def positive_finite(v, name):
+    """A positive finite value; NaN and -inf get the "positive" message."""
+    if not 0.0 < v < _INF:
+        positive(v, name)
+        finite(v, name)
+
+
+def nonnegative_finite(v, name):
+    """A nonnegative finite value; NaN and -inf get the "nonnegative" message."""
+    if not 0.0 <= v < _INF:
+        nonnegative(v, name)
+        finite(v, name)
+
+
 def degree(n, name):
     """A nonnegative integer (an int or an integral float), returned as int."""
     if not (0 <= n < _INF and int(n) == n):

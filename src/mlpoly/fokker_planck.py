@@ -34,7 +34,15 @@ import math
 from dataclasses import dataclass, field
 
 from . import config
-from ._validate import degree, finite, half_open_unit, nonnegative, open_unit, positive
+from ._validate import (
+    degree,
+    finite,
+    half_open_unit,
+    nonnegative_finite,
+    open_unit,
+    positive,
+    positive_finite,
+)
 from .caputo import caputo_monomial
 from .errors import DomainError, VerificationError
 from .fractional_hermite import (
@@ -106,8 +114,7 @@ class DiffusionProblem:
 
     def __post_init__(self):
         open_unit(self.alpha, "alpha")
-        positive(self.k, "diffusivity k")
-        finite(self.k, "diffusivity k")
+        positive_finite(self.k, "diffusivity k")
         if not isinstance(self.initial, (MonomialInitial, HermiteInitial, FhpInitial, SeriesInitial)):
             raise DomainError(f"unsupported initial datum: {self.initial!r}")
 
@@ -122,8 +129,7 @@ class LaguerreProblem:
     def __post_init__(self):
         open_unit(self.alpha, "alpha")
         half_open_unit(self.beta, "beta")
-        positive(self.b, "b")
-        finite(self.b, "b")
+        positive_finite(self.b, "b")
         if not isinstance(self.initial, (LaguerreMonomialInitial, WrightInitial)):
             raise DomainError(f"unsupported initial datum: {self.initial!r}")
 
@@ -212,7 +218,7 @@ class _FhpPlan(GridPlan):
     """
 
     #: the domain of t: t >= 0 here, t > 0 for every datum of tf_diffusion_plan
-    _t_domain = staticmethod(nonnegative)
+    _t_domain = staticmethod(nonnegative_finite)
 
     def __init__(self, degrees, alpha, k):
         finite(k, "k")
@@ -225,7 +231,6 @@ class _FhpPlan(GridPlan):
 
     def _t_side(self, t):
         self._t_domain(t, "t")
-        finite(t, "t")
         table = self._table
         return table.coeffs(table.y_powers(self._k * t ** self._alpha))
 
@@ -280,7 +285,6 @@ class CaseIIPlan(_FhpPlan):
 
     def _t_side(self, t):
         self._t_domain(t, "t")
-        finite(t, "t")
         table = self._table
         wp = table.y_powers(self._k * t ** self._alpha)
         ap = self._a_powers
@@ -318,7 +322,7 @@ def tf_diffusion_plan(prob, n_terms=None):
         plan = CaseIPlan(init.n, init.a, prob.alpha, prob.k)
     else:
         plan = CaseIIPlan(init.n, init.a, prob.alpha, prob.k)
-    plan._t_domain = positive
+    plan._t_domain = positive_finite
     return plan
 
 
@@ -329,8 +333,7 @@ class LaguerreMonomialPlan(GridPlan):
         n = degree(n, "n")
         open_unit(alpha, "alpha")
         half_open_unit(beta, "beta")
-        positive(b, "b")
-        finite(b, "b")
+        positive_finite(b, "b")
         self._n = n
         self._alpha = alpha
         self._beta = beta
@@ -340,13 +343,11 @@ class LaguerreMonomialPlan(GridPlan):
         self._rgammas_t = [rgamma(1.0 + beta * (n - r)) for r in range(n + 1)]
 
     def _x_side(self, x):
-        nonnegative(x, "x")
-        finite(x, "x")
+        nonnegative_finite(x, "x")
         return _powers(-math.pow(x, self._alpha), self._n, "(-x**alpha)")
 
     def _t_side(self, t):
-        positive(t, "t")
-        finite(t, "t")
+        positive_finite(t, "t")
         return _powers(self._b * t ** self._beta, self._n, "(b*t**beta)")[::-1]
 
     def _formula(self, xs, us):
@@ -363,8 +364,7 @@ class LaguerreWrightPlan(GridPlan):
     def __init__(self, y_param, alpha, beta, b):
         open_unit(alpha, "alpha")
         half_open_unit(beta, "beta")
-        positive(b, "b")
-        finite(b, "b")
+        positive_finite(b, "b")
         finite(y_param, "y_param")
         self._y = y_param
         self._alpha = alpha
@@ -374,13 +374,11 @@ class LaguerreWrightPlan(GridPlan):
         self._ml = MLSeries(beta, 1.0)
 
     def _x_side(self, x):
-        nonnegative(x, "x")
-        finite(x, "x")
+        nonnegative_finite(x, "x")
         return self._wright(-self._y * math.pow(x, self._alpha)).value
 
     def _t_side(self, t):
-        positive(t, "t")
-        finite(t, "t")
+        positive_finite(t, "t")
         return self._ml(self._b * self._y * t ** self._beta).value
 
     def _formula(self, w_value, ml_value):

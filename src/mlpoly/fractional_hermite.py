@@ -97,8 +97,8 @@ def fhp_coeffs(n, alpha, y):
 
 def fhp_eval(n, alpha, x, y):
     """Value of H[alpha]_n(x, y) by the direct finite sum."""
-    finite(y, "y")
     table = _fhp_table((degree(n, "n"),), alpha)
+    finite(y, "y")
     return table.values(table.coeffs(table.y_powers(y)), table.x_powers(x))[0]
 
 

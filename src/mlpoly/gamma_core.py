@@ -108,11 +108,9 @@ def log_abs_rgamma(x):
     if 0.5 <= x < _INF:  # the series' common case, in one call
         try:
             return 1.0, -math.lgamma(x)
-        except OverflowError:
-            pass  # log Gamma(x) beyond the double range: the checked path gives -inf
+        except OverflowError:  # log Gamma(x) beyond the double range
+            return 1.0, -_INF
     finite(x, "x")
-    if x >= 0.5:
-        return 1.0, -_lgamma(x)
     if _nonpos_int(x):
         return 0.0, -math.inf
     s = _sinpi(x)

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 from . import config
-from ._validate import finite, half_open_unit, nonnegative, positive
+from ._validate import half_open_unit, nonnegative, positive, positive_finite
 from .errors import ConvergenceError, DomainError
 from .gamma_core import log_abs_rgamma
 
@@ -215,8 +215,7 @@ class MLSeries:
     _symbol, _param, _factorial = "E", "beta", False
 
     def __init__(self, alpha, beta):
-        positive(alpha, "alpha")
-        finite(alpha, "alpha")
+        positive_finite(alpha, "alpha")
         if not math.isfinite(beta):
             raise DomainError(f"{self._param} and z must be finite")
         self.alpha = alpha

@@ -19,7 +19,7 @@ import functools
 import math
 
 from . import config
-from ._validate import degree, finite, open_unit, positive
+from ._validate import degree, finite, open_unit, positive, positive_finite
 from .caputo import caputo_monomial
 from .errors import DomainError, FloatOverflowError, VerificationError
 from .fracpoly import FracPoly
@@ -49,10 +49,8 @@ def mlp_eval(n, alpha, beta, x, y):
     terms cancel.
     """
     n = degree(n, "n")
-    positive(alpha, "alpha")
-    finite(alpha, "alpha")
-    positive(beta, "beta")
-    finite(beta, "beta")
+    positive_finite(alpha, "alpha")
+    positive_finite(beta, "beta")
     finite(x, "x")
     finite(y, "y")
     # a power beyond the double range is refused, naming its base, even where
@@ -113,10 +111,8 @@ def konhauser(n, alpha, beta, x, y):
     classical Laguerre polynomial L_n(x).
     """
     n = degree(n, "n")
-    positive(alpha, "alpha")
-    finite(alpha, "alpha")
-    positive(beta, "beta")
-    finite(beta, "beta")
+    positive_finite(alpha, "alpha")
+    positive_finite(beta, "beta")
     integer_alpha = alpha == int(alpha)
     if x < 0.0 and not integer_alpha:
         raise DomainError(f"x**{alpha} is not real for x = {x} < 0")

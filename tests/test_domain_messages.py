@@ -181,6 +181,18 @@ UNCHANGED = [
     (residual_tf_diffusion, (3, 0.5, 0.0), "k must be positive, got 0.0"),
     (residual_laguerre, (3, 0.5, 1.0, 1.0), "beta must lie in (0, 1), got 1.0"),
     (residual_laguerre, (3, 0.5, 0.5, NAN), "b must be positive, got nan"),
+    # where a positive or nonnegative argument must also be finite, NaN and
+    # -inf keep the range message, and an earlier argument's refusal wins
+    (DiffusionProblem, (0.5, NAN, MonomialInitial(2)), "diffusivity k must be positive, got nan"),
+    (mlp_eval, (3, NAN, 1.0, 1.0, 1.0), "alpha must be positive, got nan"),
+    (konhauser, (2, 0.5, -INF, 1.0, 1.0), "beta must be positive, got -inf"),
+    (MLSeries, (NAN, 1.0), "alpha must be positive, got nan"),
+    (solve_laguerre_monomial, (2, 0.5, 0.5, 1.0, 1.0, -INF), "t must be positive, got -inf"),
+    (solve_laguerre_wright, (0.5, 0.5, 0.5, 1.0, -INF, 1.0), "x must be nonnegative, got -inf"),
+    (solve_case_i, (2, 0.3, 0.5, 1.0, 1.0, -INF), "t must be nonnegative, got -inf"),
+    (solve_tf_diffusion, (MONOMIAL, 1.0, -INF), "t must be positive, got -inf"),
+    (fhp_eval, (2, 1.5, 1.0, NAN), "alpha must lie in (0, 1], got 1.5"),
+    (fhp_eval, (-1, 0.5, NAN, NAN), "n must be a nonnegative integer, got -1"),
 ]
 
 MENDED = [
