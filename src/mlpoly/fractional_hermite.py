@@ -109,6 +109,7 @@ def fhp_at_zero(n, alpha, y):
     """
     n = degree(n, "n")
     half_open_unit(alpha, "alpha")
+    finite(y, "y")
     if n % 2:
         return 0.0
     half = n // 2
@@ -123,6 +124,8 @@ def oplus_power(x, y, n, alpha):
     """
     n = degree(n, "n")
     half_open_unit(alpha, "alpha")
+    finite(x, "x")
+    finite(y, "y")
     return _oplus(_frac_binom_row(n, alpha), _powers(x, n, "x"), _powers(y, n, "y"))
 
 
@@ -151,6 +154,9 @@ def umbral_hermite_shift(n, x, a, w, alpha):
     """
     n = degree(n, "n")
     open_unit(alpha, "alpha")
+    finite(x, "x")
+    finite(a, "a")
+    finite(w, "w")
     total = 0.0
     nfact = math.factorial(n)
     for r in range(n // 2 + 1):
@@ -177,6 +183,8 @@ def convolution_identity_i_rhs(n, x, a, w, alpha):
     collapses to the classical addition H_n(x, a + w).
     """
     table = _fhp_table(_convolution_degrees(n), alpha)
+    finite(a, "a")
+    finite(w, "w")
     values = table.values(table.coeffs(table.y_powers(w)), table.x_powers(x))
     return _weighted_sum(_convolution_i_weights(table.top, a), values)
 
@@ -189,6 +197,8 @@ def convolution_identity_ii_rhs(n, x, a, w, alpha):
     Equal to H[alpha]_n(x, w (+)_alpha a), cf. :func:`fhp_oplus_eval`.
     """
     table = _fhp_table(_convolution_degrees(n), alpha)
+    finite(a, "a")
+    finite(w, "w")
     values = table.values(table.coeffs(table.y_powers(w)), table.x_powers(x))
     return _weighted_sum(_convolution_ii_weights(table, a), values)
 
@@ -198,6 +208,8 @@ def fhp_oplus_eval(n, x, w, a, alpha):
     through the deformed binomial before being inserted into the defining sum.
     """
     table = _fhp_table((degree(n, "n"),), alpha)
+    finite(w, "w")
+    finite(a, "a")
     wp = table.y_powers(w)
     ap = _powers(a, table.top // 2, "a")
     oplus = [_oplus(binoms, wp, ap) for binoms in _oplus_binoms(table.top, alpha)]

@@ -12,7 +12,7 @@ rounding of a number of size |log Gamma|.  Everything is standard library.
 
 import math
 
-from ._validate import degree, finite, half_open_unit, open_unit, positive
+from ._validate import degree, finite, half_open_unit, open_unit, positive_finite
 from .errors import DomainError, FloatOverflowError, IndeterminateFormError
 
 _PI = math.pi
@@ -216,5 +216,5 @@ def levy_subordination_moment(beta, m, t):
     """
     open_unit(beta, "beta")
     m = degree(m, "m")
-    positive(t, "t")
+    positive_finite(t, "t")
     return math.factorial(m) * t ** (beta * m) * rgamma(1.0 + beta * m)

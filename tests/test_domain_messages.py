@@ -239,6 +239,21 @@ MENDED = [
     (solve_laguerre_wright, (0.5, 0.5, 0.5, 1.0, 1.0, INF), "t must be finite, got inf"),
     (LaguerreProblem, (0.5, 0.5, INF, LaguerreMonomialInitial(2)), "b must be finite, got inf"),
     (SeriesInitial, ((1.0, NAN),), "coeffs[1] must be finite, got nan"),
+    # a non-finite float that reached the polynomial layer and came back as NaN or inf
+    (convolution_identity_i_rhs, (4, 1.0, 0.3, NAN, 0.5), "w must be finite, got nan"),
+    (convolution_identity_i_rhs, (4, 1.0, INF, 0.2, 0.5), "a must be finite, got inf"),
+    (convolution_identity_ii_rhs, (4, 1.0, NAN, 0.2, 0.5), "a must be finite, got nan"),
+    (convolution_identity_ii_rhs, (4, 1.0, 0.3, INF, 0.5), "w must be finite, got inf"),
+    (fhp_oplus_eval, (4, 1.0, 0.2, NAN, 0.5), "a must be finite, got nan"),
+    (fhp_oplus_eval, (4, 1.0, NAN, 0.3, 0.5), "w must be finite, got nan"),
+    (umbral_hermite_shift, (4, NAN, 0.3, 0.2, 0.5), "x must be finite, got nan"),
+    (umbral_hermite_shift, (4, 1.0, INF, 0.2, 0.5), "a must be finite, got inf"),
+    (umbral_hermite_shift, (4, 1.0, 0.3, NAN, 0.5), "w must be finite, got nan"),
+    (oplus_power, (NAN, 1.0, 3, 0.5), "x must be finite, got nan"),
+    (oplus_power, (1.0, INF, 3, 0.5), "y must be finite, got inf"),
+    (fhp_at_zero, (4, 0.5, NAN), "y must be finite, got nan"),
+    (fhp_at_zero, (4, 0.5, INF), "y must be finite, got inf"),
+    (levy_subordination_moment, (0.5, 2, INF), "t must be finite, got inf"),
 ]
 
 
