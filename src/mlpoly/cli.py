@@ -15,20 +15,6 @@ import sys
 
 from . import config
 from .errors import ConvergenceError, DomainError, FloatOverflowError, MLPolyError
-from .fokker_planck import (
-    CaseIIPlan,
-    CaseIPlan,
-    DiffusionProblem,
-    LaguerreMonomialPlan,
-    LaguerreWrightPlan,
-    MonomialInitial,
-    SeriesInitial,
-    SolutionProfile,
-    tf_diffusion_plan,
-)
-from .fractional_hermite import fhp_coeffs, fhp_eval
-from .mittag_leffler import ml_one, ml_three, ml_two
-from .ml_polynomials import mlp_coeffs, mlp_eval
 
 CONFIG_ENV_VAR = "MLPOLY_CONFIG"
 
@@ -196,6 +182,8 @@ def _build_parser():
 
 
 def _cmd_eval_ml(args):
+    from .mittag_leffler import ml_one, ml_three, ml_two
+
     if args.gamma is not None:
         beta = 1.0 if args.beta is None else args.beta
         result = ml_three(args.alpha, beta, args.gamma, args.z)
@@ -228,6 +216,8 @@ def _poly_text(command, params, poly, fmt):
 
 
 def _cmd_eval_fhp(args):
+    from .fractional_hermite import fhp_coeffs, fhp_eval
+
     params = {"n": args.n, "alpha": args.alpha, "y": args.y}
     if args.coeffs:
         return _poly_text("eval-fhp", params, fhp_coeffs(args.n, args.alpha, args.y),
@@ -240,6 +230,8 @@ def _cmd_eval_fhp(args):
 
 
 def _cmd_eval_mlp(args):
+    from .ml_polynomials import mlp_coeffs, mlp_eval
+
     params = {"n": args.n, "alpha": args.alpha, "beta": args.beta, "x": args.x}
     if args.coeffs:
         return _poly_text("eval-mlp", params,
@@ -269,6 +261,17 @@ def _series_coeffs(text):
 
 
 def _solve_plan(args):
+    from .fokker_planck import (
+        CaseIIPlan,
+        CaseIPlan,
+        DiffusionProblem,
+        LaguerreMonomialPlan,
+        LaguerreWrightPlan,
+        MonomialInitial,
+        SeriesInitial,
+        tf_diffusion_plan,
+    )
+
     if args.problem == "tf-diffusion":
         if args.coeffs is not None:
             initial = SeriesInitial(_series_coeffs(args.coeffs))
@@ -299,6 +302,8 @@ def _linspace(start, stop, num):
 
 
 def _cmd_solve(args):
+    from .fokker_planck import SolutionProfile
+
     if args.grid_points < 2:
         raise _UsageError("--grid-points must be at least 2")
     if args.grid_max <= args.grid_min:
@@ -332,12 +337,17 @@ def _cmd_verify(args):
 
 
 def _cmd_table(args):
+    degrees = range(args.n_max + 1)
+    if args.family == "fhp":
+        from .fractional_hermite import fhp_coeffs
+
+        polys = (fhp_coeffs(n, args.alpha, args.y) for n in degrees)
+    else:
+        from .ml_polynomials import mlp_coeffs
+
+        polys = (mlp_coeffs(n, args.alpha, args.beta, args.x) for n in degrees)
     lines = ["n,exponent,coefficient"]
-    for n in range(args.n_max + 1):
-        if args.family == "fhp":
-            poly = fhp_coeffs(n, args.alpha, args.y)
-        else:
-            poly = mlp_coeffs(n, args.alpha, args.beta, args.x)
+    for n, poly in enumerate(polys):
         for coeff, exponent in poly.terms:
             lines.append(f"{n},{_fmt(exponent)},{_fmt(coeff)}")
     return "\n".join(lines) + "\n"

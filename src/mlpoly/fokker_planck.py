@@ -31,7 +31,7 @@ like n!.
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import config
 from ._validate import (
@@ -63,96 +63,83 @@ from .mittag_leffler import MLSeries, WrightSeries
 # -- initial data ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonomialInitial:
+class MonomialInitial(namedtuple("MonomialInitial", "n")):
     """f(x) = x**n."""
-    n: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HermiteInitial:
+class HermiteInitial(namedtuple("HermiteInitial", "n a")):
     """f(x) = H_n(x, a), the classical two-variable Hermite polynomial."""
-    n: int
-    a: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FhpInitial:
+class FhpInitial(namedtuple("FhpInitial", "n a")):
     """f(x) = H[alpha]_n(x, a), a fractional Hermite polynomial."""
-    n: int
-    a: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SeriesInitial:
+class SeriesInitial(namedtuple("SeriesInitial", "coeffs")):
     """f(x) = sum_r coeffs[r] * x**r (truncated power series)."""
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        for i, c in enumerate(self.coeffs):
+    def __new__(cls, coeffs):
+        coeffs = tuple(float(c) for c in coeffs)
+        for i, c in enumerate(coeffs):
             finite(c, f"coeffs[{i}]")
+        return tuple.__new__(cls, (coeffs,))
 
 
-@dataclass(frozen=True)
-class LaguerreMonomialInitial:
+class LaguerreMonomialInitial(namedtuple("LaguerreMonomialInitial", "n")):
     """g(x) = (-x**alpha)**n / Gamma(1 + alpha*n)."""
-    n: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WrightInitial:
+class WrightInitial(namedtuple("WrightInitial", "y")):
     """g(x) = W_{alpha,1}(-y * x**alpha)."""
-    y: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DiffusionProblem:
-    alpha: float
-    k: float
-    initial: object
+class DiffusionProblem(namedtuple("DiffusionProblem", "alpha k initial")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        open_unit(self.alpha, "alpha")
-        positive_finite(self.k, "diffusivity k")
-        if not isinstance(self.initial, (MonomialInitial, HermiteInitial, FhpInitial, SeriesInitial)):
-            raise DomainError(f"unsupported initial datum: {self.initial!r}")
+    def __new__(cls, alpha, k, initial):
+        open_unit(alpha, "alpha")
+        positive_finite(k, "diffusivity k")
+        if not isinstance(initial, (MonomialInitial, HermiteInitial, FhpInitial, SeriesInitial)):
+            raise DomainError(f"unsupported initial datum: {initial!r}")
+        return tuple.__new__(cls, (alpha, k, initial))
 
 
-@dataclass(frozen=True)
-class LaguerreProblem:
-    alpha: float
-    beta: float
-    b: float
-    initial: object
+class LaguerreProblem(namedtuple("LaguerreProblem", "alpha beta b initial")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        open_unit(self.alpha, "alpha")
-        half_open_unit(self.beta, "beta")
-        positive_finite(self.b, "b")
-        if not isinstance(self.initial, (LaguerreMonomialInitial, WrightInitial)):
-            raise DomainError(f"unsupported initial datum: {self.initial!r}")
+    def __new__(cls, alpha, beta, b, initial):
+        open_unit(alpha, "alpha")
+        half_open_unit(beta, "beta")
+        positive_finite(b, "b")
+        if not isinstance(initial, (LaguerreMonomialInitial, WrightInitial)):
+            raise DomainError(f"unsupported initial datum: {initial!r}")
+        return tuple.__new__(cls, (alpha, beta, b, initial))
 
 
-@dataclass(frozen=True)
-class SolutionProfile:
-    """A solution sampled on a strictly increasing grid, plus its provenance."""
+class SolutionProfile(namedtuple("SolutionProfile", "grid values meta")):
+    """A solution sampled on a strictly increasing grid, plus its provenance.
 
-    grid: tuple
-    values: tuple
-    meta: dict = field(default_factory=dict)
+    ``meta`` defaults to a new empty dict.
+    """
 
-    def __post_init__(self):
-        grid = tuple(float(g) for g in self.grid)
-        values = tuple(float(v) for v in self.values)
+    __slots__ = ()
+
+    def __new__(cls, grid, values, meta=None):
+        grid = tuple(float(g) for g in grid)
+        values = tuple(float(v) for v in values)
         if len(grid) != len(values):
             raise DomainError(
                 f"grid and values must have equal length, got {len(grid)} vs {len(values)}"
             )
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("grid must be strictly increasing")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
+        return tuple.__new__(cls, (grid, values, {} if meta is None else meta))
 
     def to_csv(self, fmt="{:.15g}"):
         out = io.StringIO()

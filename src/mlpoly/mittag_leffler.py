@@ -37,7 +37,7 @@ carries its ``reason``: ``"budget"``, ``"honesty"`` or ``"overflow"``.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import config
 from ._validate import half_open_unit, nonnegative, positive, positive_finite
@@ -49,22 +49,20 @@ _SUM_ERR_FACTOR = 8.0
 _EXP_ERR_FACTOR = 32.0
 
 
-@dataclass(frozen=True)
-class MLParams:
+class MLParams(namedtuple("MLParams", "alpha beta gamma")):
     """Parameter triple (alpha, beta, gamma) of the three-parameter function.
 
     ``alpha`` must be positive.  A negative integer ``gamma = -n`` truncates
     the series to n + 1 terms (the polynomial case).
     """
 
-    alpha: float
-    beta: float
-    gamma: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta) and math.isfinite(self.gamma)):
+    def __new__(cls, alpha, beta, gamma=1.0):
+        if not (math.isfinite(alpha) and math.isfinite(beta) and math.isfinite(gamma)):
             raise DomainError("MLParams fields must be finite")
-        positive(self.alpha, "alpha")
+        positive(alpha, "alpha")
+        return tuple.__new__(cls, (alpha, beta, gamma))
 
     @property
     def truncates(self):
@@ -72,17 +70,15 @@ class MLParams:
         return self.gamma <= 0.0 and self.gamma == int(self.gamma)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(namedtuple("EvalResult", "value abs_error_estimate terms_used")):
     """Value of a truncated series together with its accounting."""
 
-    value: float
-    abs_error_estimate: float
-    terms_used: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.abs_error_estimate < 0.0:
+    def __new__(cls, value, abs_error_estimate, terms_used):
+        if abs_error_estimate < 0.0:
             raise DomainError("abs_error_estimate must be nonnegative")
+        return tuple.__new__(cls, (value, abs_error_estimate, terms_used))
 
 
 def _tail_bound(at, aprev, factor):

@@ -19,7 +19,7 @@ the raising operator is realized as a finite differential sum.
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._validate import degree, positive
 from .errors import DomainError, SingularityError
@@ -35,19 +35,18 @@ from .mittag_leffler import ml_one, ml_two, wright
 # rounded; the public types stay float.
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(namedtuple("PowerSeries", "coeffs")):
     """Truncated formal power series: coeffs[r] multiplies lam**r."""
 
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
+    def __new__(cls, coeffs):
+        coeffs = tuple(float(c) for c in coeffs)
         if len(coeffs) < 2:
             raise DomainError("a PowerSeries needs order >= 1 (at least 2 coefficients)")
         if not all(math.isfinite(c) for c in coeffs):
             raise DomainError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", coeffs)
+        return tuple.__new__(cls, (coeffs,))
 
     @property
     def order(self):
@@ -71,6 +70,9 @@ class PowerSeries:
             for j in range(n + 1 - i):
                 out[i + j] += a * other.coeffs[j]
         return PowerSeries(tuple(out))
+
+    # without this, int * series would fall back to tuple repetition
+    __rmul__ = __mul__
 
     def to_json_obj(self):
         return list(self.coeffs)

@@ -6,7 +6,7 @@ so the library's mathematical claims can be exercised from the command line
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import config
 from .caputo import caputo_l1, caputo_monomial, caputo_poly, rl_from_caputo
@@ -56,12 +56,8 @@ from .sheffer import (
 _ALIASES = {"identities": "fhp-identities", "all": None}
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    max_err: float
-    tol: float
+class CheckResult(namedtuple("CheckResult", "name passed max_err tol")):
+    __slots__ = ()
 
 
 def _rel_gap(a, b):

@@ -2,18 +2,23 @@
 
 Every name a module imports is used in that module: an unused import loads a
 module for nothing and hides what a file really depends on.  ``__init__.py``
-files are exempt: their imports are re-exports.  scipy is not a dependency,
-and numpy is imported only inside the functions that use it, so the
-computing commands never load either.
+files are exempt.  scipy is not a dependency, and numpy is imported only
+inside the functions that use it, so the computing commands never load
+either.  ``import mlpoly`` loads no submodule: each public name is loaded on
+first use, and each CLI command imports only the modules it runs.
 """
 
 import ast
+import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import mlpoly
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -80,3 +85,77 @@ def test_scipy_is_named_nowhere():
     for path in [ROOT / "pyproject.toml"] + MODULES:
         if path.parent.name != "tests":
             assert "scipy" not in path.read_text(encoding="utf-8"), path.name
+
+
+# Run in a fresh interpreter: one CLI command (or none), then the mlpoly
+# submodules and the standard modules of interest that the process loaded.
+_FOOTPRINT = """
+import contextlib, io, json, sys
+import mlpoly
+if sys.argv[1:]:
+    import mlpoly.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = mlpoly.cli.run(sys.argv[1:])
+    assert code == 0, code
+print(json.dumps(sorted(name for name in sys.modules
+                        if name.startswith("mlpoly.") or name in ("dataclasses", "numpy"))))
+"""
+
+_ML = ["errors", "config", "_validate", "gamma_core", "mittag_leffler", "cli"]
+_FHP = ["errors", "config", "_validate", "gamma_core", "fracpoly", "fractional_hermite", "cli"]
+_MLP = _ML + ["fracpoly", "caputo", "ml_polynomials"]
+_SOLVE = _MLP[:-1] + ["fractional_hermite", "fokker_planck"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    ([], []),
+    (["eval-ml", "--alpha", "0.5", "--beta", "1.2", "--z", "1.5"], _ML),
+    (["eval-fhp", "--n", "6", "--alpha", "0.5", "--x", "0.7", "--y", "0.9"], _FHP),
+    (["table", "--family", "fhp", "--alpha", "0.5", "--n-max", "4"], _FHP),
+    (["eval-mlp", "--n", "6", "--alpha", "0.5", "--beta", "1.2", "--x", "0.7", "--coeffs"], _MLP),
+    (["table", "--family", "mlp", "--alpha", "0.5", "--n-max", "4"], _MLP),
+    (["solve", "--problem", "case-i", "--n", "4", "--a", "0.5", "--alpha", "0.5", "--t", "0.5",
+      "--grid-min", "0", "--grid-max", "1", "--grid-points", "3"], _SOLVE),
+], ids=["import", "eval-ml", "eval-fhp", "table-fhp", "eval-mlp", "table-mlp", "solve"])
+def test_a_command_loads_only_what_it_runs(argv, modules):
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv], capture_output=True,
+                          text=True, env=env, check=True)
+    assert json.loads(proc.stdout) == sorted(f"mlpoly.{name}" for name in modules)
+
+
+def test_no_module_imports_dataclasses():
+    # a dataclass costs its module the import of dataclasses (and inspect)
+    # and a generated class at import time; the records are named tuples
+    for path in (ROOT / "src" / "mlpoly").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "dataclasses" not in imported, path.name
+
+
+# -- the public surface ----------------------------------------------------------
+
+
+def test_every_public_name_is_its_defining_modules_attribute():
+    for name in mlpoly.__all__:
+        value = getattr(mlpoly, name)
+        assert value is getattr(importlib.import_module(value.__module__), name), name
+
+
+def test_dir_lists_every_public_name():
+    assert {*mlpoly.__all__, "__version__"} <= set(dir(mlpoly))
+
+
+def test_star_import_and_unknown_names():
+    namespace = {}
+    exec("from mlpoly import *", namespace)
+    assert set(mlpoly.__all__) <= set(namespace)
+    assert namespace["ml_one"] is mlpoly.ml_one
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mlpoly.no_such_name  # noqa: B018
+    from mlpoly import config
+
+    assert config.SERIES_TOL > 0
