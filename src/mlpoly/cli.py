@@ -181,6 +181,8 @@ def _build_parser():
     return parser
 
 
+# Each command imports the modules it runs inside its function, so that a
+# fresh process loads only those (tests/test_imports.py pins the sets).
 def _cmd_eval_ml(args):
     from .mittag_leffler import ml_one, ml_three, ml_two
 

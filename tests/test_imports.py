@@ -104,7 +104,7 @@ print(json.dumps(sorted(name for name in sys.modules
 _ML = ["errors", "config", "_validate", "gamma_core", "mittag_leffler", "cli"]
 _FHP = ["errors", "config", "_validate", "gamma_core", "fracpoly", "fractional_hermite", "cli"]
 _MLP = _ML + ["fracpoly", "caputo", "ml_polynomials"]
-_SOLVE = _MLP[:-1] + ["fractional_hermite", "fokker_planck"]
+_SOLVE = _ML + ["fracpoly", "caputo", "fractional_hermite", "fokker_planck"]
 
 
 @pytest.mark.parametrize("argv, modules", [
