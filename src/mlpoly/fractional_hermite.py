@@ -19,7 +19,7 @@ from operator import mul
 
 from ._validate import degree, finite, half_open_unit, open_unit
 from .fracpoly import FracPoly
-from .gamma_core import _powers, factorial_ratios, frac_binom, rgamma
+from .gamma_core import _check_power, _powers, factorial_ratios, frac_binom, rgamma
 
 
 class _FhpTable:
@@ -113,6 +113,7 @@ def fhp_at_zero(n, alpha, y):
     if n % 2:
         return 0.0
     half = n // 2
+    _check_power(y, half, "y")
     return math.factorial(n) * (y ** half) * rgamma(1.0 + alpha * half)
 
 
@@ -157,6 +158,7 @@ def umbral_hermite_shift(n, x, a, w, alpha):
     finite(x, "x")
     finite(a, "a")
     finite(w, "w")
+    xp, ap, wp = _powers(x, n, "x"), _powers(a, n // 2, "a"), _powers(w, n // 2, "w")
     total = 0.0
     nfact = math.factorial(n)
     for r in range(n // 2 + 1):
@@ -164,13 +166,13 @@ def umbral_hermite_shift(n, x, a, w, alpha):
         for k in range(r + 1):
             inner += (
                 math.comb(r, k)
-                * a ** k
-                * w ** (r - k)
+                * ap[k]
+                * wp[r - k]
                 * math.factorial(r - k)
                 * rgamma(1.0 + alpha * (r - k))
             )
         ratio = nfact // (math.factorial(n - 2 * r) * math.factorial(r))
-        total += ratio * x ** (n - 2 * r) * inner
+        total += ratio * xp[n - 2 * r] * inner
     return total
 
 

@@ -135,6 +135,21 @@ def factorial_ratios(n, denominators):
         ) from None
 
 
+def _dyadic(values, ratio=float.as_integer_ratio):
+    """Integers m_i and one exponent e <= 0 with m_i * 2**e == values[i] exactly, for
+    finite floats; ``ratio`` maps a value to its float's exact (m, 2**k) (a caller
+    may pass a cached map).  Exact sums and products of the values are integer ones."""
+    ratios = list(map(ratio, values))
+    top = max([d for _, d in ratios]).bit_length()
+    return [m << (top - d.bit_length()) for m, d in ratios], 1 - top
+
+
+def _round_dyadic(num, e, den=1):
+    """num * 2**e / den for integers num, e and den != 0, rounded once to the
+    nearest float; ``OverflowError`` beyond the double-precision range."""
+    return (num << e) / den if e >= 0 else num / (den << -e)
+
+
 def _powers(v, top, name):
     """[v**0, v**1, ..., v**top]; ``name`` is v's name in the overflow error."""
     try:

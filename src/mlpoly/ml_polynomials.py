@@ -23,21 +23,15 @@ from ._validate import degree, finite, open_unit, positive, positive_finite
 from .caputo import caputo_monomial
 from .errors import DomainError, FloatOverflowError, VerificationError
 from .fracpoly import FracPoly
-from .gamma_core import _check_power, _powers, ln_gamma, rgamma
+from .gamma_core import _check_power, _dyadic, _powers, _round_dyadic, ln_gamma, rgamma
 from .mittag_leffler import ml_two, wright
 
 
-def _int_exp(v):
-    """Integers (m, e) with m * 2**e == v exactly, for a finite float v."""
-    f, e = math.frexp(v)
-    return int(math.ldexp(f, 53)), e - 53  # f has at most 53 significant bits
-
-
 @functools.lru_cache(maxsize=4096)
-def _rgamma_int_exp(arg):
-    """``_int_exp(rgamma(arg))``, shared: the sums of every degree and
-    argument at one (alpha, beta) read the same entries."""
-    return _int_exp(rgamma(arg))
+def _rgamma_ratio(arg):
+    """``rgamma(arg)`` as its exact ratio (m, 2**k), shared: the sums of every
+    degree and argument at one (alpha, beta) read the same entries."""
+    return rgamma(arg).as_integer_ratio()
 
 
 def mlp_eval(n, alpha, beta, x, y):
@@ -57,24 +51,17 @@ def mlp_eval(n, alpha, beta, x, y):
     # the exact sum would fit
     _check_power(-x, n, "(-x)")
     _check_power(y, n, "y")
-    gm, ge = zip(*[_rgamma_int_exp(beta + alpha * r) for r in range(n + 1)])
-    xm, xe = _int_exp(-x)
-    ym, ye = _int_exp(y)
-    # (-x)**r y**(n-r) = xm**r ym**(n-r) 2**(n*e) once the mantissa with the
-    # larger exponent absorbs the difference
-    e = min(xe, ye)
-    xm <<= xe - e
-    ym <<= ye - e
-    gmin = min(ge)
-    # Horner in xm: total = sum_r C(n,r) gm[r] 2**(ge[r]-gmin) xm**r ym**(n-r)
+    gm, ge = _dyadic([beta + alpha * r for r in range(n + 1)], _rgamma_ratio)
+    # (-x)**r y**(n-r) = xm**r ym**(n-r) 2**(n*e)
+    (xm, ym), e = _dyadic((-float(x), float(y)))
+    # Horner in xm: total = sum_r C(n,r) gm[r] xm**r ym**(n-r)
     total = 0
     ypow = 1
     for r in range(n, -1, -1):
-        total = total * xm + ((math.comb(n, r) * gm[r]) << (ge[r] - gmin)) * ypow
+        total = total * xm + math.comb(n, r) * gm[r] * ypow
         ypow *= ym
-    e = gmin + n * e  # the value is total * 2**e
     try:
-        return total / (1 << -e) if e < 0 else float(total << e)
+        return _round_dyadic(total, ge + n * e)
     except OverflowError:
         raise FloatOverflowError(
             f"E^-{n}_({alpha},{beta})({x!r}, {y!r}) exceeds the double-precision range"

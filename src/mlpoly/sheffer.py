@@ -15,6 +15,10 @@ T(lam, x) = lam + x, and only v and h carry content:
 
 On polynomials the operator series g'(D)/g(D) truncates at the degree, so
 the raising operator is realized as a finite differential sum.
+
+The series recurrences and the raising sum, which cancel heavily near a zero
+of the series, run exactly on the float inputs (``gamma_core._dyadic``) and
+round each output coefficient once: correctly rounded on every platform.
 """
 
 import json
@@ -22,17 +26,10 @@ import math
 from collections import namedtuple
 
 from ._validate import degree, positive
-from .errors import DomainError, SingularityError
+from .errors import DomainError, FloatOverflowError, SingularityError
 from .fracpoly import FracPoly
-from .gamma_core import rgamma
+from .gamma_core import _dyadic, _round_dyadic, rgamma
 from .mittag_leffler import ml_one, ml_two, wright
-
-# The reciprocal/division recurrences and the raising operator sum are
-# ill-conditioned when the underlying series has a nearby zero (coefficients
-# grow geometrically and the low-order output coefficients emerge from large
-# cancellations).  Internal accumulation in extended precision (numpy's
-# longdouble, imported where it is used) keeps the returned doubles correctly
-# rounded; the public types stay float.
 
 
 class PowerSeries(namedtuple("PowerSeries", "coeffs")):
@@ -81,40 +78,53 @@ class PowerSeries(namedtuple("PowerSeries", "coeffs")):
         return json.dumps(self.to_json_obj())
 
 
+def _rounded(nums, e, dens, term):
+    """nums[j] * 2**e / dens[j], each rounded once to a float; an overflow is
+    refused naming the coefficient of ``term.format(j)``."""
+    out = []
+    for j, (num, den) in enumerate(zip(nums, dens)):
+        try:
+            out.append(_round_dyadic(num, e, den))
+        except OverflowError:
+            raise FloatOverflowError(
+                f"the coefficient of {term.format(j)} exceeds the double-precision range"
+            ) from None
+    return out
+
+
+def _series_quotient(am, dm, e, what):
+    """Each out[r], r < len(dm), rounded once from the exact solution of
+    am[0] out[r] = dm[r] 2**e - sum_{k>=1} am[k] out[r-k] for integers am and dm,
+    as out[r] = p[r] 2**e / am[0]**(r+1) with integers p[r]."""
+    powers = [am[0] ** j for j in range(len(dm) + 1)]
+    scaled = [m * powers[k] for k, m in enumerate(am[1 : len(dm)])]  # am[k+1] am[0]**k
+    p = []
+    for d, power in zip(dm, powers):
+        p.append(d * power - sum(c * q for c, q in zip(scaled, reversed(p))))
+    return _rounded(p, e, powers[1:], "lam**{} of the " + what)
+
+
 def series_reciprocal(s):
     """Multiplicative inverse: (s * result) = 1 + O(lam**(N+1)).
 
     Requires a nonzero constant term.
     """
-    import numpy as np
-
     if s.coeffs[0] == 0.0:
         raise DomainError("series with zero constant term has no reciprocal")
-    a = np.asarray(s.coeffs, dtype=np.longdouble)
-    out = np.zeros_like(a)
-    out[0] = 1.0 / a[0]
-    for r in range(1, a.size):
-        out[r] = -np.dot(a[1 : r + 1], out[r - 1 :: -1]) / a[0]
-    return PowerSeries(tuple(float(v) for v in out))
+    am, e = _dyadic(s.coeffs)
+    return PowerSeries(_series_quotient(am, [1] + [0] * s.order, -e, "reciprocal series"))
 
 
 def series_log_derivative(s):
     """Logarithmic derivative s'/s as a series of order N-1."""
-    import numpy as np
-
     if s.coeffs[0] == 0.0:
         raise DomainError("series with zero constant term has no logarithmic derivative")
-    a = np.asarray(s.coeffs, dtype=np.longdouble)
-    d = a[1:] * np.arange(1, a.size, dtype=np.longdouble)
-    out = np.zeros(d.size, dtype=np.longdouble)
-    for r in range(d.size):
-        k = min(r, a.size - 1)
-        acc = d[r] - np.dot(a[1 : k + 1], out[r - k : r][::-1]) if r else d[r]
-        out[r] = acc / a[0]
-    coeffs = [float(v) for v in out]
+    am, _ = _dyadic(s.coeffs)
+    dm = [r * m for r, m in enumerate(am)][1:]  # s' = sum_r (r+1) s[r+1] lam**r, on am's exponent
+    coeffs = _series_quotient(am, dm, 0, "logarithmic derivative")
     if len(coeffs) == 1:
         coeffs.append(0.0)  # keep a valid series when N-1 would be order 0
-    return PowerSeries(tuple(coeffs))
+    return PowerSeries(coeffs)
 
 
 def appell_A_fhp(alpha, y, n_order):
@@ -215,8 +225,6 @@ def raising_apply(p, log_deriv_g):
     sum_k c_k D**k truncates at deg(p), so the series must carry at least
     deg(p)+1 coefficients.
     """
-    import numpy as np
-
     _require_integer_exponents(p)
     deg = p.degree()
     deg = 0 if deg is None else int(round(deg))
@@ -224,16 +232,14 @@ def raising_apply(p, log_deriv_g):
         raise DomainError(
             f"series order {log_deriv_g.order} is insufficient for degree {deg}"
         )
-    dense = np.zeros(deg + 2, dtype=np.longdouble)
+    dense = [0.0] * (deg + 1)
     for c, mu in p.terms:
         dense[int(round(mu))] = c
-    result = np.zeros(deg + 2, dtype=np.longdouble)
-    result[1:] = dense[:-1]  # x * p
-    work = dense.copy()
-    for k in range(deg + 1):
-        result -= np.longdouble(log_deriv_g.coeffs[k]) * work
-        work[:-1] = work[1:] * np.arange(1, deg + 2, dtype=np.longdouble)  # d/dx
-        work[-1] = 0.0
-        if not work.any():
-            break
-    return FracPoly([(float(c), float(j)) for j, c in enumerate(result)])
+    pm, pe = _dyadic(dense)
+    cm, ce = _dyadic(log_deriv_g.coeffs[: deg + 1])
+    # (g'/g)(D) p = sum_i acc[i] x**i 2**(pe+ce), as D**k x**(i+k) = (i+k)!/i! x**i
+    acc = [sum(cm[k] * pm[i + k] * math.perm(i + k, k) for k in range(deg + 1 - i))
+           for i in range(deg + 1)]
+    nums = [(m << -ce) - a for m, a in zip([0] + pm, acc + [0])]  # x * p - (g'/g)(D) p
+    coeffs = _rounded(nums, pe + ce, [1] * len(nums), "x**{:.1f}")
+    return FracPoly([(c, float(j)) for j, c in enumerate(coeffs)])

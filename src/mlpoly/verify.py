@@ -21,6 +21,8 @@ from .fokker_planck import (
 )
 from .fracpoly import FracPoly
 from .fractional_hermite import (
+    _fhp_table,
+    _gamma_weights,
     convolution_identity_i_rhs,
     convolution_identity_ii_rhs,
     fhp_at_zero,
@@ -144,24 +146,8 @@ def suite_fhp_identities(n_max=12, seed=42):
     worst = 0.0
     for n in range(2, min(n_max, 12) + 1):
         for alpha in (0.3, 0.5, 0.8):
-            p = FracPoly(
-                [
-                    (
-                        math.factorial(n) // math.factorial(n - 2 * r) * rgamma(1.0 + alpha * r),
-                        alpha * r,
-                    )
-                    for r in range(n // 2 + 1)
-                ]
-            )
-            q = FracPoly(
-                [
-                    (
-                        math.factorial(n - 2) // math.factorial(n - 2 - 2 * s) * rgamma(1.0 + alpha * s),
-                        alpha * s,
-                    )
-                    for s in range((n - 2) // 2 + 1)
-                ]
-            )
+            rows = (_gamma_weights(_fhp_table((m,), alpha)) for m in (n, n - 2))
+            p, q = (FracPoly([(c, alpha * r) for r, c in enumerate(row)]) for row in rows)
             worst = _worst(worst, _scaled_gap(caputo_poly(p, alpha), q.scale(float(n * (n - 1)))))
     results.append(CheckResult("fhp-forward-shift-y", worst <= 1e-10, worst, 1e-10))
 

@@ -1,12 +1,18 @@
-"""Independent high-precision oracles used by the test suite.
+"""Oracles used by the test suite.
 
-Everything here is brute force on purpose: plain 50-digit mpmath sums of the
-defining series, never calling into the library under test.
+The high-precision oracles are brute force on purpose: plain 50-digit mpmath
+sums of the defining series, never calling into the library under test.  The
+two plain-float oracles, the classical two-variable Hermite and Laguerre
+polynomials by their factorial sums, are the ones ``mlpoly.verify`` checks
+against, defined once there.
 """
 
-import math
-
 import mpmath as mp
+
+from mlpoly.verify import _classical_hermite, _laguerre_explicit
+
+classical_hermite = _classical_hermite
+laguerre_explicit = _laguerre_explicit
 
 DPS = 50
 
@@ -77,20 +83,6 @@ def mlp_mp(n, alpha, beta, x, y):
     for r in range(n + 1):
         total += mp.binomial(n, r) * (-x) ** r * y ** (n - r) * mp.rgamma(beta + alpha * r)
     return float(total)
-
-
-def classical_hermite(n, x, y):
-    """Two-variable Hermite polynomial by its factorial sum (plain floats)."""
-    return sum(
-        math.factorial(n) / (math.factorial(n - 2 * r) * math.factorial(r))
-        * x ** (n - 2 * r) * y ** r
-        for r in range(n // 2 + 1)
-    )
-
-
-def laguerre_explicit(n, x):
-    """Laguerre polynomial L_n by its explicit binomial sum (plain floats)."""
-    return sum(math.comb(n, k) * (-x) ** k / math.factorial(k) for k in range(n + 1))
 
 
 def caputo_monomial_mp(gamma_exp, alpha, t=1.0):

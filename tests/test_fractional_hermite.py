@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mlpoly.errors import DomainError
+from mlpoly.errors import DomainError, FloatOverflowError
 from mlpoly.fracpoly import FracPoly
 from mlpoly.fractional_hermite import (
     convolution_identity_i_rhs,
@@ -187,6 +187,22 @@ class TestUmbralShift:
     def test_alpha_open_interval(self):
         with pytest.raises(DomainError):
             umbral_hermite_shift(3, 0.5, 0.1, 0.2, 1.0)
+
+
+_RANGE = "exceeds the double-precision range at"
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (umbral_hermite_shift, (4, 1e200, 0.3, 0.2, 0.5), f"x**4 {_RANGE} x = 1e+200"),
+    (umbral_hermite_shift, (4, 1.0, 1e200, 0.2, 0.5), f"a**2 {_RANGE} a = 1e+200"),
+    (umbral_hermite_shift, (4, 1.0, 0.3, 1e200, 0.5), f"w**2 {_RANGE} w = 1e+200"),
+    (fhp_at_zero, (4, 0.5, 1e300), f"y**2 {_RANGE} y = 1e+300"),
+], ids=["umbral-x", "umbral-a", "umbral-w", "at-zero-y"])
+def test_overflowing_power_names_its_base(fn, args, message):
+    # was a raw OverflowError: (34, 'Numerical result out of range')
+    with pytest.raises(FloatOverflowError) as info:
+        fn(*args)
+    assert str(info.value) == message
 
 
 class TestConvolutionIdentities:

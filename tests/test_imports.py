@@ -79,6 +79,25 @@ def test_computing_commands_load_neither_numpy_nor_scipy():
     assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0] []"
 
 
+_LADDER_STEP = """
+import sys
+from mlpoly.ml_polynomials import mlp_coeffs
+from mlpoly.sheffer import appell_A_mlp, raising_apply, series_log_derivative, series_reciprocal
+gd = series_log_derivative(series_reciprocal(appell_A_mlp(0.5, 1.2, 0.6, 8)))
+print([raising_apply(mlp_coeffs(n, 0.5, 1.2, 0.6), gd).degree() for n in range(8)],
+      "numpy" in sys.modules)
+"""
+
+
+def test_the_sheffer_ladder_runs_without_numpy():
+    # its recurrences are exact integer sums, rounded once
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", _LADDER_STEP], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0] False"
+
+
 def test_scipy_is_named_nowhere():
     # neither a dependency in pyproject.toml nor an import, comment or
     # docstring in the package

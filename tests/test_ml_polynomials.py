@@ -10,7 +10,7 @@ from mlpoly.fracpoly import FracPoly
 from mlpoly.gamma_core import gamma, rgamma
 from mlpoly.mittag_leffler import ml_three
 from mlpoly.ml_polynomials import (
-    _rgamma_int_exp,
+    _rgamma_ratio,
     frac_laguerre_apply,
     konhauser,
     mlp_coeffs,
@@ -74,13 +74,17 @@ class TestMlpEval:
             )
             assert mlp_eval(n, alpha, beta, x, y) == float(exact)
 
+    def test_integer_arguments_are_floats(self):
+        assert mlp_eval(3, 0.5, 1.0, 2, -1) == mlp_eval(3, 0.5, 1.0, 2.0, -1.0)
+        assert mlp_eval(4, 1, 2, np.int64(3), 1) == mlp_eval(4, 1.0, 2.0, 3.0, 1.0)
+
     def test_shared_gamma_row_changes_nothing(self):
         # the gamma entries are shared across degrees at one (alpha, beta)
         degrees = (12, 3, 20, 0, 7)
         shared = [mlp_eval(n, 0.37, 1.21, 0.8, 0.6) for n in degrees]
         fresh = []
         for n in degrees:
-            _rgamma_int_exp.cache_clear()
+            _rgamma_ratio.cache_clear()
             fresh.append(mlp_eval(n, 0.37, 1.21, 0.8, 0.6))
         assert shared == fresh
 

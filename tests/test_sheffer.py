@@ -1,9 +1,11 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mlpoly.errors import DomainError, SingularityError
+from mlpoly.errors import DomainError, FloatOverflowError, SingularityError
 from mlpoly.fracpoly import FracPoly
 from mlpoly.fractional_hermite import fhp_coeffs
 from mlpoly.gamma_core import gamma, rgamma
@@ -266,3 +268,82 @@ class TestLadderOperators:
         gd = PowerSeries((0.0, 0.0))
         with pytest.raises(DomainError):
             raising_apply(FracPoly([(1.0, 5.0)]), gd)
+
+
+# -- exact recurrences, rounded once ----------------------------------------------
+
+
+def _fraction_quotient(a, d):
+    """out with a[0] out[r] = d[r] - sum_{k>=1} a[k] out[r-k], in exact fractions."""
+    out = []
+    for r in range(len(d)):
+        acc = d[r] - sum(a[k] * out[r - k] for k in range(1, min(r, len(a) - 1) + 1))
+        out.append(acc / a[0])
+    return out
+
+
+def _fraction_raising(pc, c):
+    """x p - sum_k c[k] D**k p for p = sum_j pc[j] x**j, in exact fractions."""
+    deg = len(pc) - 1
+    out = [Fraction(0)] + list(pc)
+    for k in range(deg + 1):
+        for i in range(deg + 1 - k):
+            out[i] -= c[k] * pc[i + k] * Fraction(math.factorial(i + k), math.factorial(i))
+    return out
+
+
+def _spread(rng):
+    # a signed float whose exponents spread over 1e-5..1e5
+    return rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0) * 10.0 ** rng.uniform(-5.0, 5.0)
+
+
+class TestExactRecurrences:
+    def test_correctly_rounded_against_fractions(self):
+        # every coefficient of the three routines is the exact recurrence on
+        # the float inputs, rounded once
+        rng = random.Random(2024)
+        for _ in range(300):
+            order = rng.randint(1, 14)
+            coeffs = [_spread(rng) for _ in range(order + 1)]
+            coeffs[rng.randint(1, order)] = 0.0
+            s = PowerSeries(coeffs)
+            a = [Fraction(v) for v in coeffs]
+
+            want = _fraction_quotient(a, [Fraction(1)] + [Fraction(0)] * order)
+            assert series_reciprocal(s).coeffs == tuple(map(float, want))
+
+            derivative = [r * a[r] for r in range(1, order + 1)]
+            want = [float(v) for v in _fraction_quotient(a, derivative)]
+            if order == 1:
+                want.append(0.0)  # s'/s of order 0 is padded to order 1
+            assert series_log_derivative(s).coeffs == tuple(want)
+
+            pc = [_spread(rng) if rng.random() < 0.8 else 0.0 for _ in range(rng.randint(0, order))]
+            pc.append(_spread(rng))  # degree len(pc) - 1 <= order
+            p = FracPoly([(v, float(j)) for j, v in enumerate(pc)])
+            want = _fraction_raising([Fraction(v) for v in pc], a)
+            assert raising_apply(p, s).terms == tuple(
+                (float(v), float(j)) for j, v in enumerate(want) if float(v) != 0.0
+            )
+
+    def test_reciprocal_overflow_is_named(self):
+        # 1/s = 1e300 - 1e600 lam + ...: was "coefficients must be finite"
+        with pytest.raises(FloatOverflowError) as info:
+            series_reciprocal(PowerSeries((1e-300, 1.0, 0.0)))
+        assert str(info.value) == (
+            "the coefficient of lam**1 of the reciprocal series exceeds the double-precision range"
+        )
+
+    def test_log_derivative_overflow_is_named(self):
+        # s'/s starts at 1e10 / 1e-300
+        with pytest.raises(FloatOverflowError) as info:
+            series_log_derivative(PowerSeries((1e-300, 1e10, 1.0)))
+        assert str(info.value) == (
+            "the coefficient of lam**0 of the logarithmic derivative exceeds the double-precision range"
+        )
+
+    def test_raising_overflow_is_named(self):
+        # the coefficient of x**2 is -3e600
+        with pytest.raises(FloatOverflowError) as info:
+            raising_apply(FracPoly([(1e300, 3.0)]), PowerSeries((0.0, 1e300, 0.0, 0.0)))
+        assert str(info.value) == "the coefficient of x**2.0 exceeds the double-precision range"
