@@ -10,7 +10,6 @@ import numpy as np
 
 from mlpoly import (
     DiffusionProblem,
-    HermiteInitial,
     MonomialInitial,
     fhp_at_zero,
     fhp_coeffs,

@@ -41,7 +41,7 @@ print(f"EGF: partial sum = {egf_partial:.12f}, closed form = {egf_closed:.12f}")
 print()
 print("=== operational construction via the fractional Laguerre generator ===")
 for n in (1, 3, 5):
-    lhs, rhs = mlp_operational_check(n, 0.5, 1.0, n)
+    lhs, rhs = mlp_operational_check(n, 0.5, 1.0)
     print(f"n={n}: operator exponential matches the polynomial, "
           f"max gap = {np.max(np.abs(lhs - rhs)):.2e} (exact truncation after {n} steps)")
 

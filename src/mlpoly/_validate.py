@@ -6,7 +6,7 @@ comparison is written so that NaN fails it.  The module imports nothing
 but the error classes, so importing it costs every caller nothing.
 """
 
-from .errors import DomainError
+from .errors import DomainError, FloatOverflowError
 
 _INF = float("inf")
 
@@ -55,3 +55,13 @@ def degree(n, name):
 def finite(v, name):
     if not -_INF < v < _INF:
         raise DomainError(f"{name} must be finite, got {v!r}")
+
+
+def finite_float(v, name):
+    """v as a finite float; an integer beyond the float range is a :class:`FloatOverflowError`."""
+    try:
+        v = float(v)
+    except OverflowError:
+        raise FloatOverflowError(f"{name} exceeds the double-precision range") from None
+    finite(v, name)
+    return v

@@ -28,7 +28,6 @@ normalized by the local coefficient magnitude, since the raw entries grow
 like n!.
 """
 
-import io
 import json
 import math
 from collections import namedtuple
@@ -37,6 +36,7 @@ from . import config
 from ._validate import (
     degree,
     finite,
+    finite_float,
     half_open_unit,
     nonnegative_finite,
     open_unit,
@@ -83,9 +83,9 @@ class SeriesInitial(namedtuple("SeriesInitial", "coeffs")):
     __slots__ = ()
 
     def __new__(cls, coeffs):
-        coeffs = tuple(float(c) for c in coeffs)
-        for i, c in enumerate(coeffs):
-            finite(c, f"coeffs[{i}]")
+        coeffs = tuple(finite_float(c, f"coeffs[{i}]") for i, c in enumerate(coeffs))
+        if not coeffs:
+            raise DomainError("a series datum needs at least one coefficient")
         return tuple.__new__(cls, (coeffs,))
 
 
@@ -141,12 +141,9 @@ class SolutionProfile(namedtuple("SolutionProfile", "grid values meta")):
             raise DomainError("grid must be strictly increasing")
         return tuple.__new__(cls, (grid, values, {} if meta is None else meta))
 
-    def to_csv(self, fmt="{:.15g}"):
-        out = io.StringIO()
-        out.write("grid,value\n")
-        for g, v in zip(self.grid, self.values):
-            out.write(f"{fmt.format(g)},{fmt.format(v)}\n")
-        return out.getvalue()
+    def to_csv(self):
+        rows = (f"{g:.15g},{v:.15g}\n" for g, v in zip(self.grid, self.values))
+        return "grid,value\n" + "".join(rows)
 
     def to_json_obj(self):
         return {
@@ -293,18 +290,13 @@ class CaseIIPlan(_FhpPlan):
         return by_series
 
 
-def tf_diffusion_plan(prob, n_terms=None):
+def tf_diffusion_plan(prob):
     """Grid plan of :func:`solve_tf_diffusion` for a :class:`DiffusionProblem`."""
     init = prob.initial
     if isinstance(init, MonomialInitial):
         plan = _MonomialPlan(init.n, prob.alpha, prob.k)
     elif isinstance(init, SeriesInitial):
-        last = len(init.coeffs) - 1 if n_terms is None else n_terms
-        if last < 0 or last >= len(init.coeffs):  # NaN goes on to the degree check
-            raise DomainError(
-                f"truncation {n_terms} outside the stored coefficients (0..{len(init.coeffs) - 1})"
-            )
-        plan = _SeriesPlan(init.coeffs[:degree(last, "n_terms") + 1], prob.alpha, prob.k)
+        plan = _SeriesPlan(init.coeffs, prob.alpha, prob.k)
     elif isinstance(init, HermiteInitial):
         plan = CaseIPlan(init.n, init.a, prob.alpha, prob.k)
     else:
@@ -375,15 +367,15 @@ class LaguerreWrightPlan(GridPlan):
 # -- time-fractional diffusion ----------------------------------------------------
 
 
-def solve_tf_diffusion(prob, x, t, n_terms=None):
+def solve_tf_diffusion(prob, x, t):
     """Solution of the time-fractional diffusion problem at the point (x, t).
 
-    Series data are summed as sum_r c_r H[alpha]_r(x, k t**alpha) up to
-    ``n_terms`` (default: every stored coefficient); monomial data reduce to a
+    Series data are summed as sum_r c_r H[alpha]_r(x, k t**alpha) over the
+    stored coefficients (pass fewer to truncate); monomial data reduce to a
     single fractional Hermite polynomial.  Hermite/fractional-Hermite data
     dispatch to :func:`solve_case_i` / :func:`solve_case_ii`.
     """
-    return tf_diffusion_plan(prob, n_terms).at(x, t)
+    return tf_diffusion_plan(prob).at(x, t)
 
 
 def solve_case_i(n, a, alpha, k, x, t):

@@ -79,8 +79,8 @@ class FracPoly:
         """Largest exponent, or None for the zero polynomial."""
         return self._terms[-1][1] if self._terms else None
 
-    def has_integer_exponents(self, tol=1e-9):
-        return all(abs(mu - round(mu)) <= tol for _, mu in self._terms)
+    def has_integer_exponents(self):
+        return all(abs(mu - round(mu)) <= 1e-9 for _, mu in self._terms)
 
     def coeff_at(self, exponent):
         for c, mu in self._terms:

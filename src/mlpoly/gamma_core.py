@@ -28,10 +28,10 @@ def _nonpos_int(x):
     return x <= 0.0 and x == round(x)
 
 
-def _near_pole(x, tol=1e-12):
+def _near_pole(x):
     """Noise-tolerant pole detection for user-supplied ratio arguments."""
     r = round(x)
-    return r <= 0 and abs(x - r) <= tol * max(1.0, abs(x))
+    return r <= 0 and abs(x - r) <= 1e-12 * max(1.0, abs(x))
 
 
 def _lgamma(x):

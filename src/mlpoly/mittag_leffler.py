@@ -19,11 +19,13 @@ sign of z**r.  The row is built lazily through a ``grow(r)`` callback, and
 The terms are summed with Neumaier compensation, and
 the run stops once two consecutive terms fall below ``tol * |partial sum|``
 and the geometric bound on the neglected tail, ``|t_r| rho / (1 - rho)`` with
-``rho`` the last term ratio, falls below ``tol/2 * |partial sum|``.  The tail
-bound is certified once the term ratios can no longer increase: Gamma is
-log-convex, so Gamma(x)/Gamma(x + alpha) decreases for x > 0 (Gorenflo,
-Loutchko & Luchko, Fract. Calc. Appl. Anal. 5 (2002); Hilfer & Seybold,
-Integral Transforms Spec. Funct. 17 (2006)).
+``rho`` the last term ratio, falls below ``tol/2 * |partial sum|``, where
+``tol`` is ``config.SERIES_TOL``; a run gives up after ``config.TERM_BUDGET``
+terms.  Both change only inside ``config.override``: no evaluator takes a
+per-call tolerance or budget.  The tail bound is certified once the term
+ratios can no longer increase: Gamma is log-convex, so Gamma(x)/Gamma(x + alpha)
+decreases for x > 0 (Gorenflo, Loutchko & Luchko, Fract. Calc. Appl. Anal. 5
+(2002); Hilfer & Seybold, Integral Transforms Spec. Funct. 17 (2006)).
 The returned error estimate is a documented heuristic, not a proven bound:
 the last two terms plus the tail bound (truncation), plus
 ``8 * eps * sum|terms|`` (summation rounding under cancellation), plus
@@ -91,7 +93,7 @@ def _tail_bound(at, aprev, factor):
     return at * rho / (1.0 - rho) if rho < 1.0 else math.inf
 
 
-def _sum_series(row, grow, z, tol, budget, label, ratio_factor):
+def _sum_series(row, grow, z, label, ratio_factor):
     """Compensated summation of sum_r row[r] z**r with stop control.
 
     Entry r of ``row`` is ``(sign, a, b, p)`` as the module docstring
@@ -100,10 +102,11 @@ def _sum_series(row, grow, z, tol, budget, label, ratio_factor):
     returns it; entries already in ``row`` are reused.  ``label()`` names the
     series in a refusal and is formatted only then.  ``ratio_factor(r)``
     returns m such that every term ratio |t_(k+1)/t_k|, k >= r, is at most
-    m * |t_r/t_(r-1)|, or inf where no such m is known.
+    m * |t_r/t_(r-1)|, or inf where no such m is known.  The tolerance and
+    term budget are ``config.SERIES_TOL`` and ``config.TERM_BUDGET``.
     """
-    tol = config.SERIES_TOL if tol is None else float(tol)
-    budget = config.TERM_BUDGET if budget is None else int(budget)
+    tol = config.SERIES_TOL
+    budget = config.TERM_BUDGET
     exp = math.exp
     ninf = -math.inf
     # log|z| (-inf at z = 0), taken once: z**r has log-magnitude r*log|z| and,
@@ -186,17 +189,17 @@ def _sum_series(row, grow, z, tol, budget, label, ratio_factor):
     return EvalResult(value, estimate, used)
 
 
-def ml_one(alpha, z, tol=None, budget=None):
+def ml_one(alpha, z):
     """One-parameter Mittag-Leffler function E_alpha(z) = sum z**r / Gamma(1+alpha*r)."""
-    return ml_two(alpha, 1.0, z, tol=tol, budget=budget)
+    return ml_two(alpha, 1.0, z)
 
 
-def ml_two(alpha, beta, z, tol=None, budget=None):
+def ml_two(alpha, beta, z):
     """Two-parameter (Wiman) function E_{alpha,beta}(z) = sum z**r / Gamma(beta+alpha*r).
 
     beta = 0 is legal: the r = 0 term carries 1/Gamma(0) = 0 and drops out.
     """
-    return MLSeries(alpha, beta)(z, tol, budget)
+    return MLSeries(alpha, beta)(z)
 
 
 class MLSeries:
@@ -226,19 +229,19 @@ class MLSeries:
         self._row.append(entry)
         return entry
 
-    def __call__(self, z, tol=None, budget=None):
+    def __call__(self, z):
         if not math.isfinite(z):
             raise DomainError(f"{self._param} and z must be finite")
         alpha, beta = self.alpha, self.beta
         # the term ratio is |z| Gamma(beta+alpha(r-1)) / Gamma(beta+alpha r) times
         # a nonincreasing factor (1, or 1/r in W): the gamma quotient stops
         # increasing once both arguments are positive (log-convexity of Gamma)
-        return _sum_series(self._row, self._grow, z, tol, budget,
+        return _sum_series(self._row, self._grow, z,
                            lambda: f"{self._symbol}_({alpha},{beta})({z})",
                            lambda r: 1.0 if beta + alpha * (r - 1) > 0.0 else math.inf)
 
 
-def ml_three(alpha, beta, gamma, z, tol=None, budget=None):
+def ml_three(alpha, beta, gamma, z):
     """Three-parameter (Prabhakar) function
     E^gamma_{alpha,beta}(z) = sum (gamma)_r z**r / (r! Gamma(beta+alpha*r)).
 
@@ -280,13 +283,12 @@ def ml_three(alpha, beta, gamma, z, tol=None, budget=None):
             return 1.0
         return r / (gamma + r - 1) if gamma + r - 1 > 0.0 else math.inf
 
-    return _sum_series(row, grow, z, tol, budget,
-                       lambda: f"E^{gamma}_({alpha},{beta})({z})", ratio_factor)
+    return _sum_series(row, grow, z, lambda: f"E^{gamma}_({alpha},{beta})({z})", ratio_factor)
 
 
-def wright(alpha, mu, z, tol=None, budget=None):
+def wright(alpha, mu, z):
     """Wright function W_{alpha,mu}(z) = sum z**r / (r! Gamma(mu+alpha*r))."""
-    return WrightSeries(alpha, mu)(z, tol, budget)
+    return WrightSeries(alpha, mu)(z)
 
 
 class WrightSeries(MLSeries):

@@ -25,10 +25,10 @@ import json
 import math
 from collections import namedtuple
 
-from ._validate import degree, positive
+from ._validate import degree, finite, positive
 from .errors import DomainError, FloatOverflowError, SingularityError
 from .fracpoly import FracPoly
-from .gamma_core import _dyadic, _round_dyadic, rgamma
+from .gamma_core import _dyadic, _powers, _round_dyadic, rgamma
 from .mittag_leffler import ml_one, ml_two, wright
 
 
@@ -133,12 +133,13 @@ def appell_A_fhp(alpha, y, n_order):
     Even coefficients y**r / Gamma(1+alpha*r); odd coefficients vanish.
     """
     positive(alpha, "alpha")
+    finite(y, "y")
     if n_order < 2:
         raise DomainError(f"order must be >= 2, got {n_order}")
     n_order = degree(n_order, "order")
     coeffs = [0.0] * (n_order + 1)
-    for r in range(0, n_order // 2 + 1):
-        coeffs[2 * r] = y ** r * rgamma(1.0 + alpha * r)
+    for r, yr in enumerate(_powers(y, n_order // 2, "y")):
+        coeffs[2 * r] = yr * rgamma(1.0 + alpha * r)
     return PowerSeries(tuple(coeffs))
 
 
@@ -146,12 +147,13 @@ def appell_A_mlp(alpha, beta, x, n_order):
     """EGF prefactor of the Mittag-Leffler family: A(lam) = W_{alpha,beta}(-lam x)."""
     positive(alpha, "alpha")
     positive(beta, "beta")
+    finite(x, "x")
     if n_order < 1:
         raise DomainError(f"order must be >= 1, got {n_order}")
     n_order = max(degree(n_order, "order"), 2)
     coeffs = tuple(
-        (-x) ** r * rgamma(beta + alpha * r) / math.factorial(r)
-        for r in range(n_order + 1)
+        xr * rgamma(beta + alpha * r) / math.factorial(r)
+        for r, xr in enumerate(_powers(-x, n_order, "(-x)"))
     )
     return PowerSeries(coeffs)
 
@@ -169,6 +171,17 @@ def appell_auxiliary(a_fn, a_prime_fn, lam, x):
     return 1.0, a_prime_fn(x - 1.0) / den, lam + x, a_fn(lam + x - 1.0) / den
 
 
+def _series_argument(expr, compute):
+    """``compute()``, or :class:`FloatOverflowError` naming the series argument ``expr``."""
+    try:
+        z = compute()
+    except OverflowError:  # float ** raises where float * returns inf
+        z = math.inf
+    if not math.isfinite(z):  # inf, or the NaN of inf * 0
+        raise FloatOverflowError(f"{expr} exceeds the double-precision range")
+    return z
+
+
 def aux_v_h_fhp(lam, x, alpha, y):
     """Auxiliary pair (v, h) for the fractional Hermite family:
 
@@ -178,14 +191,19 @@ def aux_v_h_fhp(lam, x, alpha, y):
     x = 1 is a pole of the prefactor and raises.
     """
     positive(alpha, "alpha")
+    finite(lam, "lam")
+    finite(x, "x")
+    finite(y, "y")
     if x == 1.0:
         raise SingularityError("v has a pole at x = 1")
     s = x - 1.0
-    den = ml_one(alpha, y * s * s).value
+    z = _series_argument("y*(x-1)**2", lambda: y * s * s)
+    den = ml_one(alpha, z).value
     if den == 0.0:
         raise SingularityError("E_alpha[y(x-1)**2] = 0: denominators vanish")
-    v = 2.0 / (alpha * s) * ml_two(alpha, 0.0, y * s * s).value / den
-    h = ml_one(alpha, y * (lam + s) ** 2).value / den
+    v = 2.0 / (alpha * s) * ml_two(alpha, 0.0, z).value / den
+    zh = _series_argument("y*(lam+x-1)**2", lambda: y * (lam + s) ** 2)
+    h = ml_one(alpha, zh).value / den
     return v, h
 
 
@@ -197,11 +215,16 @@ def aux_v_h_mlp(lam, y, alpha, beta, x):
     """
     positive(alpha, "alpha")
     positive(beta, "beta")
-    den = wright(alpha, beta, -x * (y - 1.0)).value
+    finite(lam, "lam")
+    finite(y, "y")
+    finite(x, "x")
+    z = _series_argument("-x*(y-1)", lambda: -x * (y - 1.0))
+    den = wright(alpha, beta, z).value
     if den == 0.0:
         raise SingularityError("W_{alpha,beta}[-x(y-1)] = 0: denominators vanish")
-    v = -x * wright(alpha, beta + alpha, -x * (y - 1.0)).value / den
-    h = wright(alpha, beta, -x * (lam + y - 1.0)).value / den
+    v = -x * wright(alpha, beta + alpha, z).value / den
+    zh = _series_argument("-x*(lam+y-1)", lambda: -x * (lam + y - 1.0))
+    h = wright(alpha, beta, zh).value / den
     return v, h
 
 

@@ -280,7 +280,7 @@ def suite_mlp_gf(n_max=10, seed=42):
     for n in range(min(n_max, 8) + 1):
         for alpha in (0.3, 0.5, 0.9):
             for y in (0.5, 1.0, 2.0):
-                lhs, rhs = mlp_operational_check(n, alpha, y, n)
+                lhs, rhs = mlp_operational_check(n, alpha, y)
                 worst = _worst(worst, float(np.max(np.abs(lhs - rhs))))
     results.append(CheckResult("mlp-operational", worst <= 1e-10, worst, 1e-10))
 
@@ -576,21 +576,15 @@ def run_suites(names, n_max=10, seed=42):
     return out
 
 
-def format_report(suite_results, n_max=None, seed=None):
-    """One line per check, then a summary; deterministic for fixed inputs."""
-    lines = []
-    if n_max is not None or seed is not None:
-        lines.append(f"# suites={','.join(s for s, _ in suite_results)} n_max={n_max} seed={seed}")
-    passed = failed = 0
-    for suite, checks in suite_results:
-        for check in checks:
-            status = "PASS" if check.passed else "FAIL"
-            if check.passed:
-                passed += 1
-            else:
-                failed += 1
-            lines.append(
-                f"{status} {suite}/{check.name} max_err={check.max_err:.15g} tol={check.tol:.15g}"
-            )
-    lines.append(f"passed {passed}/{passed + failed}")
-    return "\n".join(lines) + "\n", failed == 0
+def format_report(suite_results, n_max, seed):
+    """A header, one line per check, then a summary; deterministic for fixed inputs."""
+    lines = [f"# suites={','.join(s for s, _ in suite_results)} n_max={n_max} seed={seed}"]
+    checks = [(suite, check) for suite, suite_checks in suite_results for check in suite_checks]
+    for suite, check in checks:
+        status = "PASS" if check.passed else "FAIL"
+        lines.append(
+            f"{status} {suite}/{check.name} max_err={check.max_err:.15g} tol={check.tol:.15g}"
+        )
+    passed = sum(check.passed for _, check in checks)
+    lines.append(f"passed {passed}/{len(checks)}")
+    return "\n".join(lines) + "\n", passed == len(checks)

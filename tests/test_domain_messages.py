@@ -71,7 +71,6 @@ from mlpoly import (
     solve_laguerre_wright,
     solve_tf_diffusion,
     stieltjes_moment,
-    tf_diffusion_plan,
     umbral_hermite_shift,
     wright,
 )
@@ -79,7 +78,6 @@ from mlpoly import (
 NAN = math.nan
 INF = math.inf
 MONOMIAL = DiffusionProblem(0.5, 1.0, MonomialInitial(2))
-SERIES = DiffusionProblem(0.5, 1.0, SeriesInitial((1.0, 0.5, 0.25)))
 SAMPLES = [0.0, 1.0, 2.0, 3.0]
 
 
@@ -150,8 +148,7 @@ UNCHANGED = [
     (mlp_ogf_closed, (0.1, NAN, 1.0, 1.0, 1.0), "alpha must be positive, got nan"),
     (mlp_egf_closed, (0.1, 0.5, 0.0, 1.0, 1.0), "beta must be positive, got 0.0"),
     (frac_laguerre_apply, (FracPoly.one(), 1.0), "alpha must lie in (0, 1), got 1.0"),
-    (mlp_operational_check, (2, 0.0, 1.0, 3), "alpha must lie in (0, 1), got 0.0"),
-    (mlp_operational_check, (2, 0.5, 1.0, 1), "n_terms must be >= n, got 1 < 2"),
+    (mlp_operational_check, (2, 0.0, 1.0), "alpha must lie in (0, 1), got 0.0"),
     # Appell/Sheffer machinery
     (appell_A_fhp, (0.0, 1.0, 4), "alpha must be positive, got 0.0"),
     (appell_A_fhp, (0.5, 1.0, 1), "order must be >= 2, got 1"),
@@ -167,8 +164,6 @@ UNCHANGED = [
     (LaguerreProblem, (0.5, 0.5, 0.0, LaguerreMonomialInitial(2)), "b must be positive, got 0.0"),
     (solve_tf_diffusion, (MONOMIAL, 1.0, 0.0), "t must be positive, got 0.0"),
     (solve_tf_diffusion, (MONOMIAL, 1.0, NAN), "t must be positive, got nan"),
-    (tf_diffusion_plan, (SERIES, 5), "truncation 5 outside the stored coefficients (0..2)"),
-    (tf_diffusion_plan, (SERIES, -1), "truncation -1 outside the stored coefficients (0..2)"),
     (solve_case_i, (2, 0.3, 0.5, 1.0, 1.0, -1.0), "t must be nonnegative, got -1.0"),
     (solve_case_ii, (2, 0.3, 0.0, 1.0, 1.0, 1.0), "alpha must lie in (0, 1], got 0.0"),
     (_along_x, (-1.0,), "t must be nonnegative, got -1.0"),
@@ -204,8 +199,6 @@ MENDED = [
     (appell_A_fhp, (0.5, 1.0, NAN), "order must be a nonnegative integer, got nan"),
     (oplus_power, (1.0, 1.0, NAN, 0.5), "n must be a nonnegative integer, got nan"),
     (caputo_l1, (SAMPLES, 0.1, 0.5, NAN), "t_index must be a nonnegative integer, got nan"),
-    (tf_diffusion_plan, (SERIES, NAN), "n_terms must be a nonnegative integer, got nan"),
-    (mlp_operational_check, (2, 0.5, 1.0, NAN), "n_terms must be a nonnegative integer, got nan"),
     # frac_binom checks n and r one at a time, naming the one it refuses
     (frac_binom, (-1, 0, 0.5), "n must be a nonnegative integer, got -1"),
     (frac_binom, (3, 1.5, 0.5), "r must be a nonnegative integer, got 1.5"),
@@ -254,6 +247,14 @@ MENDED = [
     (fhp_at_zero, (4, 0.5, NAN), "y must be finite, got nan"),
     (fhp_at_zero, (4, 0.5, INF), "y must be finite, got inf"),
     (levy_subordination_moment, (0.5, 2, INF), "t must be finite, got inf"),
+    # a NaN argument of the Sheffer layer, refused as a NaN coefficient or under
+    # the name of the series parameter it reached
+    (appell_A_fhp, (0.5, NAN, 6), "y must be finite, got nan"),
+    (appell_A_mlp, (0.5, 1.0, NAN, 4), "x must be finite, got nan"),
+    (aux_v_h_fhp, (NAN, 2.0, 0.5, 1.0), "lam must be finite, got nan"),
+    (aux_v_h_fhp, (0.1, 2.0, 0.5, NAN), "y must be finite, got nan"),
+    (aux_v_h_mlp, (0.1, INF, 0.5, 1.0, 2.0), "y must be finite, got inf"),
+    (aux_v_h_mlp, (0.1, 2.0, 0.5, 1.0, NAN), "x must be finite, got nan"),
 ]
 
 

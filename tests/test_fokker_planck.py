@@ -87,12 +87,14 @@ class TestTimeFractionalDiffusion:
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_series_truncation_control(self):
-        prob = DiffusionProblem(0.5, 1.0, SeriesInitial((1.0, 0.0, 2.0)))
-        got = solve_tf_diffusion(prob, 0.7, 0.9, n_terms=2)
+        # a caller truncates by passing the leading coefficients only
+        coeffs = (1.0, 0.0, 2.0, -3.0, 0.5)
+        prob = DiffusionProblem(0.5, 1.0, SeriesInitial(coeffs[:3]))
+        got = solve_tf_diffusion(prob, 0.7, 0.9)
         want = fhp_eval(0, 0.5, 0.7, 0.9 ** 0.5) + 2.0 * fhp_eval(2, 0.5, 0.7, 0.9 ** 0.5)
         assert got == pytest.approx(want, rel=1e-13)
-        with pytest.raises(DomainError):
-            solve_tf_diffusion(prob, 0.7, 0.9, n_terms=5)
+        with pytest.raises(DomainError, match="at least one coefficient"):
+            SeriesInitial(())
 
     def test_dispatch_to_closed_cases(self):
         prob = DiffusionProblem(0.5, 1.0, HermiteInitial(3, 0.4))

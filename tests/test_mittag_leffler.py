@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mlpoly import config
 from mlpoly.caputo import caputo_poly
 from mlpoly.errors import ConvergenceError, DomainError
 from mlpoly.fracpoly import FracPoly
@@ -331,8 +332,8 @@ class TestHonestDomain:
         assert excinfo.value.error_estimate > 1.0
 
     def test_budget_exhaustion_reports_partial(self):
-        with pytest.raises(ConvergenceError) as excinfo:
-            ml_one(0.3, 5.0, budget=50)
+        with config.override(term_budget=50), pytest.raises(ConvergenceError) as excinfo:
+            ml_one(0.3, 5.0)
         assert excinfo.value.terms_used == 50
 
 
@@ -342,7 +343,8 @@ class TestHonestDomain:
 # error estimate as float.hex(), and terms used; a float for the relaxation
 # functions.  The rows cover z = 0, negative z, beta on a pole of Gamma, a
 # negative integer gamma (a truncated Prabhakar series) and a tolerance of
-# 1e-6.
+# 1e-6.  The third column holds the settings of the ``config.override``
+# block the call runs in.
 
 PINNED = [
     (ml_one, (0.5, 0.0), {}, ("0x1.0000000000000p+0", "0x1.4000000000000p-47", 3)),
@@ -352,7 +354,7 @@ PINNED = [
     (ml_one, (2.0, 4.0), {}, ("0x1.e18fa0df2d9bep+1", "0x1.2ddb48b6e8d00p-39", 12)),
     (ml_one, (0.45, 5.0), {}, ("0x1.a7ccabd8504fap+52", "0x1.35d32df3b346cp+15", 192)),
     (ml_one, (0.6, -3.0), {}, ("0x1.47129e465f9a4p-3", "0x1.0886d54904d60p-39", 62)),
-    (ml_one, (0.7, 2.0), {"tol": 1e-6}, ("0x1.4f7681085d7cdp+4", "0x1.2154fa534f01ap-16", 22)),
+    (ml_one, (0.7, 2.0), {"series_tol": 1e-6}, ("0x1.4f7681085d7cdp+4", "0x1.2154fa534f01ap-16", 22)),
     (ml_two, (0.7, 0.0, 1.2), {}, ("0x1.b66c95771a24fp+2", "0x1.582d6feb97490p-37", 26)),
     (ml_two, (0.6, -1.0, 0.9), {}, ("0x1.4e4f95d56be3ep+1", "0x1.bcd1f4c4d005ap-39", 28)),
     (ml_two, (0.4, 0.0, 0.0), {}, ("0x0.0p+0", "0x0.0p+0", 2)),
@@ -402,9 +404,9 @@ PINNED_GRID = {
     ],
 }
 
-# (function, args, kwargs, error type, ConvergenceError.reason, message)
+# (function, args, settings, error type, ConvergenceError.reason, message)
 PINNED_REFUSALS = [
-    (ml_one, (0.6, 2.0), {"budget": 3}, ConvergenceError, "budget",
+    (ml_one, (0.6, 2.0), {"term_budget": 3}, ConvergenceError, "budget",
      "E_(0.6,1.0)(2.0): no convergence within 3 terms (partial=6.868764645001367, "
      "estimate=7.260829473722331)"),
     (ml_one, (0.5, -30.0), {}, ConvergenceError, "budget",
@@ -440,21 +442,22 @@ def _fingerprint(out):
 
 
 class TestPinnedEngine:
-    @pytest.mark.parametrize("fn, args, kwargs, want", PINNED,
+    @pytest.mark.parametrize("fn, args, settings, want", PINNED,
                              ids=[f"{r[0].__name__}{r[1]}" for r in PINNED])
-    def test_value_estimate_and_terms(self, fn, args, kwargs, want):
-        assert _fingerprint(fn(*args, **kwargs)) == want
+    def test_value_estimate_and_terms(self, fn, args, settings, want):
+        with config.override(**settings):
+            assert _fingerprint(fn(*args)) == want
 
     @pytest.mark.parametrize("cls", [MLSeries, WrightSeries])
     def test_reused_row(self, cls):
         series = cls(0.6, 1.3)
         assert [_fingerprint(series(z)) for z in GRID_ZS] == PINNED_GRID[cls]
 
-    @pytest.mark.parametrize("fn, args, kwargs, error, reason, message", PINNED_REFUSALS,
+    @pytest.mark.parametrize("fn, args, settings, error, reason, message", PINNED_REFUSALS,
                              ids=[f"{r[0].__name__}{r[1]}" for r in PINNED_REFUSALS])
-    def test_refusal(self, fn, args, kwargs, error, reason, message):
-        with pytest.raises(error) as info:
-            fn(*args, **kwargs)
+    def test_refusal(self, fn, args, settings, error, reason, message):
+        with config.override(**settings), pytest.raises(error) as info:
+            fn(*args)
         assert type(info.value) is error
         assert str(info.value) == message
         assert getattr(info.value, "reason", None) == reason
@@ -469,7 +472,7 @@ class TestPinnedEngine:
 
         row = []
         with pytest.raises(ConvergenceError) as info:
-            _sum_series(row, grow, 0.5, None, None, lambda: "S", lambda r: 1.0)
+            _sum_series(row, grow, 0.5, lambda: "S", lambda r: 1.0)
         assert str(info.value) == "S: term 2 overflows the double-precision range (partial=1.5)"
         assert (info.value.reason, info.value.partial, info.value.terms_used) == ("overflow", 1.5, 2)
 
@@ -482,8 +485,8 @@ class TestPinnedEngine:
 
         row = []
         result = _sum_series(row, lambda r: row.append((1.0, 0.0, 0.0, 0.0)) or row[r],
-                             0.5, None, None, label, lambda r: 1.0)
+                             0.5, label, lambda r: 1.0)
         assert result.value == pytest.approx(2.0, rel=1e-12) and calls == []
-        with pytest.raises(ConvergenceError):
-            _sum_series(row, None, 0.5, None, 3, label, lambda r: 1.0)
+        with config.override(term_budget=3), pytest.raises(ConvergenceError):
+            _sum_series(row, None, 0.5, label, lambda r: 1.0)
         assert calls == [1]

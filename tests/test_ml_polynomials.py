@@ -106,6 +106,14 @@ class TestMlpEval:
             with pytest.raises(DomainError):
                 mlp_eval(2, 0.5, 1.0, 1.0, bad)
 
+    @pytest.mark.parametrize("x, y, name", [(10 ** 400, 1.0, "x"), (1.0, -(10 ** 400), "y")],
+                             ids=["x", "y"])
+    def test_integer_beyond_the_float_range_is_named(self, x, y, name):
+        # was a raw OverflowError: int too large to convert to float
+        with pytest.raises(FloatOverflowError) as info:
+            mlp_eval(2, 0.5, 1.0, x, y)
+        assert str(info.value) == f"{name} exceeds the double-precision range"
+
 
 class TestOneVarReduction:
     def test_y_one_is_identity(self):
@@ -255,12 +263,13 @@ class TestFracLaguerreGenerator:
 
 class TestOperationalConstruction:
     def test_degree_zero(self):
-        lhs, rhs = mlp_operational_check(0, 0.5, 1.0, 0)
+        lhs, rhs = mlp_operational_check(0, 0.5, 1.0)
         assert np.allclose(lhs, 1.0) and np.allclose(rhs, 1.0)
 
     def test_degree_one_closed_form(self):
-        grid = np.linspace(0.0, 2.0, 11)
-        lhs, rhs = mlp_operational_check(1, 0.5, 1.0, 1, x_grid=grid)
+        grid = np.linspace(0.0, 2.0, 41)
+        assert tuple(grid) == ml_polynomials._OPERATIONAL_GRID
+        lhs, rhs = mlp_operational_check(1, 0.5, 1.0)
         want = 1.0 - np.sqrt(grid) / gamma(1.5)
         assert np.max(np.abs(lhs - want)) <= 1e-12
         assert np.max(np.abs(rhs - want)) <= 1e-10
@@ -269,17 +278,13 @@ class TestOperationalConstruction:
         for n in range(9):
             for alpha in (0.3, 0.5, 0.9):
                 for y in (0.5, 1.0, 2.0):
-                    lhs, rhs = mlp_operational_check(n, alpha, y, n)
+                    lhs, rhs = mlp_operational_check(n, alpha, y)
                     assert np.max(np.abs(lhs - rhs)) <= 1e-10
-
-    def test_truncation_precondition(self):
-        with pytest.raises(DomainError):
-            mlp_operational_check(4, 0.5, 1.0, 3)
 
     def test_nan_gap_fails(self, monkeypatch):
         monkeypatch.setattr(ml_polynomials, "mlp_eval", lambda *args: math.nan)
         with pytest.raises(VerificationError):
-            mlp_operational_check(2, 0.5, 1.0, 2)
+            mlp_operational_check(2, 0.5, 1.0)
 
 
 class TestPrabhakarConsistency:

@@ -347,3 +347,22 @@ class TestExactRecurrences:
         with pytest.raises(FloatOverflowError) as info:
             raising_apply(FracPoly([(1e300, 3.0)]), PowerSeries((0.0, 1e300, 0.0, 0.0)))
         assert str(info.value) == "the coefficient of x**2.0 exceeds the double-precision range"
+
+
+_RANGE = "exceeds the double-precision range"
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (appell_A_fhp, (0.5, 1e200, 6), f"y**3 {_RANGE} at y = 1e+200"),
+    (appell_A_mlp, (0.5, 1.0, 1e200, 4), f"(-x)**4 {_RANGE} at (-x) = -1e+200"),
+    (aux_v_h_fhp, (0.1, 1e200, 0.5, 1.0), f"y*(x-1)**2 {_RANGE}"),
+    (aux_v_h_fhp, (1e200, 2.0, 0.5, 1.0), f"y*(lam+x-1)**2 {_RANGE}"),
+    (aux_v_h_mlp, (0.1, 1e308, 0.5, 1.0, 1e10), f"-x*(y-1) {_RANGE}"),
+    (aux_v_h_mlp, (1e308, 2.0, 0.5, 1.0, 10.0), f"-x*(lam+y-1) {_RANGE}"),
+], ids=["appell-fhp-y", "appell-mlp-x", "aux-fhp-den", "aux-fhp-h", "aux-mlp-den", "aux-mlp-h"])
+def test_overflow_names_the_power_or_series_argument(fn, args, message):
+    # was a raw OverflowError: (34, 'Numerical result out of range'), or a
+    # DomainError naming the series parameters beta, mu and z
+    with pytest.raises(FloatOverflowError) as info:
+        fn(*args)
+    assert str(info.value) == message
