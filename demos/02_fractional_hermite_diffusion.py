@@ -6,8 +6,6 @@ derivative: the monomial datum x**n evolves into H[alpha]_n(x, k t**alpha).
 Run:  python demos/02_fractional_hermite_diffusion.py
 """
 
-import numpy as np
-
 from mlpoly import (
     DiffusionProblem,
     MonomialInitial,
@@ -30,12 +28,12 @@ for n in range(5):
 print()
 print("=== evolution of the monomial datum x**4 ===")
 prob = DiffusionProblem(alpha, k, MonomialInitial(4))
-xs = np.linspace(-2.0, 2.0, 9)
+xs = [-2.0 + 0.5 * i for i in range(9)]
 print(" x      t=0 (x**4)    t=0.5          t=1.0")
 for x in xs:
     v0 = x ** 4
-    v1 = solve_tf_diffusion(prob, float(x), 0.5)
-    v2 = solve_tf_diffusion(prob, float(x), 1.0)
+    v1 = solve_tf_diffusion(prob, x, 0.5)
+    v2 = solve_tf_diffusion(prob, x, 1.0)
     print(f"{x:+.2f}   {v0:12.6f}  {v1:12.6f}  {v2:12.6f}")
 
 print()

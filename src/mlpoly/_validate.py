@@ -2,13 +2,18 @@
 
 Each function takes a value and the name it goes by in the message, and
 raises :class:`DomainError` when the value lies outside the domain.  Every
-comparison is written so that NaN fails it.  The module imports nothing
-but the error classes, so importing it costs every caller nothing.
+comparison is written so that NaN fails it.  A Python int beyond the
+double range is finite but has no float value: the checks for finiteness
+name it with a :class:`FloatOverflowError`.  The module imports nothing but
+the error classes and ``sys``, so importing it costs every caller nothing.
 """
+
+import sys
 
 from .errors import DomainError, FloatOverflowError
 
 _INF = float("inf")
+FLOAT_MAX = sys.float_info.max
 
 
 def open_unit(v, name):
@@ -33,14 +38,14 @@ def nonnegative(v, name):
 
 def positive_finite(v, name):
     """A positive finite value; NaN and -inf get the "positive" message."""
-    if not 0.0 < v < _INF:
+    if not 0.0 < v <= FLOAT_MAX:
         positive(v, name)
         finite(v, name)
 
 
 def nonnegative_finite(v, name):
     """A nonnegative finite value; NaN and -inf get the "nonnegative" message."""
-    if not 0.0 <= v < _INF:
+    if not 0.0 <= v <= FLOAT_MAX:
         nonnegative(v, name)
         finite(v, name)
 
@@ -52,16 +57,16 @@ def degree(n, name):
     return int(n)
 
 
-def finite(v, name):
-    if not -_INF < v < _INF:
-        raise DomainError(f"{name} must be finite, got {v!r}")
+def finite(v, name, message=None):
+    """A value in the double range; ``message`` replaces the default refusal
+    of NaN and of the infinities."""
+    if not -FLOAT_MAX <= v <= FLOAT_MAX:
+        if -_INF < v < _INF:  # an integer beyond the double range
+            raise FloatOverflowError(f"{name} exceeds the double-precision range")
+        raise DomainError(message or f"{name} must be finite, got {v!r}")
 
 
 def finite_float(v, name):
-    """v as a finite float; an integer beyond the float range is a :class:`FloatOverflowError`."""
-    try:
-        v = float(v)
-    except OverflowError:
-        raise FloatOverflowError(f"{name} exceeds the double-precision range") from None
+    """v as a finite float."""
     finite(v, name)
-    return v
+    return float(v)

@@ -55,27 +55,27 @@ def caputo_poly(p, alpha):
 def caputo_l1(samples, h, alpha, t_index):
     """L1 quadrature for the Caputo derivative at grid node ``t_index``.
 
-    ``samples`` holds function values on the uniform grid 0, h, 2h, ...;
-    the error is O(h**(2-alpha)) for twice-differentiable integrands.  This
-    is the validation oracle for :func:`caputo_monomial`, not a production
-    path.
+    ``samples`` is a sequence of numbers (a list, a tuple or a 1-D array)
+    holding function values on the uniform grid 0, h, 2h, ...; the result is
+    a float whose error is O(h**(2-alpha)) for twice-differentiable
+    integrands.  The weighted increments are summed exactly and rounded once
+    (``math.fsum``).  This is the validation oracle for
+    :func:`caputo_monomial`, not a production path.
     """
-    import numpy as np
-
     open_unit(alpha, "Caputo order")
     positive(h, "grid spacing")
-    g = np.asarray(samples, dtype=float)
     if t_index < 2:
         raise DomainError(f"need at least 2 grid points before t_index, got {t_index}")
     n = degree(t_index, "t_index")
-    if g.ndim != 1 or g.size <= n:
+    if len(samples) <= n:
         raise DomainError(
-            f"samples must cover indices 0..{n}, got {g.size} values"
+            f"samples must cover indices 0..{n}, got {len(samples)} values"
         )
-    k = np.arange(n, dtype=float)
-    weights = (k + 1.0) ** (1.0 - alpha) - k ** (1.0 - alpha)
-    increments = g[n - np.arange(n)] - g[n - 1 - np.arange(n)]
-    return float(np.dot(weights, increments)) * h ** (-alpha) * rgamma(2.0 - alpha)
+    e = 1.0 - alpha
+    total = math.fsum(
+        ((k + 1.0) ** e - k ** e) * (samples[n - k] - samples[n - 1 - k]) for k in range(n)
+    )
+    return total * h ** (-alpha) * rgamma(2.0 - alpha)
 
 
 def rl_from_caputo(caputo_value, g0, t, alpha):

@@ -42,7 +42,7 @@ import math
 from collections import namedtuple
 
 from . import config
-from ._validate import half_open_unit, nonnegative, positive, positive_finite
+from ._validate import FLOAT_MAX, finite, half_open_unit, nonnegative, positive, positive_finite
 from .errors import ConvergenceError, DomainError
 from .gamma_core import log_abs_rgamma
 
@@ -61,8 +61,8 @@ class MLParams(namedtuple("MLParams", "alpha beta gamma")):
     __slots__ = ()
 
     def __new__(cls, alpha, beta, gamma=1.0):
-        if not (math.isfinite(alpha) and math.isfinite(beta) and math.isfinite(gamma)):
-            raise DomainError("MLParams fields must be finite")
+        for v, name in ((alpha, "alpha"), (beta, "beta"), (gamma, "gamma")):
+            finite(v, name, "MLParams fields must be finite")
         positive(alpha, "alpha")
         return tuple.__new__(cls, (alpha, beta, gamma))
 
@@ -215,8 +215,8 @@ class MLSeries:
 
     def __init__(self, alpha, beta):
         positive_finite(alpha, "alpha")
-        if not math.isfinite(beta):
-            raise DomainError(f"{self._param} and z must be finite")
+        if not -FLOAT_MAX <= beta <= FLOAT_MAX:
+            finite(beta, self._param, f"{self._param} and z must be finite")
         self.alpha = alpha
         self.beta = beta
         # entry r (see _sum_series): 1/Gamma(beta + alpha*r) as sign and log,
@@ -230,8 +230,8 @@ class MLSeries:
         return entry
 
     def __call__(self, z):
-        if not math.isfinite(z):
-            raise DomainError(f"{self._param} and z must be finite")
+        if not -FLOAT_MAX <= z <= FLOAT_MAX:
+            finite(z, "z", f"{self._param} and z must be finite")
         alpha, beta = self.alpha, self.beta
         # the term ratio is |z| Gamma(beta+alpha(r-1)) / Gamma(beta+alpha r) times
         # a nonincreasing factor (1, or 1/r in W): the gamma quotient stops
@@ -252,8 +252,7 @@ def ml_three(alpha, beta, gamma, z):
     MLParams(alpha, beta, gamma)  # validates alpha and finiteness
     if not beta > 0.0:
         raise DomainError(f"beta must be positive here, got {beta}")
-    if not math.isfinite(z):
-        raise DomainError("z must be finite")
+    finite(z, "z", "z must be finite")
 
     row = []
     psign, plog = 1.0, 0.0  # (gamma)_r as sign and log, r the last index grown

@@ -23,7 +23,7 @@ from ._validate import degree, finite_float, open_unit, positive, positive_finit
 from .caputo import caputo_monomial
 from .errors import DomainError, FloatOverflowError, VerificationError
 from .fracpoly import FracPoly
-from .gamma_core import _check_power, _dyadic, _powers, _round_dyadic, ln_gamma, rgamma
+from .gamma_core import _check_power, _dyadic, _powers, _round_dyadic, _worst, ln_gamma, rgamma
 from .mittag_leffler import ml_two, wright
 
 
@@ -73,6 +73,7 @@ def mlp_coeffs(n, alpha, beta, x):
     n = degree(n, "n")
     positive(alpha, "alpha")
     positive(beta, "beta")
+    x = finite_float(x, "x")
     xp = _powers(-x, n, "(-x)")
     return FracPoly(
         [(math.comb(n, r) * xp[r] * rgamma(beta + alpha * r), float(n - r)) for r in range(n + 1)]
@@ -154,18 +155,8 @@ def frac_laguerre_apply(p, alpha):
 _OPERATIONAL_GRID = tuple(i * (2.0 / 40) for i in range(41))
 
 
-def mlp_operational_check(n, alpha, y):
-    """Compare the polynomial against its operator-exponential construction.
-
-    Returns ``(lhs, rhs)`` sampled on the 41 points ``_OPERATIONAL_GRID`` of
-    [0, 2], where lhs = E^{-n}_{alpha,1}(x**alpha, y) and rhs applies the
-    exponential of -(y/alpha) K to (-1)**n x**(alpha n)/Gamma(1+alpha n); the
-    exponential series ends exactly after n applications of K.  The two grids
-    must agree to ``config.RESIDUAL_TOL`` or a :class:`VerificationError` is
-    raised.
-    """
-    import numpy as np
-
+def _operational_sides(n, alpha, y):
+    """The ``(lhs, rhs)`` of :func:`mlp_operational_check`, however far apart."""
     n = degree(n, "n")
     open_unit(alpha, "alpha")
 
@@ -178,9 +169,23 @@ def mlp_operational_check(n, alpha, y):
         weight *= (-y / alpha) / r
         acc = acc + power.scale(weight)
 
-    lhs = np.array([mlp_eval(n, alpha, 1.0, xi ** alpha, y) for xi in _OPERATIONAL_GRID])
-    rhs = np.array([acc(xi) for xi in _OPERATIONAL_GRID])
-    worst = float(np.max(np.abs(lhs - rhs)))
+    lhs = tuple(mlp_eval(n, alpha, 1.0, xi ** alpha, y) for xi in _OPERATIONAL_GRID)
+    rhs = tuple(acc(xi) for xi in _OPERATIONAL_GRID)
+    return lhs, rhs
+
+
+def mlp_operational_check(n, alpha, y):
+    """Compare the polynomial against its operator-exponential construction.
+
+    Returns ``(lhs, rhs)``, two tuples of 41 floats sampled on the points
+    ``_OPERATIONAL_GRID`` of [0, 2], where lhs = E^{-n}_{alpha,1}(x**alpha, y)
+    and rhs applies the exponential of -(y/alpha) K to
+    (-1)**n x**(alpha n)/Gamma(1+alpha n); the exponential series ends
+    exactly after n applications of K.  The two tuples must agree pointwise
+    to ``config.RESIDUAL_TOL`` or a :class:`VerificationError` is raised.
+    """
+    lhs, rhs = _operational_sides(n, alpha, y)
+    worst = _worst(*(abs(a - b) for a, b in zip(lhs, rhs)))
     if not worst <= config.RESIDUAL_TOL:  # a NaN gap fails too
         raise VerificationError(
             f"operational construction disagrees with the polynomial: "

@@ -25,7 +25,7 @@ import json
 import math
 from collections import namedtuple
 
-from ._validate import degree, finite, positive
+from ._validate import degree, finite, finite_float, positive
 from .errors import DomainError, FloatOverflowError, SingularityError
 from .fracpoly import FracPoly
 from .gamma_core import _dyadic, _powers, _round_dyadic, rgamma
@@ -147,15 +147,21 @@ def appell_A_mlp(alpha, beta, x, n_order):
     """EGF prefactor of the Mittag-Leffler family: A(lam) = W_{alpha,beta}(-lam x)."""
     positive(alpha, "alpha")
     positive(beta, "beta")
-    finite(x, "x")
+    x = finite_float(x, "x")
     if n_order < 1:
         raise DomainError(f"order must be >= 1, got {n_order}")
     n_order = max(degree(n_order, "order"), 2)
     coeffs = tuple(
-        xr * rgamma(beta + alpha * r) / math.factorial(r)
+        _over_factorial(xr * rgamma(beta + alpha * r), r)
         for r, xr in enumerate(_powers(-x, n_order, "(-x)"))
     )
     return PowerSeries(coeffs)
+
+
+def _over_factorial(v, r):
+    """v / r! rounded once, also for r > 170, where r! has no float value."""
+    num, den = v.as_integer_ratio()
+    return math.copysign(abs(num) / (den * math.factorial(r)), v)
 
 
 def appell_auxiliary(a_fn, a_prime_fn, lam, x):

@@ -157,6 +157,14 @@ class TestL1Quadrature:
                     order = math.log2(errs[i] / errs[i + 1])
                     assert abs(order - (2.0 - alpha)) <= 0.3
 
+    def test_any_sequence_of_numbers_gives_one_float(self):
+        m = 64
+        samples = [(j / m) ** 1.5 for j in range(m + 1)]
+        values = {caputo_l1(seq, 1.0 / m, 0.5, m)
+                  for seq in (samples, tuple(samples), np.array(samples))}
+        assert len(values) == 1 and type(values.pop()) is float
+        assert type(caputo_l1(list(range(m + 1)), 1.0 / m, 0.5, m)) is float
+
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             caputo_l1(np.ones(3), 0.1, 0.5, 1)

@@ -15,6 +15,7 @@ integer check of ``frac_binom``, which names the one argument it refuses.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,7 @@ from mlpoly import (
     CaseIIPlan,
     DiffusionProblem,
     DomainError,
+    FloatOverflowError,
     FracPoly,
     LaguerreMonomialInitial,
     LaguerreProblem,
@@ -255,6 +257,26 @@ MENDED = [
     (aux_v_h_fhp, (0.1, 2.0, 0.5, NAN), "y must be finite, got nan"),
     (aux_v_h_mlp, (0.1, INF, 0.5, 1.0, 2.0), "y must be finite, got inf"),
     (aux_v_h_mlp, (0.1, 2.0, 0.5, 1.0, NAN), "x must be finite, got nan"),
+    # x reached the coefficients unchecked (then "non-finite term (nan, 0.0)")
+    (mlp_coeffs, (2, 0.5, 1.0, NAN), "x must be finite, got nan"),
+]
+
+HUGE = 10 ** 400  # a Python int with no float value
+
+# An integer beyond the double range passed every finiteness check and failed
+# later with a raw "OverflowError: int too large to convert to float"; it is
+# now refused where it enters, by name.
+BEYOND_FLOAT = [
+    (fhp_eval, (2, 0.5, HUGE, 1.0), "x"),
+    (mlp_coeffs, (2, 0.5, 1.0, HUGE), "x"),
+    (oplus_power, (HUGE, 1.0, 3, 0.5), "x"),
+    (solve_case_i, (2, 0.3, 0.5, 1.0, HUGE, 1.0), "x"),
+    (solve_case_i, (2, 0.3, 0.5, -HUGE, 1.0, 1.0), "k"),
+    (ml_one, (0.5, HUGE), "z"),
+    (ml_two, (0.5, -HUGE, 1.0), "beta"),
+    (ml_three, (0.5, 1.0, HUGE, 1.0), "gamma"),
+    (wright, (0.5, 1.0, -HUGE), "z"),
+    (appell_A_mlp, (0.5, 1.0, HUGE, 4), "x"),
 ]
 
 
@@ -276,3 +298,20 @@ def test_escaped_input_is_refused_by_name(fn, args, message):
     with pytest.raises(DomainError) as info:
         fn(*args)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("fn, args, name", BEYOND_FLOAT,
+                         ids=[f"{fn.__name__}-{name}" for fn, _, name in BEYOND_FLOAT])
+def test_an_integer_beyond_the_float_range_is_named(fn, args, name):
+    with pytest.raises(FloatOverflowError) as info:
+        fn(*args)
+    assert str(info.value) == f"{name} exceeds the double-precision range"
+
+
+def test_a_factorial_beyond_the_float_range_divides_exactly():
+    # was a raw OverflowError from dividing a float by 171!; beta = 1e308
+    # makes every coefficient but the first underflow to zero
+    coeffs = appell_A_mlp(0.3, 1e308, 1.5, 400).coeffs
+    assert len(coeffs) == 401 and not any(coeffs)
+    term = (-20.0) ** 171 * rgamma(1.5 + 0.3 * 171)
+    assert appell_A_mlp(0.3, 1.5, 20.0, 200).coeffs[171] == float(Fraction(term) / math.factorial(171))

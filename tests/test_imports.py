@@ -2,10 +2,11 @@
 
 Every name a module imports is used in that module: an unused import loads a
 module for nothing and hides what a file really depends on.  ``__init__.py``
-files are exempt.  scipy is not a dependency, and numpy is imported only
-inside the functions that use it, so the computing commands never load
-either.  ``import mlpoly`` loads no submodule: each public name is loaded on
-first use, and each CLI command imports only the modules it runs.
+files are exempt.  Neither scipy nor numpy is a dependency: no module of the
+package imports either, so no command loads them (``verify`` draws its seeds
+from a standard-library port of numpy's stream).  ``import mlpoly`` loads no
+submodule: each public name is loaded on first use, and each CLI command
+imports only the modules it runs.
 """
 
 import ast
@@ -124,6 +125,7 @@ _ML = ["errors", "config", "_validate", "gamma_core", "mittag_leffler", "cli"]
 _FHP = ["errors", "config", "_validate", "gamma_core", "fracpoly", "fractional_hermite", "cli"]
 _MLP = _ML + ["fracpoly", "caputo", "ml_polynomials"]
 _SOLVE = _ML + ["fracpoly", "caputo", "fractional_hermite", "fokker_planck"]
+_VERIFY = _SOLVE + ["ml_polynomials", "sheffer", "_pcg", "verify"]
 
 
 @pytest.mark.parametrize("argv, modules", [
@@ -135,7 +137,9 @@ _SOLVE = _ML + ["fracpoly", "caputo", "fractional_hermite", "fokker_planck"]
     (["table", "--family", "mlp", "--alpha", "0.5", "--n-max", "4"], _MLP),
     (["solve", "--problem", "case-i", "--n", "4", "--a", "0.5", "--alpha", "0.5", "--t", "0.5",
       "--grid-min", "0", "--grid-max", "1", "--grid-points", "3"], _SOLVE),
-], ids=["import", "eval-ml", "eval-fhp", "table-fhp", "eval-mlp", "table-mlp", "solve"])
+    # every module, and still not numpy
+    (["verify", "--suite", "all"], _VERIFY),
+], ids=["import", "eval-ml", "eval-fhp", "table-fhp", "eval-mlp", "table-mlp", "solve", "verify"])
 def test_a_command_loads_only_what_it_runs(argv, modules):
     path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
@@ -144,15 +148,32 @@ def test_a_command_loads_only_what_it_runs(argv, modules):
     assert json.loads(proc.stdout) == sorted(f"mlpoly.{name}" for name in modules)
 
 
+def _imported_modules(source):
+    """The top-level names of the modules a source imports, at any depth of its code."""
+    tree = ast.parse(source)
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    return {name.partition(".")[0] for name in imported}
+
+
+def test_the_scan_sees_a_nested_import():
+    source = "import os.path\ndef f():\n    from numpy.random import default_rng\nfrom . import x\n"
+    assert _imported_modules(source) == {"os", "numpy"}
+
+
 def test_no_module_imports_dataclasses():
     # a dataclass costs its module the import of dataclasses (and inspect)
     # and a generated class at import time; the records are named tuples
     for path in (ROOT / "src" / "mlpoly").glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                    for alias in node.names}
-        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-        assert "dataclasses" not in imported, path.name
+        assert "dataclasses" not in _imported_modules(path.read_text(encoding="utf-8")), path.name
+
+
+def test_no_module_imports_numpy():
+    # numpy is a test dependency only: verify's draws come from mlpoly._pcg
+    for path in (ROOT / "src" / "mlpoly").glob("*.py"):
+        assert "numpy" not in _imported_modules(path.read_text(encoding="utf-8")), path.name
 
 
 # -- the public surface ----------------------------------------------------------

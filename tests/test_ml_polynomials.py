@@ -279,7 +279,23 @@ class TestOperationalConstruction:
             for alpha in (0.3, 0.5, 0.9):
                 for y in (0.5, 1.0, 2.0):
                     lhs, rhs = mlp_operational_check(n, alpha, y)
-                    assert np.max(np.abs(lhs - rhs)) <= 1e-10
+                    assert max(abs(a - b) for a, b in zip(lhs, rhs)) <= 1e-10
+
+    def test_returns_two_tuples_of_41_floats(self):
+        for sides in (mlp_operational_check(3, 0.5, 1.0), ml_polynomials._operational_sides(3, 0.5, 1.0)):
+            assert len(sides) == 2
+            for side in sides:
+                assert type(side) is tuple and len(side) == 41
+                assert all(type(v) is float for v in side)
+        assert mlp_operational_check(3, 0.5, 1.0) == ml_polynomials._operational_sides(3, 0.5, 1.0)
+
+    def test_the_private_sides_report_a_gap_without_raising(self, monkeypatch):
+        mlp_eval = ml_polynomials.mlp_eval
+        monkeypatch.setattr(ml_polynomials, "mlp_eval", lambda *args: mlp_eval(*args) + 1e-9)
+        lhs, rhs = ml_polynomials._operational_sides(2, 0.5, 1.0)
+        assert max(abs(a - b) for a, b in zip(lhs, rhs)) == pytest.approx(1e-9, rel=1e-3)
+        with pytest.raises(VerificationError, match="max [|]lhs-rhs[|] = 1.000e-09"):
+            mlp_operational_check(2, 0.5, 1.0)
 
     def test_nan_gap_fails(self, monkeypatch):
         monkeypatch.setattr(ml_polynomials, "mlp_eval", lambda *args: math.nan)

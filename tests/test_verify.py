@@ -28,3 +28,19 @@ def test_nan_gap_fails_its_check(monkeypatch):
 
 def test_nan_coefficient_gap_in_a_residual_table():
     assert math.isnan(_table_residual([(1.0, 0.0, 0.0), (math.nan, 1.0, 0.0)], [(1.0, 0.0, 0.0)]))
+
+
+def test_an_operational_gap_is_a_failed_check_not_an_abort(monkeypatch, capsys):
+    # the check's bound is the public mlp_operational_check's own raise
+    # threshold, so verify reads the two sides from the non-raising route
+    from mlpoly import cli, ml_polynomials
+
+    mlp_eval = ml_polynomials.mlp_eval
+    monkeypatch.setattr(ml_polynomials, "mlp_eval", lambda *args: mlp_eval(*args) + 1e-9)
+    code = cli.run(["verify", "--suite", "mlp-gf", "--seed", "0", "--n-max", "4"])
+    out = capsys.readouterr().out
+    assert code == 2
+    # the routes through ml_polynomials.mlp_eval fail too; the report is whole
+    failed = {line.split()[1]: line for line in out.splitlines() if line.startswith("FAIL")}
+    assert failed["mlp-gf/mlp-operational"].startswith("FAIL mlp-gf/mlp-operational max_err=1.0000")
+    assert out.splitlines()[-1] == f"passed {6 - len(failed)}/6"

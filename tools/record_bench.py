@@ -144,7 +144,8 @@ def cli_wall_times(trees, repeats):
 
 
 def accuracy(trees):
-    sys.path.insert(0, str(ROOT / "tests"))
+    # the oracles module takes its two float oracles from this tree's mlpoly.verify
+    sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "src")]
     import oracles
 
     points = list(itertools.product(*ACCURACY_GRID.values()))
