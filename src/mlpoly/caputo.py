@@ -10,7 +10,7 @@ import math
 
 from . import config
 from ._validate import degree, open_unit, positive
-from .errors import DomainError
+from .errors import DomainError, FloatOverflowError
 from .gamma_core import _lgamma, rgamma
 
 
@@ -24,7 +24,11 @@ def caputo_monomial(gamma_exp, alpha):
     """
     open_unit(alpha, "Caputo order")
     snap = config.EXP_SNAP
-    if not math.isfinite(gamma_exp) or gamma_exp < -snap:
+    try:
+        finite = math.isfinite(gamma_exp)
+    except OverflowError:  # an int beyond the double range
+        raise FloatOverflowError("exponent exceeds the double-precision range") from None
+    if not finite or gamma_exp < -snap:
         raise DomainError(f"exponent must be finite and >= 0, got {gamma_exp}")
     if abs(gamma_exp) <= snap:
         return 0.0, 0.0

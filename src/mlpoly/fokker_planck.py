@@ -44,7 +44,7 @@ from ._validate import (
     positive_finite,
 )
 from .caputo import caputo_monomial
-from .errors import DomainError, VerificationError
+from .errors import DomainError, FloatOverflowError, VerificationError
 from .fractional_hermite import (
     _convolution_degrees,
     _convolution_i_weights,
@@ -122,6 +122,13 @@ class LaguerreProblem(namedtuple("LaguerreProblem", "alpha beta b initial")):
         return tuple.__new__(cls, (alpha, beta, b, initial))
 
 
+def _floats(seq, name):
+    try:
+        return tuple(float(v) for v in seq)
+    except OverflowError:  # an int beyond the double range
+        raise FloatOverflowError(f"a {name} exceeds the double-precision range") from None
+
+
 class SolutionProfile(namedtuple("SolutionProfile", "grid values meta")):
     """A solution sampled on a strictly increasing grid, plus its provenance.
 
@@ -131,8 +138,8 @@ class SolutionProfile(namedtuple("SolutionProfile", "grid values meta")):
     __slots__ = ()
 
     def __new__(cls, grid, values, meta=None):
-        grid = tuple(float(g) for g in grid)
-        values = tuple(float(v) for v in values)
+        grid = _floats(grid, "grid point")
+        values = _floats(values, "value")
         if len(grid) != len(values):
             raise DomainError(
                 f"grid and values must have equal length, got {len(grid)} vs {len(values)}"
@@ -195,18 +202,16 @@ class GridPlan:
 
 
 class _FhpPlan(GridPlan):
-    """Sums of fractional Hermite polynomials H[alpha]_m(x, k t**alpha).
+    """Weighted sums sum_j weights[j] H[alpha]_{degrees[j]}(x, k t**alpha), t >= 0.
 
     The x side is the powers of x, the t side the coefficient rows at
-    w = k t**alpha; ``_combine`` turns the polynomial values into the solution.
+    w = k t**alpha.  At t = 0 the sum is the initial datum.
     """
 
-    #: the domain of t: t >= 0 here, t > 0 for every datum of tf_diffusion_plan
-    _t_domain = staticmethod(nonnegative_finite)
-
-    def __init__(self, degrees, alpha, k):
+    def __init__(self, degrees, weights, alpha, k):
         finite(k, "k")
         self._table = _fhp_table(degrees, alpha)
+        self._weights = weights
         self._alpha = alpha
         self._k = k
 
@@ -214,29 +219,12 @@ class _FhpPlan(GridPlan):
         return self._table.x_powers(x)
 
     def _t_side(self, t):
-        self._t_domain(t, "t")
+        nonnegative_finite(t, "t")
         table = self._table
         return table.coeffs(table.y_powers(self._k * t ** self._alpha))
 
     def _formula(self, xp, coeffs):
-        return self._combine(self._table.values(coeffs, xp))
-
-
-class _MonomialPlan(_FhpPlan):
-    def __init__(self, n, alpha, k):
-        super().__init__((degree(n, "n"),), alpha, k)
-
-    def _combine(self, values):
-        return values[0]
-
-
-class _SeriesPlan(_FhpPlan):
-    def __init__(self, coeffs, alpha, k):
-        super().__init__(range(len(coeffs)), alpha, k)
-        self._coeffs = coeffs
-
-    def _combine(self, values):
-        return sum(c * v for c, v in zip(self._coeffs, values))
+        return _weighted_sum(self._weights, self._table.values(coeffs, xp))
 
 
 class CaseIPlan(_FhpPlan):
@@ -244,11 +232,8 @@ class CaseIPlan(_FhpPlan):
 
     def __init__(self, n, a, alpha, k):
         finite(a, "a")
-        super().__init__(_convolution_degrees(n), alpha, k)
+        super().__init__(_convolution_degrees(n), None, alpha, k)
         self._weights = _convolution_i_weights(self._table.top, a)
-
-    def _combine(self, values):
-        return _weighted_sum(self._weights, values)
 
 
 class CaseIIPlan(_FhpPlan):
@@ -260,7 +245,7 @@ class CaseIIPlan(_FhpPlan):
 
     def __init__(self, n, a, alpha, k):
         finite(a, "a")
-        super().__init__(_convolution_degrees(n), alpha, k)
+        super().__init__(_convolution_degrees(n), None, alpha, k)
         table = self._table
         self._weights = _convolution_ii_weights(table, a)
         self._gammas = _gamma_weights(table)
@@ -268,7 +253,7 @@ class CaseIIPlan(_FhpPlan):
         self._a_powers = _powers(a, table.top // 2, "a")
 
     def _t_side(self, t):
-        self._t_domain(t, "t")
+        nonnegative_finite(t, "t")
         table = self._table
         wp = table.y_powers(self._k * t ** self._alpha)
         ap = self._a_powers
@@ -294,15 +279,12 @@ def tf_diffusion_plan(prob):
     """Grid plan of :func:`solve_tf_diffusion` for a :class:`DiffusionProblem`."""
     init = prob.initial
     if isinstance(init, MonomialInitial):
-        plan = _MonomialPlan(init.n, prob.alpha, prob.k)
-    elif isinstance(init, SeriesInitial):
-        plan = _SeriesPlan(init.coeffs, prob.alpha, prob.k)
-    elif isinstance(init, HermiteInitial):
-        plan = CaseIPlan(init.n, init.a, prob.alpha, prob.k)
-    else:
-        plan = CaseIIPlan(init.n, init.a, prob.alpha, prob.k)
-    plan._t_domain = positive_finite
-    return plan
+        return _FhpPlan((degree(init.n, "n"),), (1.0,), prob.alpha, prob.k)
+    if isinstance(init, SeriesInitial):
+        return _FhpPlan(range(len(init.coeffs)), init.coeffs, prob.alpha, prob.k)
+    if isinstance(init, HermiteInitial):
+        return CaseIPlan(init.n, init.a, prob.alpha, prob.k)
+    return CaseIIPlan(init.n, init.a, prob.alpha, prob.k)
 
 
 class LaguerreMonomialPlan(GridPlan):

@@ -25,8 +25,12 @@ class FracPoly:
         snap = config.EXP_SNAP
         merged = []  # sorted (exponent, coefficient) pairs
         for coeff, exponent in sorted(terms, key=lambda t: t[1]):
-            coeff = float(coeff)
-            exponent = float(exponent)
+            try:
+                coeff = float(coeff)
+                exponent = float(exponent)
+            except OverflowError:  # an int beyond the double range
+                name = "an exponent" if isinstance(coeff, float) else "a coefficient"
+                raise FloatOverflowError(f"{name} exceeds the double-precision range") from None
             if not (math.isfinite(coeff) and math.isfinite(exponent)):
                 if math.isinf(coeff) and math.isfinite(exponent):
                     raise FloatOverflowError(
@@ -104,7 +108,10 @@ class FracPoly:
         return FracPoly([(-c, mu) for c, mu in self._terms])
 
     def scale(self, factor):
-        factor = float(factor)
+        try:
+            factor = float(factor)
+        except OverflowError:  # an int beyond the double range
+            raise FloatOverflowError("factor exceeds the double-precision range") from None
         if factor == 0.0:
             return FracPoly()
         return FracPoly([(factor * c, mu) for c, mu in self._terms])
@@ -149,7 +156,10 @@ class FracPoly:
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, x):
-        x = float(x)
+        try:
+            x = float(x)
+        except OverflowError:  # an int beyond the double range
+            raise FloatOverflowError("x exceeds the double-precision range") from None
         total = 0.0
         for c, mu in self._terms:
             if x < 0.0 and abs(mu - round(mu)) > 1e-9:

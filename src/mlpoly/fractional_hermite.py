@@ -19,7 +19,17 @@ from operator import mul
 
 from ._validate import degree, finite, half_open_unit, open_unit
 from .fracpoly import FracPoly
-from .gamma_core import _check_power, _powers, factorial_ratios, frac_binom, rgamma
+from .gamma_core import (
+    _check_power,
+    _factor_overflow,
+    _powers,
+    factorial_ratios,
+    frac_binom,
+    rgamma,
+)
+
+#: the largest n with n! in the double range
+_MAX_DEGREE = 170
 
 
 class _FhpTable:
@@ -39,10 +49,16 @@ class _FhpTable:
     __slots__ = ("degrees", "top", "rgammas", "ratios")
 
     def __init__(self, degrees, alpha):
-        """``degrees``: checked nonnegative integers; ``alpha`` is checked here."""
+        """``degrees``: checked nonnegative integers; ``alpha`` is checked here.
+
+        The largest ratio of degree m is m!, which leaves the double range from
+        m = 171 on, so such a degree is refused before any row is built.
+        """
         half_open_unit(alpha, "alpha")
         self.degrees = degrees
         self.top = max(degrees)
+        if self.top > _MAX_DEGREE:
+            raise _factor_overflow(next(m for m in degrees if m > _MAX_DEGREE))
         self.rgammas = tuple(rgamma(1.0 + alpha * r) for r in range(self.top // 2 + 1))
         self.ratios = tuple(
             tuple(factorial_ratios(m, tuple(math.factorial(m - 2 * r) for r in range(m // 2 + 1))))

@@ -130,9 +130,13 @@ def factorial_ratios(n, denominators):
     try:
         return [float(nfact // d) for d in denominators]
     except OverflowError:
-        raise FloatOverflowError(
-            f"n = {n}: an integer factor n!/(...) exceeds the double-precision range"
-        ) from None
+        raise _factor_overflow(n) from None
+
+
+def _factor_overflow(n):
+    return FloatOverflowError(
+        f"n = {n}: an integer factor n!/(...) exceeds the double-precision range"
+    )
 
 
 def _dyadic(values, ratio=float.as_integer_ratio):

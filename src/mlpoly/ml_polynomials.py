@@ -19,11 +19,20 @@ import functools
 import math
 
 from . import config
-from ._validate import degree, finite_float, open_unit, positive, positive_finite
+from ._validate import FLOAT_MAX, degree, finite_float, open_unit, positive, positive_finite
 from .caputo import caputo_monomial
 from .errors import DomainError, FloatOverflowError, VerificationError
 from .fracpoly import FracPoly
-from .gamma_core import _check_power, _dyadic, _powers, _round_dyadic, _worst, ln_gamma, rgamma
+from .gamma_core import (
+    _check_power,
+    _dyadic,
+    _power_overflow,
+    _powers,
+    _round_dyadic,
+    _worst,
+    ln_gamma,
+    rgamma,
+)
 from .mittag_leffler import ml_two, wright
 
 
@@ -104,7 +113,12 @@ def konhauser(n, alpha, beta, x, y):
     integer_alpha = alpha == int(alpha)
     if x < 0.0 and not integer_alpha:
         raise DomainError(f"x**{alpha} is not real for x = {x} < 0")
-    xa = x ** int(alpha) if integer_alpha else math.pow(x, alpha)
+    try:
+        xa = x ** int(alpha) if integer_alpha else math.pow(x, alpha)
+    except OverflowError:
+        if abs(x) > FLOAT_MAX:  # an int beyond the double range
+            raise FloatOverflowError("x exceeds the double-precision range") from None
+        raise _power_overflow(x, alpha, "x") from None
     return (
         math.exp(ln_gamma(beta + alpha * n))
         * mlp_eval(n, alpha, beta, xa, y)

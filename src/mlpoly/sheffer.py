@@ -38,7 +38,10 @@ class PowerSeries(namedtuple("PowerSeries", "coeffs")):
     __slots__ = ()
 
     def __new__(cls, coeffs):
-        coeffs = tuple(float(c) for c in coeffs)
+        try:
+            coeffs = tuple(float(c) for c in coeffs)
+        except OverflowError:  # an int beyond the double range
+            raise FloatOverflowError("a coefficient exceeds the double-precision range") from None
         if len(coeffs) < 2:
             raise DomainError("a PowerSeries needs order >= 1 (at least 2 coefficients)")
         if not all(math.isfinite(c) for c in coeffs):

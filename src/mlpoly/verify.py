@@ -3,6 +3,9 @@
 Each suite re-checks one module's invariants at runtime with a seeded sweep,
 so the library's mathematical claims can be exercised from the command line
 (`mlpoly verify`).  Every check is deterministic in (n_max, seed).
+
+A suite's sweep yields ``(check, gap)`` pairs; ``_CHECKS`` states each check's
+tolerance once, and :func:`_fold` passes a check whose largest gap is within it.
 """
 
 import math
@@ -22,8 +25,6 @@ from .fokker_planck import (
 )
 from .fracpoly import FracPoly
 from .fractional_hermite import (
-    _fhp_table,
-    _gamma_weights,
     convolution_identity_i_rhs,
     convolution_identity_ii_rhs,
     fhp_at_zero,
@@ -96,12 +97,8 @@ def _laguerre_explicit(n, x):
 # -- fractional Hermite ------------------------------------------------------------
 
 
-def suite_fhp_identities(n_max=12, seed=42):
-    rng = Generator(seed)
-    results = []
-
+def _fhp_identities(rng, n_max):
     # first four closed forms, coefficient-wise
-    worst = 0.0
     for alpha in (0.25, 0.5, 0.75, 1.0):
         for y in (-1.0, 0.5, 2.0):
             g1 = rgamma(1.0 + alpha)
@@ -112,46 +109,39 @@ def suite_fhp_identities(n_max=12, seed=42):
                 FracPoly([(6.0 * y * g1, 1), (1.0, 3)]),
             ]
             for n, want in enumerate(expected):
-                worst = _worst(worst, fhp_coeffs(n, alpha, y).max_coeff_diff(want))
-    results.append(CheckResult("fhp-low-order-closed-forms", worst <= 1e-12, worst, 1e-12))
+                yield "fhp-low-order-closed-forms", fhp_coeffs(n, alpha, y).max_coeff_diff(want)
 
     # alpha = 1 is the classical family
-    worst = 0.0
     for n in range(min(n_max, 15) + 1):
         for _ in range(5):
             x, y = rng.uniform(-1.5, 1.5, size=2)
-            worst = _worst(worst, _rel_gap(fhp_eval(n, 1.0, x, y), _classical_hermite(n, x, y)))
-    results.append(CheckResult("fhp-classical-reduction", worst <= 1e-10, worst, 1e-10))
+            gap = _rel_gap(fhp_eval(n, 1.0, x, y), _classical_hermite(n, x, y))
+            yield "fhp-classical-reduction", gap
 
     # closed zero-argument values against the evaluator
-    worst = 0.0
     for n in range(n_max + 1):
         for alpha in (0.3, 0.5, 0.8, 1.0):
             for y in (-1.0, 0.5, 2.0):
-                worst = _worst(worst, abs(fhp_at_zero(n, alpha, y) - fhp_eval(n, alpha, 0.0, y)))
-    results.append(CheckResult("fhp-at-zero", worst <= 1e-12, worst, 1e-12))
+                yield "fhp-at-zero", abs(fhp_at_zero(n, alpha, y) - fhp_eval(n, alpha, 0.0, y))
 
     # forward shift in x: d/dx lowers n by one with the same gamma values
-    worst = 0.0
     for n in range(1, min(n_max, 15) + 1):
         for alpha in (0.3, 0.5, 0.8):
             for y in (-1.0, 0.5, 2.0):
                 image = fhp_coeffs(n, alpha, y).derivative()
                 target = fhp_coeffs(n - 1, alpha, y).scale(float(n))
-                worst = _worst(worst, _scaled_gap(image, target))
-    results.append(CheckResult("fhp-forward-shift-x", worst <= 1e-12, worst, 1e-12))
+                yield "fhp-forward-shift-x", _scaled_gap(image, target)
 
-    # forward shift in y: the Caputo derivative drops n by two
-    worst = 0.0
+    # forward shift in y: the Caputo derivative drops n by two; the coefficients
+    # at y = 1, lowest power of x first, become those of t**(alpha*r)
     for n in range(2, min(n_max, 12) + 1):
         for alpha in (0.3, 0.5, 0.8):
-            rows = (_gamma_weights(_fhp_table((m,), alpha)) for m in (n, n - 2))
+            rows = (fhp_coeffs(m, alpha, 1.0).coefficients[::-1] for m in (n, n - 2))
             p, q = (FracPoly([(c, alpha * r) for r, c in enumerate(row)]) for row in rows)
-            worst = _worst(worst, _scaled_gap(caputo_poly(p, alpha), q.scale(float(n * (n - 1)))))
-    results.append(CheckResult("fhp-forward-shift-y", worst <= 1e-10, worst, 1e-10))
+            image, target = caputo_poly(p, alpha), q.scale(float(n * (n - 1)))
+            yield "fhp-forward-shift-y", _scaled_gap(image, target)
 
     # exponential generating function against the closed product
-    worst = 0.0
     for alpha in (0.4, 0.6, 0.9):
         for _ in range(34):
             lam = rng.uniform(-0.4, 0.4)
@@ -160,58 +150,41 @@ def suite_fhp_identities(n_max=12, seed=42):
                 lam ** n / math.factorial(n) * fhp_eval(n, alpha, x, y) for n in range(31)
             )
             closed = math.exp(x * lam) * ml_one(alpha, y * lam * lam).value
-            worst = _worst(worst, abs(partial - closed))
-    results.append(CheckResult("fhp-egf", worst <= 1e-10, worst, 1e-10))
+            yield "fhp-egf", abs(partial - closed)
 
     # the two convolution identities
-    worst_i = worst_ii = 0.0
     for _ in range(50):
         x = rng.uniform(-1.5, 1.5)
         a, w = rng.uniform(-1.0, 1.0, size=2)
         alpha = rng.uniform(0.15, 0.95)
         for n in range(n_max + 1):
-            worst_i = _worst(
-                worst_i,
-                _rel_gap(
-                    umbral_hermite_shift(n, x, a, w, alpha),
-                    convolution_identity_i_rhs(n, x, a, w, alpha),
-                ),
+            yield "fhp-identity-hermite-seed", _rel_gap(
+                umbral_hermite_shift(n, x, a, w, alpha),
+                convolution_identity_i_rhs(n, x, a, w, alpha),
             )
-            worst_ii = _worst(
-                worst_ii,
-                _rel_gap(
-                    fhp_oplus_eval(n, x, w, a, alpha),
-                    convolution_identity_ii_rhs(n, x, a, w, alpha),
-                ),
+            yield "fhp-identity-oplus-seed", _rel_gap(
+                fhp_oplus_eval(n, x, w, a, alpha),
+                convolution_identity_ii_rhs(n, x, a, w, alpha),
             )
-    results.append(CheckResult("fhp-identity-hermite-seed", worst_i <= 1e-9, worst_i, 1e-9))
-    results.append(CheckResult("fhp-identity-oplus-seed", worst_ii <= 1e-9, worst_ii, 1e-9))
 
     # scaling homogeneity of the polynomial and of the deformed power
-    worst = 0.0
     for _ in range(20):
         x, y = rng.uniform(-1.0, 1.0, size=2)
         s = rng.uniform(0.2, 2.0)
         alpha = rng.uniform(0.2, 1.0)
         for n in range(min(n_max, 10) + 1):
-            worst = _worst(
-                worst,
-                _rel_gap(fhp_eval(n, alpha, s * x, s * s * y), s ** n * fhp_eval(n, alpha, x, y)),
-                _rel_gap(oplus_power(s * x, s * y, n, alpha), s ** n * oplus_power(x, y, n, alpha)),
+            yield "fhp-homogeneity", _rel_gap(
+                fhp_eval(n, alpha, s * x, s * s * y), s ** n * fhp_eval(n, alpha, x, y)
             )
-    results.append(CheckResult("fhp-homogeneity", worst <= 1e-9, worst, 1e-9))
-
-    return results
+            yield "fhp-homogeneity", _rel_gap(
+                oplus_power(s * x, s * y, n, alpha), s ** n * oplus_power(x, y, n, alpha)
+            )
 
 
 # -- Mittag-Leffler polynomials ------------------------------------------------------
 
 
-def suite_mlp_gf(n_max=10, seed=42):
-    rng = Generator(seed)
-    results = []
-
-    worst = 0.0
+def _mlp_gf(rng, n_max):
     for _ in range(30):
         alpha = rng.uniform(0.3, 0.95)
         beta = rng.uniform(0.6, 2.0)
@@ -219,10 +192,8 @@ def suite_mlp_gf(n_max=10, seed=42):
         y = rng.uniform(0.4, 1.1)
         lam = rng.uniform(0.3, 1.0) * 0.5 / (abs(x) + abs(y))
         partial = sum(lam ** n * mlp_eval(n, alpha, beta, x, y) for n in range(41))
-        worst = _worst(worst, abs(partial - mlp_ogf_closed(lam, alpha, beta, x, y)))
-    results.append(CheckResult("mlp-ogf", worst <= 1e-9, worst, 1e-9))
+        yield "mlp-ogf", abs(partial - mlp_ogf_closed(lam, alpha, beta, x, y))
 
-    worst = 0.0
     for _ in range(30):
         alpha = rng.uniform(0.3, 0.95)
         beta = rng.uniform(0.6, 2.0)
@@ -233,34 +204,25 @@ def suite_mlp_gf(n_max=10, seed=42):
             lam ** n / math.factorial(n) * mlp_eval(n, alpha, beta, x, y)
             for n in range(31)
         )
-        worst = _worst(worst, abs(partial - mlp_egf_closed(lam, alpha, beta, x, y)))
-    results.append(CheckResult("mlp-egf", worst <= 1e-9, worst, 1e-9))
+        yield "mlp-egf", abs(partial - mlp_egf_closed(lam, alpha, beta, x, y))
 
-    worst = 0.0
     for _ in range(30):
         alpha = rng.uniform(0.3, 1.5)
         beta = rng.uniform(0.5, 2.0)
         x = rng.uniform(-1.0, 1.0)
         y = rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0])
         for n in range(n_max + 1):
-            worst = _worst(
-                worst,
-                _rel_gap(mlp_one_var_reduction(n, alpha, beta, x, y), mlp_eval(n, alpha, beta, x, y)),
+            yield "mlp-one-var-reduction", _rel_gap(
+                mlp_one_var_reduction(n, alpha, beta, x, y), mlp_eval(n, alpha, beta, x, y)
             )
-    results.append(CheckResult("mlp-one-var-reduction", worst <= 1e-12, worst, 1e-12))
 
-    worst = 0.0
     for n in range(min(n_max, 10) + 1):
         for x in [0.5 * i for i in range(9)]:
-            worst = _worst(
-                worst,
-                _rel_gap(konhauser(n, 1.0, 1.0, x, 1.0), _laguerre_explicit(n, x)),
-            )
-    results.append(CheckResult("konhauser-laguerre", worst <= 1e-10, worst, 1e-10))
+            gap = _rel_gap(konhauser(n, 1.0, 1.0, x, 1.0), _laguerre_explicit(n, x))
+            yield "konhauser-laguerre", gap
 
     # negative-integer upper parameter of the three-parameter function,
     # coefficient against coefficient
-    worst = 0.0
     for n in range(min(n_max, 6) + 1):
         for alpha in (0.3, 0.7):
             for beta in (0.5, 1.0, 1.7):
@@ -270,18 +232,15 @@ def suite_mlp_gf(n_max=10, seed=42):
                     for j in range(r):
                         poch *= (-n + j)
                     series_coeff = poch / math.factorial(r) * rgamma(beta + alpha * r)
-                    worst = _worst(worst, abs(series_coeff - poly.coeff_at(float(n - r))))
-    results.append(CheckResult("mlp-prabhakar-consistency", worst <= 1e-12, worst, 1e-12))
+                    gap = abs(series_coeff - poly.coeff_at(float(n - r)))
+                    yield "mlp-prabhakar-consistency", gap
 
-    worst = 0.0
     for n in range(min(n_max, 8) + 1):
         for alpha in (0.3, 0.5, 0.9):
             for y in (0.5, 1.0, 2.0):
                 lhs, rhs = _operational_sides(n, alpha, y)
-                worst = _worst(worst, *(abs(a - b) for a, b in zip(lhs, rhs)))
-    results.append(CheckResult("mlp-operational", worst <= 1e-10, worst, 1e-10))
-
-    return results
+                for a, b in zip(lhs, rhs):
+                    yield "mlp-operational", abs(a - b)
 
 
 # -- Caputo derivative ------------------------------------------------------------
@@ -294,11 +253,7 @@ def _ml_truncation_poly(alpha, a, n_terms):
     )
 
 
-def suite_caputo(n_max=12, seed=42):
-    rng = Generator(seed)
-    results = []
-
-    worst = 0.0
+def _caputo(rng, n_max):
     for _ in range(20):
         alpha = rng.uniform(0.1, 0.9)
         p = FracPoly([(rng.uniform(-2, 2), float(k)) for k in range(6)])
@@ -306,19 +261,15 @@ def suite_caputo(n_max=12, seed=42):
         a, b = rng.uniform(-3, 3, size=2)
         combo = caputo_poly(p.scale(a) + q.scale(b), alpha)
         split = caputo_poly(p, alpha).scale(a) + caputo_poly(q, alpha).scale(b)
-        worst = _worst(worst, combo.max_coeff_diff(split))
-    results.append(CheckResult("caputo-linearity", worst <= 1e-12, worst, 1e-12))
+        yield "caputo-linearity", combo.max_coeff_diff(split)
 
-    worst = 0.0
     for alpha in (0.3, 0.5, 0.8):
         for a in (-1.0, 0.5):
             for n_terms in (6, 12, 14):
                 image = caputo_poly(_ml_truncation_poly(alpha, a, n_terms), alpha)
                 target = _ml_truncation_poly(alpha, a, n_terms - 1).scale(a)
-                worst = _worst(worst, image.max_coeff_diff(target))
-    results.append(CheckResult("caputo-eigenfunction-truncation", worst <= 1e-13, worst, 1e-13))
+                yield "caputo-eigenfunction-truncation", image.max_coeff_diff(target)
 
-    worst = 0.0
     for gamma_exp in (0.7, 1.0, 2.3):
         for alpha in (0.3, 0.5, 0.8):
             if 0.0 < gamma_exp < alpha:
@@ -333,45 +284,33 @@ def suite_caputo(n_max=12, seed=42):
                 errs.append(abs(caputo_l1(samples, h, alpha, m) - exact))
             if _worst(*errs) < 1e-12:
                 continue  # the scheme is exact for linear data
-            orders = [math.log2(errs[i] / errs[i + 1]) for i in range(4)]
-            worst = _worst(worst, *(abs(o - (2.0 - alpha)) for o in orders))
-    results.append(CheckResult("caputo-l1-order", worst <= 0.3, worst, 0.3))
+            for i in range(4):
+                yield "caputo-l1-order", abs(math.log2(errs[i] / errs[i + 1]) - (2.0 - alpha))
 
-    worst = 0.0
     for alpha in (0.3, 0.5, 0.8):
         for t in (0.4, 1.0, 2.5):
             for a in (-1.0, 0.7):
                 caputo_value = a * ml_one(alpha, a * t ** alpha).value
                 want = t ** (-alpha) * rgamma(1.0 - alpha) + a * ml_one(alpha, a * t ** alpha).value
-                worst = _worst(worst, _rel_gap(rl_from_caputo(caputo_value, 1.0, t, alpha), want))
-    results.append(CheckResult("caputo-riemann-liouville-shift", worst <= 1e-12, worst, 1e-12))
-
-    return results
+                gap = _rel_gap(rl_from_caputo(caputo_value, 1.0, t, alpha), want)
+                yield "caputo-riemann-liouville-shift", gap
 
 
 # -- Fokker-Planck solutions --------------------------------------------------------
 
 
-def suite_pde_residuals(n_max=10, seed=42):
-    rng = Generator(seed)
-    results = []
-
-    worst = 0.0
+def _pde_residuals(rng, n_max):
     for n in range(min(n_max, 10) + 1):
         for alpha in (0.3, 0.5, 0.8):
-            worst = _worst(worst, residual_tf_diffusion(n, alpha, 1.0),
-                           residual_tf_diffusion(n, alpha, 0.7))
-    results.append(CheckResult("tf-diffusion-residual", worst <= 1e-10, worst, 1e-10))
+            yield "tf-diffusion-residual", residual_tf_diffusion(n, alpha, 1.0)
+            yield "tf-diffusion-residual", residual_tf_diffusion(n, alpha, 0.7)
 
-    worst = 0.0
     for n in range(min(n_max, 6) + 1):
         for alpha in (0.3, 0.5, 0.8):
             for beta in (0.3, 0.5, 0.8):
-                worst = _worst(worst, residual_laguerre(n, alpha, beta, 1.0))
-    results.append(CheckResult("laguerre-residual", worst <= 1e-10, worst, 1e-10))
+                yield "laguerre-residual", residual_laguerre(n, alpha, beta, 1.0)
 
     # every solution reproduces its initial datum at t -> 0+
-    worst = 0.0
     tiny = 1e-9
     for _ in range(15):
         n = rng.integers(0, min(n_max, 8) + 1)
@@ -382,20 +321,16 @@ def suite_pde_residuals(n_max=10, seed=42):
         b = rng.uniform(0.5, 2.0)
         x = rng.uniform(0.1, 1.5)
         y = rng.uniform(0.2, 1.5)
-        worst = _worst(worst, abs(solve_case_i(n, a, alpha, k, x, 0.0) - _classical_hermite(n, x, a)))
-        worst = _worst(worst, abs(solve_case_ii(n, a, alpha, k, x, 0.0) - fhp_eval(n, alpha, x, a)))
+        check = "initial-condition-recovery"
+        yield check, abs(solve_case_i(n, a, alpha, k, x, 0.0) - _classical_hermite(n, x, a))
+        yield check, abs(solve_case_ii(n, a, alpha, k, x, 0.0) - fhp_eval(n, alpha, x, a))
         ic = (-(x ** alpha)) ** n * rgamma(1.0 + alpha * n)
-        worst = _worst(worst, abs(solve_laguerre_monomial(n, alpha, beta, b, x, tiny ** (1.0 / beta)) - ic))
-        worst = _worst(
-            worst,
-            abs(
-                solve_laguerre_wright(y, alpha, beta, b, x, (tiny / (b * y)) ** (1.0 / beta))
-                - wright(alpha, 1.0, -y * x ** alpha).value
-            ),
+        yield check, abs(solve_laguerre_monomial(n, alpha, beta, b, x, tiny ** (1.0 / beta)) - ic)
+        yield check, abs(
+            solve_laguerre_wright(y, alpha, beta, b, x, (tiny / (b * y)) ** (1.0 / beta))
+            - wright(alpha, 1.0, -y * x ** alpha).value
         )
-    results.append(CheckResult("initial-condition-recovery", worst <= 1e-8, worst, 1e-8))
 
-    worst_i = worst_ii = 0.0
     for _ in range(25):
         n = rng.integers(0, n_max + 1)
         a = rng.uniform(-1.0, 1.0)
@@ -404,19 +339,14 @@ def suite_pde_residuals(n_max=10, seed=42):
         x = rng.uniform(-1.5, 1.5)
         t = rng.uniform(0.1, 1.5)
         w = k * t ** alpha
-        worst_i = _worst(
-            worst_i,
-            _rel_gap(solve_case_i(n, a, alpha, k, x, t), umbral_hermite_shift(n, x, a, w, alpha)),
+        yield "case-i-umbral-equality", _rel_gap(
+            solve_case_i(n, a, alpha, k, x, t), umbral_hermite_shift(n, x, a, w, alpha)
         )
-        worst_ii = _worst(
-            worst_ii,
-            _rel_gap(solve_case_ii(n, a, alpha, k, x, t), fhp_oplus_eval(n, x, w, a, alpha)),
+        yield "case-ii-both-forms", _rel_gap(
+            solve_case_ii(n, a, alpha, k, x, t), fhp_oplus_eval(n, x, w, a, alpha)
         )
-    results.append(CheckResult("case-i-umbral-equality", worst_i <= 1e-9, worst_i, 1e-9))
-    results.append(CheckResult("case-ii-both-forms", worst_ii <= 1e-9, worst_ii, 1e-9))
 
     # moment expansion against the direct double-gamma sum, term by term
-    worst = 0.0
     pairs = ((0.3, 0.4), (0.3, 0.7), (0.6, 0.4), (0.6, 0.7), (0.5, 0.7), (0.8, 0.6))
     for n in range(min(n_max, 8) + 1):
         for alpha, beta in pairs:
@@ -437,72 +367,50 @@ def suite_pde_residuals(n_max=10, seed=42):
                     * rgamma(1.0 + alpha * r)
                     * levy_subordination_moment(beta, n - r, t)
                 )
-                worst = _worst(worst, _rel_gap(direct, moment))
-    results.append(CheckResult("subordination-term-consistency", worst <= 1e-13, worst, 1e-13))
-
-    return results
+                yield "subordination-term-consistency", _rel_gap(direct, moment)
 
 
 # -- Sheffer ladder -------------------------------------------------------------------
 
 
-def _ladder_gaps(coeffs, gd, n_max):
-    """Worst (raising, lowering, commutator) gaps of the ladder with log-derivative
-    ``gd`` on the polynomials ``coeffs(n)``, n = 0..n_max."""
-    up = down = comm = 0.0
+def _ladder_gaps(family, coeffs, gd, n_max):
+    """The raising, lowering and commutator gaps of the ladder with log-derivative
+    ``gd`` on the polynomials ``coeffs(n)`` of ``family``, n = 0..n_max."""
     for n in range(n_max + 1):
         p = coeffs(n)
-        up = _worst(up, _scaled_gap(raising_apply(p, gd), coeffs(n + 1)))
+        yield f"ladder-raising-{family}", _scaled_gap(raising_apply(p, gd), coeffs(n + 1))
         if n >= 1:
-            down = _worst(down, _scaled_gap(lowering_apply(p), coeffs(n - 1).scale(float(n))))
+            image, target = lowering_apply(p), coeffs(n - 1).scale(float(n))
+            yield f"ladder-lowering-{family}", _scaled_gap(image, target)
         commutator = lowering_apply(raising_apply(p, gd)) - raising_apply(lowering_apply(p), gd)
-        comm = _worst(comm, _scaled_gap(commutator, p))
-    return up, down, comm
+        yield "ladder-commutator", _scaled_gap(commutator, p)
 
 
-def suite_sheffer_ladder(n_max=10, seed=42):
-    rng = Generator(seed)
-    results = []
+def _sheffer_ladder(rng, n_max):
     n_max = min(n_max, 10)
 
-    fhp = (0.0, 0.0, 0.0)
     for alpha in (0.3, 0.5, 0.8):
         for y in (-1.0, 0.5, 2.0):
             gd = series_log_derivative(series_reciprocal(appell_A_fhp(alpha, y, n_max + 4)))
-            gaps = _ladder_gaps(lambda n: fhp_coeffs(n, alpha, y), gd, n_max)
-            fhp = tuple(map(_worst, fhp, gaps))
+            yield from _ladder_gaps("fhp", lambda n: fhp_coeffs(n, alpha, y), gd, n_max)
 
     # x stays moderate: large x pushes the first zero of the Wright prefactor
     # toward the origin and the reciprocal-series route becomes ill-conditioned
-    mlp = (0.0, 0.0, 0.0)
     for alpha in (0.3, 0.5, 0.8):
         for beta in (0.5, 1.0, 1.6):
             for x in (0.4, 0.6):
                 gd = series_log_derivative(series_reciprocal(appell_A_mlp(alpha, beta, x, n_max + 4)))
-                gaps = _ladder_gaps(lambda n: mlp_coeffs(n, alpha, beta, x), gd, n_max)
-                mlp = tuple(map(_worst, mlp, gaps))
-
-    for name, worst in (
-        ("ladder-raising-fhp", fhp[0]),
-        ("ladder-lowering-fhp", fhp[1]),
-        ("ladder-raising-mlp", mlp[0]),
-        ("ladder-lowering-mlp", mlp[1]),
-        ("ladder-commutator", _worst(fhp[2], mlp[2])),
-    ):
-        results.append(CheckResult(name, worst <= 1e-9, worst, 1e-9))
+                yield from _ladder_gaps("mlp", lambda n: mlp_coeffs(n, alpha, beta, x), gd, n_max)
 
     # derivative of the Hermite-family prefactor: A'(lam) = (2/(alpha lam)) E_{alpha,0}(y lam^2)
-    worst = 0.0
     for alpha in (0.3, 0.5, 0.8):
         for y in (-1.0, 0.5, 2.0):
             deriv = appell_A_fhp(alpha, y, 14).derivative()
             for r in range(1, 7):
                 closed = (2.0 / alpha) * y ** r * rgamma(alpha * r)
-                worst = _worst(worst, abs(deriv.coeffs[2 * r - 1] - closed))
-    results.append(CheckResult("appell-A-prime-consistency", worst <= 1e-10, worst, 1e-10))
+                yield "appell-A-prime-consistency", abs(deriv.coeffs[2 * r - 1] - closed)
 
     # cocycle of h for both families
-    worst = 0.0
     for _ in range(20):
         l1, l2 = rng.uniform(-0.3, 0.3, size=2)
         alpha = rng.uniform(0.3, 0.9)
@@ -512,16 +420,14 @@ def suite_sheffer_ladder(n_max=10, seed=42):
         _, h12 = aux_v_h_fhp(l1 + l2, x, alpha, y)
         _, ha = aux_v_h_fhp(l1, x, alpha, y)
         _, hb = aux_v_h_fhp(l2, l1 + x, alpha, y)
-        worst = _worst(worst, _rel_gap(h12, ha * hb))
+        yield "h-cocycle", _rel_gap(h12, ha * hb)
         xp = rng.uniform(0.2, 1.0)
         _, h12 = aux_v_h_mlp(l1 + l2, x, alpha, beta, xp)
         _, ha = aux_v_h_mlp(l1, x, alpha, beta, xp)
         _, hb = aux_v_h_mlp(l2, l1 + x, alpha, beta, xp)
-        worst = _worst(worst, _rel_gap(h12, ha * hb))
-    results.append(CheckResult("h-cocycle", worst <= 1e-9, worst, 1e-9))
+        yield "h-cocycle", _rel_gap(h12, ha * hb)
 
     # the generic evaluator collapses to q = 1, T = lam + x and the closed v, h
-    worst = 0.0
     for _ in range(10):
         lam = rng.uniform(-0.3, 0.3)
         x = rng.uniform(1.3, 2.2)
@@ -531,21 +437,67 @@ def suite_sheffer_ladder(n_max=10, seed=42):
         a_prime = lambda u: (2.0 / (alpha * u)) * ml_two(alpha, 0.0, y * u * u).value
         q, v, big_t, h = appell_auxiliary(a_fn, a_prime, lam, x)
         if q != 1.0 or big_t != lam + x:
-            worst = math.inf
+            yield "appell-specialization", math.inf
         v2, h2 = aux_v_h_fhp(lam, x, alpha, y)
-        worst = _worst(worst, _rel_gap(v, v2), _rel_gap(h, h2))
-    results.append(CheckResult("appell-specialization", worst <= 1e-9, worst, 1e-9))
-
-    return results
+        yield "appell-specialization", _rel_gap(v, v2)
+        yield "appell-specialization", _rel_gap(h, h2)
 
 
-_SUITES = {
-    "fhp-identities": suite_fhp_identities,
-    "mlp-gf": suite_mlp_gf,
-    "caputo": suite_caputo,
-    "pde-residuals": suite_pde_residuals,
-    "sheffer-ladder": suite_sheffer_ladder,
+#: suite -> (its sweep, its checks in report order with their tolerances)
+_CHECKS = {
+    "fhp-identities": (_fhp_identities, (
+        ("fhp-low-order-closed-forms", 1e-12),
+        ("fhp-classical-reduction", 1e-10),
+        ("fhp-at-zero", 1e-12),
+        ("fhp-forward-shift-x", 1e-12),
+        ("fhp-forward-shift-y", 1e-10),
+        ("fhp-egf", 1e-10),
+        ("fhp-identity-hermite-seed", 1e-9),
+        ("fhp-identity-oplus-seed", 1e-9),
+        ("fhp-homogeneity", 1e-9),
+    )),
+    "mlp-gf": (_mlp_gf, (
+        ("mlp-ogf", 1e-9),
+        ("mlp-egf", 1e-9),
+        ("mlp-one-var-reduction", 1e-12),
+        ("konhauser-laguerre", 1e-10),
+        ("mlp-prabhakar-consistency", 1e-12),
+        ("mlp-operational", 1e-10),
+    )),
+    "caputo": (_caputo, (
+        ("caputo-linearity", 1e-12),
+        ("caputo-eigenfunction-truncation", 1e-13),
+        ("caputo-l1-order", 0.3),
+        ("caputo-riemann-liouville-shift", 1e-12),
+    )),
+    "pde-residuals": (_pde_residuals, (
+        ("tf-diffusion-residual", 1e-10),
+        ("laguerre-residual", 1e-10),
+        ("initial-condition-recovery", 1e-8),
+        ("case-i-umbral-equality", 1e-9),
+        ("case-ii-both-forms", 1e-9),
+        ("subordination-term-consistency", 1e-13),
+    )),
+    "sheffer-ladder": (_sheffer_ladder, (
+        ("ladder-raising-fhp", 1e-9),
+        ("ladder-lowering-fhp", 1e-9),
+        ("ladder-raising-mlp", 1e-9),
+        ("ladder-lowering-mlp", 1e-9),
+        ("ladder-commutator", 1e-9),
+        ("appell-A-prime-consistency", 1e-10),
+        ("h-cocycle", 1e-9),
+        ("appell-specialization", 1e-9),
+    )),
 }
+
+
+def _fold(suite, n_max, seed):
+    """Each check's largest gap (NaN if any is NaN, 0.0 if none) against its tolerance."""
+    sweep, checks = _CHECKS[suite]
+    worst = {name: 0.0 for name, _ in checks}
+    for name, gap in sweep(Generator(seed), n_max):
+        worst[name] = _worst(worst[name], gap)
+    return [CheckResult(name, worst[name] <= tol, worst[name], tol) for name, tol in checks]
 
 
 def run_suites(names, n_max=10, seed=42):
@@ -557,14 +509,11 @@ def run_suites(names, n_max=10, seed=42):
         name = _ALIASES.get(name, name)
         if name is None:
             expanded.extend(SUITE_NAMES)
-        elif name in _SUITES:
+        elif name in _CHECKS:
             expanded.append(name)
         else:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
-    out = []
-    for name in expanded:
-        out.append((name, _SUITES[name](n_max=n_max, seed=seed)))
-    return out
+    return [(name, _fold(name, n_max, seed)) for name in expanded]
 
 
 def format_report(suite_results, n_max, seed):

@@ -330,6 +330,16 @@ class TestRejectedInput:
         assert out == ""
         assert "exceeds the double-precision range" in err
 
+    def test_an_overflowing_degree_is_refused_at_once(self):
+        # n! leaves the double range from n = 171 on: refused before any exact ratio is built
+        cmd = [sys.executable, "-m", "mlpoly.cli", "eval-fhp", "--n", "100000", "--alpha", "0.5",
+               "--x", "1", "--y", "1"]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=5)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("numerical failure: n = 100000: an integer factor n!/(...) exceeds"
+                               " the double-precision range\n")
+
     def test_missing_config_file(self, capsys, tmp_path):
         missing = tmp_path / "absent.cfg"
         code, out, err = _run(capsys, "eval-ml", "--alpha", "1", "--z", "1",

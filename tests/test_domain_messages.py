@@ -30,7 +30,9 @@ from mlpoly import (
     MLParams,
     MLSeries,
     MonomialInitial,
+    PowerSeries,
     SeriesInitial,
+    SolutionProfile,
     WrightSeries,
     appell_A_fhp,
     appell_A_mlp,
@@ -164,8 +166,8 @@ UNCHANGED = [
     (LaguerreProblem, (NAN, 0.5, 1.0, LaguerreMonomialInitial(2)), "alpha must lie in (0, 1), got nan"),
     (LaguerreProblem, (0.5, 1.5, 1.0, LaguerreMonomialInitial(2)), "beta must lie in (0, 1], got 1.5"),
     (LaguerreProblem, (0.5, 0.5, 0.0, LaguerreMonomialInitial(2)), "b must be positive, got 0.0"),
-    (solve_tf_diffusion, (MONOMIAL, 1.0, 0.0), "t must be positive, got 0.0"),
-    (solve_tf_diffusion, (MONOMIAL, 1.0, NAN), "t must be positive, got nan"),
+    # every fractional-Hermite plan takes t >= 0 (t = 0 gives the datum)
+    (solve_tf_diffusion, (MONOMIAL, 1.0, NAN), "t must be nonnegative, got nan"),
     (solve_case_i, (2, 0.3, 0.5, 1.0, 1.0, -1.0), "t must be nonnegative, got -1.0"),
     (solve_case_ii, (2, 0.3, 0.0, 1.0, 1.0, 1.0), "alpha must lie in (0, 1], got 0.0"),
     (_along_x, (-1.0,), "t must be nonnegative, got -1.0"),
@@ -187,7 +189,7 @@ UNCHANGED = [
     (solve_laguerre_monomial, (2, 0.5, 0.5, 1.0, 1.0, -INF), "t must be positive, got -inf"),
     (solve_laguerre_wright, (0.5, 0.5, 0.5, 1.0, -INF, 1.0), "x must be nonnegative, got -inf"),
     (solve_case_i, (2, 0.3, 0.5, 1.0, 1.0, -INF), "t must be nonnegative, got -inf"),
-    (solve_tf_diffusion, (MONOMIAL, 1.0, -INF), "t must be positive, got -inf"),
+    (solve_tf_diffusion, (MONOMIAL, 1.0, -INF), "t must be nonnegative, got -inf"),
     (fhp_eval, (2, 1.5, 1.0, NAN), "alpha must lie in (0, 1], got 1.5"),
     (fhp_eval, (-1, 0.5, NAN, NAN), "n must be a nonnegative integer, got -1"),
 ]
@@ -277,6 +279,15 @@ BEYOND_FLOAT = [
     (ml_three, (0.5, 1.0, HUGE, 1.0), "gamma"),
     (wright, (0.5, 1.0, -HUGE), "z"),
     (appell_A_mlp, (0.5, 1.0, HUGE, 4), "x"),
+    # a float() or math.isfinite() conversion that raised the raw error
+    (FracPoly, ([(HUGE, 1.0)],), "a coefficient"),
+    (FracPoly, ([(1.0, HUGE)],), "an exponent"),
+    (FracPoly.__call__, (FracPoly([(1.0, 1.0)]), HUGE), "x"),
+    (FracPoly.scale, (FracPoly([(1.0, 1.0)]), HUGE), "factor"),
+    (PowerSeries, ((HUGE, 1.0),), "a coefficient"),
+    (SolutionProfile, ([0.0, 1.0], [HUGE, 1.0], {}), "a value"),
+    (caputo_monomial, (HUGE, 0.5), "exponent"),
+    (konhauser, (2, 0.5, 1.0, HUGE, 1.0), "x"),
 ]
 
 

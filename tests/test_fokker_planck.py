@@ -77,6 +77,14 @@ class TestTimeFractionalDiffusion:
         x = 1.2
         assert solve_tf_diffusion(prob, x, 1e-12) == pytest.approx(x ** 5, rel=1e-6)
 
+    def test_datum_at_t_zero(self):
+        for n in (0, 1, 4, 7):
+            prob = DiffusionProblem(0.6, 1.3, MonomialInitial(n))
+            for x in (-1.7, -0.0, 0.3, 2.0):
+                assert solve_tf_diffusion(prob, x, 0.0) == x ** n
+        prob = DiffusionProblem(0.5, 1.0, SeriesInitial((1.0, 2.0, -4.0)))
+        assert solve_tf_diffusion(prob, 0.5, 0.0) == 1.0
+
     def test_series_factorial_coefficients(self):
         # c_r = 1/r! sums to the closed product exp(x) E_alpha(k t**alpha)
         alpha, k, x, t = 0.6, 0.8, 0.3, 0.4

@@ -1,8 +1,9 @@
 """What the package imports.
 
 Every name a module imports is used in that module: an unused import loads a
-module for nothing and hides what a file really depends on.  ``__init__.py``
-files are exempt.  Neither scipy nor numpy is a dependency: no module of the
+module for nothing and hides what a file really depends on.  The rule covers
+the package, the tests, ``tools/`` and ``demos/``; ``__init__.py`` files are
+exempt.  Neither scipy nor numpy is a dependency: no module of the
 package imports either, so no command loads them (``verify`` draws its seeds
 from a standard-library port of numpy's stream).  ``import mlpoly`` loads no
 submodule: each public name is loaded on first use, and each CLI command
@@ -23,7 +24,7 @@ import mlpoly
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
-    path for folder in (ROOT / "src" / "mlpoly", ROOT / "tests")
+    path for folder in (ROOT / "src" / "mlpoly", ROOT / "tests", ROOT / "tools", ROOT / "demos")
     for path in folder.glob("*.py") if path.name != "__init__.py"
 )
 

@@ -156,6 +156,12 @@ class TestKonhauser:
             for beta in (0.5, 1.0, 2.7):
                 assert konhauser(0, alpha, beta, 1.3, 0.8) == pytest.approx(1.0, rel=1e-14)
 
+    @pytest.mark.parametrize("alpha", [2.0, 2.5])
+    def test_overflowing_power_of_x_is_named(self, alpha):
+        with pytest.raises(FloatOverflowError) as info:
+            konhauser(2, alpha, 1.0, 1e300, 1.0)
+        assert str(info.value) == f"x**{alpha} exceeds the double-precision range at x = 1e+300"
+
     def test_laguerre_one_two(self):
         for x in (0.0, 0.7, 2.5):
             assert konhauser(1, 1.0, 1.0, x, 1.0) == pytest.approx(1.0 - x, rel=1e-13, abs=1e-13)

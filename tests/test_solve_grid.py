@@ -66,7 +66,10 @@ def _reference(problem, p, x, t, coeffs=None):
     if problem in ("tf-diffusion", "case-i", "case-ii"):
         n, w = p.get("n"), p["k"] * t ** alpha
         if problem == "tf-diffusion" and coeffs is not None:
-            return sum(c * _ref_fhp(r, alpha, x, w) for r, c in enumerate(coeffs))
+            total = 0.0  # added left to right: sum() compensates from Python 3.12 on
+            for r, c in enumerate(coeffs):
+                total += c * _ref_fhp(r, alpha, x, w)
+            return total
         if problem == "tf-diffusion":
             return _ref_fhp(n, alpha, x, w)
         total = 0.0

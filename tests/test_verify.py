@@ -20,7 +20,8 @@ def test_nan_gap_fails_its_check(monkeypatch):
         return math.nan
 
     monkeypatch.setattr(verify, "fhp_eval", fhp_eval)
-    checks = {check.name: check for check in verify.suite_fhp_identities(n_max=4, seed=0)}
+    [(_, results)] = verify.run_suites("fhp-identities", n_max=4, seed=0)
+    checks = {check.name: check for check in results}
     check = checks["fhp-classical-reduction"]
     assert calls and not check.passed
     assert math.isnan(check.max_err)
