@@ -23,20 +23,17 @@ _EXPORTS = {
         "VerificationError",
     ),
     "fokker_planck": (
-        "CaseIIPlan",
-        "CaseIPlan",
         "DiffusionProblem",
         "FhpInitial",
         "GridPlan",
         "HermiteInitial",
         "LaguerreMonomialInitial",
-        "LaguerreMonomialPlan",
         "LaguerreProblem",
-        "LaguerreWrightPlan",
         "MonomialInitial",
         "SeriesInitial",
         "SolutionProfile",
         "WrightInitial",
+        "plan",
         "residual_laguerre",
         "residual_tf_diffusion",
         "solve_case_i",
@@ -44,7 +41,6 @@ _EXPORTS = {
         "solve_laguerre_monomial",
         "solve_laguerre_wright",
         "solve_tf_diffusion",
-        "tf_diffusion_plan",
     ),
     "fracpoly": ("FracPoly",),
     "fractional_hermite": (

@@ -264,14 +264,15 @@ def _series_coeffs(text):
 
 def _solve_plan(args):
     from .fokker_planck import (
-        CaseIIPlan,
-        CaseIPlan,
         DiffusionProblem,
-        LaguerreMonomialPlan,
-        LaguerreWrightPlan,
+        FhpInitial,
+        HermiteInitial,
+        LaguerreMonomialInitial,
+        LaguerreProblem,
         MonomialInitial,
         SeriesInitial,
-        tf_diffusion_plan,
+        WrightInitial,
+        plan,
     )
 
     if args.problem == "tf-diffusion":
@@ -279,15 +280,17 @@ def _solve_plan(args):
             initial = SeriesInitial(_series_coeffs(args.coeffs))
         else:
             initial = MonomialInitial(_require(args, "n"))
-        return tf_diffusion_plan(DiffusionProblem(args.alpha, args.k, initial))
-    if args.problem == "case-i":
-        return CaseIPlan(_require(args, "n"), _require(args, "a"), args.alpha, args.k)
-    if args.problem == "case-ii":
-        return CaseIIPlan(_require(args, "n"), _require(args, "a"), args.alpha, args.k)
-    beta = _require(args, "beta")
-    if args.problem == "laguerre-monomial":
-        return LaguerreMonomialPlan(_require(args, "n"), args.alpha, beta, args.b)
-    return LaguerreWrightPlan(_require(args, "y-param"), args.alpha, beta, args.b)
+    elif args.problem in ("case-i", "case-ii"):
+        datum = HermiteInitial if args.problem == "case-i" else FhpInitial
+        initial = datum(_require(args, "n"), _require(args, "a"))
+    else:
+        beta = _require(args, "beta")
+        if args.problem == "laguerre-monomial":
+            initial = LaguerreMonomialInitial(_require(args, "n"))
+        else:
+            initial = WrightInitial(_require(args, "y-param"))
+        return plan(LaguerreProblem(args.alpha, beta, args.b, initial))
+    return plan(DiffusionProblem(args.alpha, args.k, initial))
 
 
 def _linspace(start, stop, num):

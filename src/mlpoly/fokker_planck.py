@@ -1,4 +1,4 @@
-"""Closed-form solutions of four fractional Cauchy problems.
+"""Closed-form solutions of five fractional Cauchy problems.
 
 Time-fractional diffusion (Caputo derivative of order alpha in t):
 
@@ -17,9 +17,10 @@ solved for the scaled monomial datum (-x**alpha)**n/Gamma(1+alpha*n) via
 subordination moments (solve_laguerre_monomial) and for a Wright-function
 datum, where the solution factorizes (solve_laguerre_wright).
 
-Each solver has a grid plan (:class:`GridPlan`) that builds the factors no
-grid point changes once, and evaluates the solution along x at fixed t or
-along t at fixed x; the scalar solve_* functions are its one-point case.
+A problem is a record (:class:`DiffusionProblem`, :class:`LaguerreProblem`)
+that checks its parameters once.  :func:`plan` builds its grid plan
+(:class:`GridPlan`), which evaluates the solution along x or along t for any
+t >= 0; the scalar solve_* functions are its one-point case.
 
 The residual_* operations substitute a solution back into its equation as a
 bivariate coefficient table in (x, t), so the check is algebraic: no grids,
@@ -40,7 +41,6 @@ from ._validate import (
     half_open_unit,
     nonnegative_finite,
     open_unit,
-    positive,
     positive_finite,
 )
 from .caputo import caputo_monomial
@@ -56,7 +56,7 @@ from .fractional_hermite import (
     _oplus_sum,
     _weighted_sum,
 )
-from .gamma_core import _powers, _worst, factorial_ratios, rgamma
+from .gamma_core import _check_degree, _powers, _worst, factorial_ratios, rgamma
 from .mittag_leffler import MLSeries, WrightSeries
 
 
@@ -209,7 +209,6 @@ class _FhpPlan(GridPlan):
     """
 
     def __init__(self, degrees, weights, alpha, k):
-        finite(k, "k")
         self._table = _fhp_table(degrees, alpha)
         self._weights = weights
         self._alpha = alpha
@@ -227,7 +226,7 @@ class _FhpPlan(GridPlan):
         return _weighted_sum(self._weights, self._table.values(coeffs, xp))
 
 
-class CaseIPlan(_FhpPlan):
+class _CaseIPlan(_FhpPlan):
     """Grid plan of :func:`solve_case_i`."""
 
     def __init__(self, n, a, alpha, k):
@@ -236,7 +235,7 @@ class CaseIPlan(_FhpPlan):
         self._weights = _convolution_i_weights(self._table.top, a)
 
 
-class CaseIIPlan(_FhpPlan):
+class _CaseIIPlan(_FhpPlan):
     """Grid plan of :func:`solve_case_ii`: both closed routes at every point.
 
     The t side adds the deformed powers (w (+)_alpha a)**r to the coefficient
@@ -275,26 +274,12 @@ class CaseIIPlan(_FhpPlan):
         return by_series
 
 
-def tf_diffusion_plan(prob):
-    """Grid plan of :func:`solve_tf_diffusion` for a :class:`DiffusionProblem`."""
-    init = prob.initial
-    if isinstance(init, MonomialInitial):
-        return _FhpPlan((degree(init.n, "n"),), (1.0,), prob.alpha, prob.k)
-    if isinstance(init, SeriesInitial):
-        return _FhpPlan(range(len(init.coeffs)), init.coeffs, prob.alpha, prob.k)
-    if isinstance(init, HermiteInitial):
-        return CaseIPlan(init.n, init.a, prob.alpha, prob.k)
-    return CaseIIPlan(init.n, init.a, prob.alpha, prob.k)
-
-
-class LaguerreMonomialPlan(GridPlan):
-    """Grid plan of :func:`solve_laguerre_monomial`."""
+class _LaguerreMonomialPlan(GridPlan):
+    """Grid plan of :func:`solve_laguerre_monomial`; at t = 0 only r = n survives."""
 
     def __init__(self, n, alpha, beta, b):
         n = degree(n, "n")
-        open_unit(alpha, "alpha")
-        half_open_unit(beta, "beta")
-        positive_finite(b, "b")
+        _check_degree(n)
         self._n = n
         self._alpha = alpha
         self._beta = beta
@@ -308,7 +293,7 @@ class LaguerreMonomialPlan(GridPlan):
         return _powers(-math.pow(x, self._alpha), self._n, "(-x**alpha)")
 
     def _t_side(self, t):
-        positive_finite(t, "t")
+        nonnegative_finite(t, "t")
         return _powers(self._b * t ** self._beta, self._n, "(b*t**beta)")[::-1]
 
     def _formula(self, xs, us):
@@ -318,14 +303,11 @@ class LaguerreMonomialPlan(GridPlan):
         return total
 
 
-class LaguerreWrightPlan(GridPlan):
+class _LaguerreWrightPlan(GridPlan):
     """Grid plan of :func:`solve_laguerre_wright`: one series per point, on the
     side that varies, with its gamma row shared across the grid."""
 
     def __init__(self, y_param, alpha, beta, b):
-        open_unit(alpha, "alpha")
-        half_open_unit(beta, "beta")
-        positive_finite(b, "b")
         finite(y_param, "y_param")
         self._y = y_param
         self._alpha = alpha
@@ -339,14 +321,30 @@ class LaguerreWrightPlan(GridPlan):
         return self._wright(-self._y * math.pow(x, self._alpha)).value
 
     def _t_side(self, t):
-        positive_finite(t, "t")
+        nonnegative_finite(t, "t")
         return self._ml(self._b * self._y * t ** self._beta).value
 
     def _formula(self, w_value, ml_value):
         return w_value * ml_value
 
 
-# -- time-fractional diffusion ----------------------------------------------------
+def plan(prob):
+    """The grid plan of a problem record; the plan checks only its datum, x and t."""
+    init = prob.initial
+    if isinstance(init, MonomialInitial):
+        return _FhpPlan((degree(init.n, "n"),), (1.0,), prob.alpha, prob.k)
+    if isinstance(init, SeriesInitial):
+        return _FhpPlan(range(len(init.coeffs)), init.coeffs, prob.alpha, prob.k)
+    if isinstance(init, HermiteInitial):
+        return _CaseIPlan(init.n, init.a, prob.alpha, prob.k)
+    if isinstance(init, FhpInitial):
+        return _CaseIIPlan(init.n, init.a, prob.alpha, prob.k)
+    if isinstance(init, LaguerreMonomialInitial):
+        return _LaguerreMonomialPlan(init.n, prob.alpha, prob.beta, prob.b)
+    return _LaguerreWrightPlan(init.y, prob.alpha, prob.beta, prob.b)
+
+
+# -- the scalar solvers: one point of the plan ------------------------------------
 
 
 def solve_tf_diffusion(prob, x, t):
@@ -357,7 +355,7 @@ def solve_tf_diffusion(prob, x, t):
     single fractional Hermite polynomial.  Hermite/fractional-Hermite data
     dispatch to :func:`solve_case_i` / :func:`solve_case_ii`.
     """
-    return tf_diffusion_plan(prob).at(x, t)
+    return plan(prob).at(x, t)
 
 
 def solve_case_i(n, a, alpha, k, x, t):
@@ -367,7 +365,7 @@ def solve_case_i(n, a, alpha, k, x, t):
 
     At t = 0 the initial polynomial is recovered.
     """
-    return CaseIPlan(n, a, alpha, k).at(x, t)
+    return plan(DiffusionProblem(alpha, k, HermiteInitial(n, a))).at(x, t)
 
 
 def solve_case_ii(n, a, alpha, k, x, t):
@@ -377,10 +375,7 @@ def solve_case_ii(n, a, alpha, k, x, t):
     the deformed-addition form H[alpha]_n(x, k t**alpha (+)_alpha a) — and the
     two must agree to the identity tolerance (else :class:`VerificationError`).
     """
-    return CaseIIPlan(n, a, alpha, k).at(x, t)
-
-
-# -- Laguerre-type evolution -----------------------------------------------------
+    return plan(DiffusionProblem(alpha, k, FhpInitial(n, a))).at(x, t)
 
 
 def solve_laguerre_monomial(n, alpha, beta, b, x, t):
@@ -391,12 +386,12 @@ def solve_laguerre_monomial(n, alpha, beta, b, x, t):
 
     At beta = 1 this collapses to E^{-n}_{alpha,1}(x**alpha, b*t).
     """
-    return LaguerreMonomialPlan(n, alpha, beta, b).at(x, t)
+    return plan(LaguerreProblem(alpha, beta, b, LaguerreMonomialInitial(n))).at(x, t)
 
 
 def solve_laguerre_wright(y_param, alpha, beta, b, x, t):
     """Solution for the Wright datum: W_{alpha,1}(-y x**alpha) * E_beta(b y t**beta)."""
-    return LaguerreWrightPlan(y_param, alpha, beta, b).at(x, t)
+    return plan(LaguerreProblem(alpha, beta, b, WrightInitial(y_param))).at(x, t)
 
 
 # -- algebraic residuals -----------------------------------------------------------
@@ -415,6 +410,12 @@ def _table_residual(lhs_terms, rhs_terms):
         for c, xe, te in terms:
             key = (round(xe, 9), round(te, 9))
             table[key] = table.get(key, 0.0) + c
+        for (xe, te), c in table.items():
+            if not math.isfinite(c):
+                raise FloatOverflowError(
+                    f"the coefficient of x**{xe} t**{te} is {c!r}: the residual table "
+                    f"leaves the double-precision range"
+                )
         return table
 
     lhs = collect(lhs_terms)
@@ -436,15 +437,17 @@ def residual_tf_diffusion(n, alpha, k):
     """
     n = degree(n, "n")
     open_unit(alpha, "alpha")
-    positive(k, "k")
+    positive_finite(k, "k")
+    _check_degree(n)
 
     # F term r: n!/(n-2r)! * k**r / Gamma(1+alpha r) * x**(n-2r) * t**(alpha r)
     lhs = []  # Caputo derivative in t kills r = 0
     rhs = []  # k * second x-derivative
+    kp = _powers(k, n // 2, "k")
     for r in range(n // 2 + 1):
         base = (
             (math.factorial(n) // math.factorial(n - 2 * r))
-            * k ** r
+            * kp[r]
             * rgamma(1.0 + alpha * r)
         )
         if r >= 1:
@@ -466,18 +469,20 @@ def residual_laguerre(n, alpha, beta, b):
     n = degree(n, "n")
     open_unit(alpha, "alpha")
     open_unit(beta, "beta")
-    positive(b, "b")
+    positive_finite(b, "b")
+    _check_degree(n)
 
     # G term r: n!/r! (-1)**r b**(n-r)/(Gamma(1+alpha r) Gamma(1+beta(n-r)))
     #           * x**(alpha r) * t**(beta (n-r))
     lhs = []
     rhs = []
     nfact = math.factorial(n)
+    bp = _powers(b, n, "b")
     for r in range(n + 1):
         base = (
             (nfact // math.factorial(r))
             * (-1.0) ** r
-            * b ** (n - r)
+            * bp[n - r]
             * rgamma(1.0 + alpha * r)
             * rgamma(1.0 + beta * (n - r))
         )

@@ -20,6 +20,8 @@ from operator import mul
 from ._validate import degree, finite, half_open_unit, open_unit
 from .fracpoly import FracPoly
 from .gamma_core import (
+    _MAX_DEGREE,
+    _check_degree,
     _check_power,
     _factor_overflow,
     _powers,
@@ -27,9 +29,6 @@ from .gamma_core import (
     frac_binom,
     rgamma,
 )
-
-#: the largest n with n! in the double range
-_MAX_DEGREE = 170
 
 
 class _FhpTable:
@@ -126,6 +125,7 @@ def fhp_at_zero(n, alpha, y):
     n = degree(n, "n")
     half_open_unit(alpha, "alpha")
     finite(y, "y")
+    _check_degree(n)
     if n % 2:
         return 0.0
     half = n // 2
@@ -174,6 +174,7 @@ def umbral_hermite_shift(n, x, a, w, alpha):
     finite(x, "x")
     finite(a, "a")
     finite(w, "w")
+    _check_degree(n)
     xp, ap, wp = _powers(x, n, "x"), _powers(a, n // 2, "a"), _powers(w, n // 2, "w")
     total = 0.0
     nfact = math.factorial(n)

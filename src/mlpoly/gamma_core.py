@@ -18,6 +18,9 @@ from .errors import DomainError, FloatOverflowError, IndeterminateFormError
 _PI = math.pi
 _INF = math.inf
 
+#: the largest n with n! in the double range
+_MAX_DEGREE = 170
+
 
 def _nonpos_int(x):
     """True exactly on the poles of the gamma function (0, -1, -2, ...).
@@ -133,10 +136,16 @@ def factorial_ratios(n, denominators):
         raise _factor_overflow(n) from None
 
 
-def _factor_overflow(n):
+def _factor_overflow(n, name="n"):
     return FloatOverflowError(
-        f"n = {n}: an integer factor n!/(...) exceeds the double-precision range"
+        f"{name} = {n}: an integer factor {name}!/(...) exceeds the double-precision range"
     )
+
+
+def _check_degree(n, name="n"):
+    """Refuse a degree whose factorial leaves the double range, before any is built."""
+    if n > _MAX_DEGREE:
+        raise _factor_overflow(n, name)
 
 
 def _dyadic(values, ratio=float.as_integer_ratio):
@@ -236,4 +245,5 @@ def levy_subordination_moment(beta, m, t):
     open_unit(beta, "beta")
     m = degree(m, "m")
     positive_finite(t, "t")
+    _check_degree(m, "m")
     return math.factorial(m) * t ** (beta * m) * rgamma(1.0 + beta * m)

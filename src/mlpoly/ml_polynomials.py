@@ -24,6 +24,7 @@ from .caputo import caputo_monomial
 from .errors import DomainError, FloatOverflowError, VerificationError
 from .fracpoly import FracPoly
 from .gamma_core import (
+    _check_degree,
     _check_power,
     _dyadic,
     _power_overflow,
@@ -119,6 +120,7 @@ def konhauser(n, alpha, beta, x, y):
         if abs(x) > FLOAT_MAX:  # an int beyond the double range
             raise FloatOverflowError("x exceeds the double-precision range") from None
         raise _power_overflow(x, alpha, "x") from None
+    _check_degree(n)
     return (
         math.exp(ln_gamma(beta + alpha * n))
         * mlp_eval(n, alpha, beta, xa, y)

@@ -340,6 +340,17 @@ class TestRejectedInput:
         assert proc.stderr == ("numerical failure: n = 100000: an integer factor n!/(...) exceeds"
                                " the double-precision range\n")
 
+    def test_an_overflowing_laguerre_degree_is_refused_at_once(self):
+        # refused before the factorials 0!..n! are built
+        cmd = [sys.executable, "-m", "mlpoly.cli", "solve", "--problem", "laguerre-monomial",
+               "--n", "20000", "--alpha", "0.5", "--beta", "0.5", "--t", "1", "--grid-min", "0",
+               "--grid-max", "1"]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=5)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("numerical failure: n = 20000: an integer factor n!/(...) exceeds"
+                               " the double-precision range\n")
+
     def test_missing_config_file(self, capsys, tmp_path):
         missing = tmp_path / "absent.cfg"
         code, out, err = _run(capsys, "eval-ml", "--alpha", "1", "--z", "1",

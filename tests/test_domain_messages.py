@@ -20,9 +20,9 @@ from fractions import Fraction
 import pytest
 
 from mlpoly import (
-    CaseIIPlan,
     DiffusionProblem,
     DomainError,
+    FhpInitial,
     FloatOverflowError,
     FracPoly,
     LaguerreMonomialInitial,
@@ -63,6 +63,7 @@ from mlpoly import (
     mlp_one_var_reduction,
     mlp_operational_check,
     oplus_power,
+    plan,
     relaxation_cole_cole,
     relaxation_hn,
     residual_laguerre,
@@ -86,7 +87,7 @@ SAMPLES = [0.0, 1.0, 2.0, 3.0]
 
 
 def _along_x(t):
-    return CaseIIPlan(2, 0.3, 0.5, 1.0).along_x(t)
+    return plan(DiffusionProblem(0.5, 1.0, FhpInitial(2, 0.3))).along_x(t)
 
 
 UNCHANGED = [
@@ -166,16 +167,16 @@ UNCHANGED = [
     (LaguerreProblem, (NAN, 0.5, 1.0, LaguerreMonomialInitial(2)), "alpha must lie in (0, 1), got nan"),
     (LaguerreProblem, (0.5, 1.5, 1.0, LaguerreMonomialInitial(2)), "beta must lie in (0, 1], got 1.5"),
     (LaguerreProblem, (0.5, 0.5, 0.0, LaguerreMonomialInitial(2)), "b must be positive, got 0.0"),
-    # every fractional-Hermite plan takes t >= 0 (t = 0 gives the datum)
+    # every plan takes t >= 0 (t = 0 gives the datum)
     (solve_tf_diffusion, (MONOMIAL, 1.0, NAN), "t must be nonnegative, got nan"),
     (solve_case_i, (2, 0.3, 0.5, 1.0, 1.0, -1.0), "t must be nonnegative, got -1.0"),
-    (solve_case_ii, (2, 0.3, 0.0, 1.0, 1.0, 1.0), "alpha must lie in (0, 1], got 0.0"),
+    (solve_case_ii, (2, 0.3, 0.0, 1.0, 1.0, 1.0), "alpha must lie in (0, 1), got 0.0"),
     (_along_x, (-1.0,), "t must be nonnegative, got -1.0"),
     (solve_laguerre_monomial, (-1, 0.5, 0.5, 1.0, 1.0, 1.0), "n must be a nonnegative integer, got -1"),
     (solve_laguerre_monomial, (2, 0.5, 0.5, 1.0, -1.0, 1.0), "x must be nonnegative, got -1.0"),
-    (solve_laguerre_monomial, (2, 0.5, 0.5, 1.0, 1.0, 0.0), "t must be positive, got 0.0"),
+    (solve_laguerre_monomial, (2, 0.5, 0.5, 1.0, 1.0, -1.0), "t must be nonnegative, got -1.0"),
     (solve_laguerre_wright, (0.5, 0.0, 0.5, 1.0, 1.0, 1.0), "alpha must lie in (0, 1), got 0.0"),
-    (solve_laguerre_wright, (0.5, 0.5, 0.5, 1.0, 1.0, NAN), "t must be positive, got nan"),
+    (solve_laguerre_wright, (0.5, 0.5, 0.5, 1.0, 1.0, NAN), "t must be nonnegative, got nan"),
     (residual_tf_diffusion, (3, 1.0, 1.0), "alpha must lie in (0, 1), got 1.0"),
     (residual_tf_diffusion, (3, 0.5, 0.0), "k must be positive, got 0.0"),
     (residual_laguerre, (3, 0.5, 1.0, 1.0), "beta must lie in (0, 1), got 1.0"),
@@ -186,7 +187,7 @@ UNCHANGED = [
     (mlp_eval, (3, NAN, 1.0, 1.0, 1.0), "alpha must be positive, got nan"),
     (konhauser, (2, 0.5, -INF, 1.0, 1.0), "beta must be positive, got -inf"),
     (MLSeries, (NAN, 1.0), "alpha must be positive, got nan"),
-    (solve_laguerre_monomial, (2, 0.5, 0.5, 1.0, 1.0, -INF), "t must be positive, got -inf"),
+    (solve_laguerre_monomial, (2, 0.5, 0.5, 1.0, 1.0, -INF), "t must be nonnegative, got -inf"),
     (solve_laguerre_wright, (0.5, 0.5, 0.5, 1.0, -INF, 1.0), "x must be nonnegative, got -inf"),
     (solve_case_i, (2, 0.3, 0.5, 1.0, 1.0, -INF), "t must be nonnegative, got -inf"),
     (solve_tf_diffusion, (MONOMIAL, 1.0, -INF), "t must be nonnegative, got -inf"),
@@ -229,12 +230,14 @@ MENDED = [
     (fhp_eval, (2, 0.5, NAN, 1.0), "x must be finite, got nan"),
     (fhp_eval, (2, 0.5, 1.0, NAN), "y must be finite, got nan"),
     (solve_case_i, (2, NAN, 0.5, 1.0, 1.0, 1.0), "a must be finite, got nan"),
-    (solve_case_i, (2, 0.3, 0.5, INF, 1.0, 1.0), "k must be finite, got inf"),
+    (solve_case_i, (2, 0.3, 0.5, INF, 1.0, 1.0), "diffusivity k must be finite, got inf"),
     (solve_case_ii, (2, 0.3, 0.5, 1.0, 1.0, INF), "t must be finite, got inf"),
     (solve_laguerre_wright, (NAN, 0.5, 0.5, 1.0, 1.0, 1.0), "y_param must be finite, got nan"),
     (solve_laguerre_wright, (0.5, 0.5, 0.5, 1.0, INF, 1.0), "x must be finite, got inf"),
     (solve_laguerre_wright, (0.5, 0.5, 0.5, 1.0, 1.0, INF), "t must be finite, got inf"),
     (LaguerreProblem, (0.5, 0.5, INF, LaguerreMonomialInitial(2)), "b must be finite, got inf"),
+    (residual_tf_diffusion, (6, 1e-300, INF), "k must be finite, got inf"),
+    (residual_laguerre, (3, 0.5, 0.5, INF), "b must be finite, got inf"),
     (SeriesInitial, ((1.0, NAN),), "coeffs[1] must be finite, got nan"),
     # a non-finite float that reached the polynomial layer and came back as NaN or inf
     (convolution_identity_i_rhs, (4, 1.0, 0.3, NAN, 0.5), "w must be finite, got nan"),
@@ -273,7 +276,7 @@ BEYOND_FLOAT = [
     (mlp_coeffs, (2, 0.5, 1.0, HUGE), "x"),
     (oplus_power, (HUGE, 1.0, 3, 0.5), "x"),
     (solve_case_i, (2, 0.3, 0.5, 1.0, HUGE, 1.0), "x"),
-    (solve_case_i, (2, 0.3, 0.5, -HUGE, 1.0, 1.0), "k"),
+    (solve_case_i, (2, 0.3, 0.5, HUGE, 1.0, 1.0), "diffusivity k"),
     (ml_one, (0.5, HUGE), "z"),
     (ml_two, (0.5, -HUGE, 1.0), "beta"),
     (ml_three, (0.5, 1.0, HUGE, 1.0), "gamma"),
@@ -288,6 +291,31 @@ BEYOND_FLOAT = [
     (SolutionProfile, ([0.0, 1.0], [HUGE, 1.0], {}), "a value"),
     (caputo_monomial, (HUGE, 0.5), "exponent"),
     (konhauser, (2, 0.5, 1.0, HUGE, 1.0), "x"),
+]
+
+
+def _degree_overflow(name, n):
+    return f"{name} = {n}: an integer factor {name}!/(...) exceeds the double-precision range"
+
+
+# A degree whose factorial leaves the double range (above 170) raised a raw
+# "OverflowError: int too large to convert to float" where an exact factorial
+# met a float; it is now refused by name before any factorial is built.  A
+# power or a residual coefficient beyond the range raised a raw OverflowError
+# or came back as NaN.
+OVERFLOWING = [
+    (residual_tf_diffusion, (400, 0.5, 1.0), _degree_overflow("n", 400)),
+    (residual_laguerre, (200, 0.5, 0.5, 1.0), _degree_overflow("n", 200)),
+    (fhp_at_zero, (400, 0.5, 1.0), _degree_overflow("n", 400)),
+    (umbral_hermite_shift, (400, 1.0, 0.1, 0.1, 0.5), _degree_overflow("n", 400)),
+    (konhauser, (200, 0.5, 1.0, 1.0, 1.0), _degree_overflow("n", 200)),
+    (levy_subordination_moment, (0.5, 400, 1.0), _degree_overflow("m", 400)),
+    (residual_tf_diffusion, (170, 0.5, 1e200),
+     "k**85 exceeds the double-precision range at k = 1e+200"),
+    (residual_laguerre, (12, 0.5, 0.5, 1e300),
+     "b**12 exceeds the double-precision range at b = 1e+300"),
+    (residual_laguerre, (12, 1e-300, 0.3, 2),
+     "the coefficient of x**0.0 t**3.3 is nan: the residual table leaves the double-precision range"),
 ]
 
 
@@ -317,6 +345,13 @@ def test_an_integer_beyond_the_float_range_is_named(fn, args, name):
     with pytest.raises(FloatOverflowError) as info:
         fn(*args)
     assert str(info.value) == f"{name} exceeds the double-precision range"
+
+
+@pytest.mark.parametrize("fn, args, message", OVERFLOWING, ids=[_row_id(r) for r in OVERFLOWING])
+def test_an_overflow_is_refused_by_name(fn, args, message):
+    with pytest.raises(FloatOverflowError) as info:
+        fn(*args)
+    assert str(info.value) == message
 
 
 def test_a_factorial_beyond_the_float_range_divides_exactly():

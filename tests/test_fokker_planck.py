@@ -244,11 +244,21 @@ class TestLaguerreEvolution:
         got = solve_laguerre_wright(y, alpha, beta, b, 1.1, 1e-14)
         assert got == pytest.approx(wright(alpha, 1.0, -y * 1.1 ** alpha).value, rel=1e-8)
 
+    def test_datum_at_t_zero(self):
+        for n in (0, 1, 4, 7):
+            for x in (0.0, 0.3, 2.0):
+                datum = (-(x ** 0.6)) ** n * rgamma(1.0 + 0.6 * n)
+                assert solve_laguerre_monomial(n, 0.6, 0.7, 1.3, x, 0.0) == datum
+        for y in (-0.8, 0.0, 1.2):
+            for x in (0.0, 0.3, 2.0):
+                datum = wright(0.6, 1.0, -y * x ** 0.6).value
+                assert solve_laguerre_wright(y, 0.6, 0.7, 1.3, x, 0.0) == datum
+
     def test_domains(self):
         with pytest.raises(DomainError):
             solve_laguerre_monomial(2, 0.5, 0.5, 1.0, -0.5, 1.0)
         with pytest.raises(DomainError):
-            solve_laguerre_wright(0.5, 0.5, 0.5, 1.0, 1.0, 0.0)
+            solve_laguerre_wright(0.5, 0.5, 0.5, 1.0, 1.0, -0.5)
 
     def test_parameter_domains(self):
         # the messages are those of LaguerreProblem

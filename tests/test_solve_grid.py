@@ -11,26 +11,29 @@ import numpy as np
 import pytest
 
 from mlpoly import (
-    CaseIIPlan,
-    CaseIPlan,
     DiffusionProblem,
-    LaguerreMonomialPlan,
-    LaguerreWrightPlan,
+    DomainError,
+    FhpInitial,
+    HermiteInitial,
+    LaguerreMonomialInitial,
+    LaguerreProblem,
+    MLPolyError,
     MonomialInitial,
     SeriesInitial,
     SolutionProfile,
     VerificationError,
+    WrightInitial,
     config,
     convolution_identity_ii_rhs,
     fhp_oplus_eval,
     ml_one,
+    plan,
     rgamma,
     solve_case_i,
     solve_case_ii,
     solve_laguerre_monomial,
     solve_laguerre_wright,
     solve_tf_diffusion,
-    tf_diffusion_plan,
     wright,
 )
 from mlpoly.cli import _profile_text, run
@@ -103,14 +106,17 @@ def _series(coeffs):
 def _plan(problem, p, coeffs=None):
     if problem == "tf-diffusion":
         initial = SeriesInitial(coeffs) if coeffs is not None else MonomialInitial(p["n"])
-        return tf_diffusion_plan(DiffusionProblem(p["alpha"], p["k"], initial))
-    if problem == "case-i":
-        return CaseIPlan(p["n"], p["a"], p["alpha"], p["k"])
-    if problem == "case-ii":
-        return CaseIIPlan(p["n"], p["a"], p["alpha"], p["k"])
-    if problem == "laguerre-monomial":
-        return LaguerreMonomialPlan(p["n"], p["alpha"], p["beta"], p["b"])
-    return LaguerreWrightPlan(p["y_param"], p["alpha"], p["beta"], p["b"])
+    elif problem == "case-i":
+        initial = HermiteInitial(p["n"], p["a"])
+    elif problem == "case-ii":
+        initial = FhpInitial(p["n"], p["a"])
+    elif problem == "laguerre-monomial":
+        initial = LaguerreMonomialInitial(p["n"])
+    else:
+        initial = WrightInitial(p["y_param"])
+    if problem.startswith("laguerre"):
+        return plan(LaguerreProblem(p["alpha"], p["beta"], p["b"], initial))
+    return plan(DiffusionProblem(p["alpha"], p["k"], initial))
 
 
 def _scalar(problem, p, x, t, coeffs=None):
@@ -141,18 +147,28 @@ def _points(grid_var, grid):
     return [(g, fixed) if grid_var == "x" else (fixed, g) for g in grid]
 
 
+def _argv(problem, p, grid_var, lo, hi, fmt="json", points=POINTS):
+    fixed_name = "t" if grid_var == "x" else "x"
+    argv = ["solve", "--problem", problem, "--grid-var", grid_var, "--format", fmt,
+            f"--grid-min={lo!r}", f"--grid-max={hi!r}", "--grid-points", str(points),
+            f"--{fixed_name}", repr(FIXED[fixed_name])]
+    for key, value in p.items():
+        argv += [f"--{key.replace('_', '-')}", repr(value)]
+    return argv
+
+
 @pytest.mark.parametrize("problem,grid_var,coeffs", [
     (problem, grid_var, None) for problem in PARAMS for grid_var in ("x", "t")
 ] + [("tf-diffusion", grid_var, COEFFS) for grid_var in ("x", "t")])
 def test_plan_equals_direct_sums_bit_for_bit(problem, grid_var, coeffs):
     p = PARAMS[problem]
     series = _series(coeffs) if coeffs else None
-    plan = _plan(problem, p, series)
+    solver = _plan(problem, p, series)
     _, _, grid = _grid(problem, grid_var)
     if grid_var == "x":
-        got = list(map(plan.along_x(FIXED["t"]), grid))
+        got = list(map(solver.along_x(FIXED["t"]), grid))
     else:
-        got = list(map(plan.along_t(FIXED["x"]), grid))
+        got = list(map(solver.along_t(FIXED["x"]), grid))
     want = [_reference(problem, p, x, t, series) for x, t in _points(grid_var, grid)]
     assert got == want
 
@@ -164,11 +180,7 @@ def test_cli_solve_bytes_equal_scalar_point_by_point(capsys, problem, grid_var, 
         del p["n"]
     lo, hi, grid = _grid(problem, grid_var)
     fixed_name = "t" if grid_var == "x" else "x"
-    argv = ["solve", "--problem", problem, "--grid-var", grid_var, "--format", fmt,
-            f"--grid-min={lo!r}", f"--grid-max={hi!r}", "--grid-points", str(POINTS),
-            f"--{fixed_name}", repr(FIXED[fixed_name])]
-    for key, value in p.items():
-        argv += [f"--{key.replace('_', '-')}", repr(value)]
+    argv = _argv(problem, p, grid_var, lo, hi, fmt)
     if use_coeffs:
         argv.append(f"--coeffs={COEFFS}")
     assert run(argv) == 0
@@ -183,6 +195,31 @@ def test_cli_solve_bytes_equal_scalar_point_by_point(capsys, problem, grid_var, 
     assert out == _profile_text(SolutionProfile(grid, values, meta), fmt)
 
 
+# one parameter outside the record's domain per problem
+REFUSED = [
+    ("tf-diffusion", {"k": -1.0}, "diffusivity k must be positive, got -1.0"),
+    ("case-i", {"k": -1.0}, "diffusivity k must be positive, got -1.0"),
+    ("case-ii", {"alpha": 1.0}, "alpha must lie in (0, 1), got 1.0"),
+    ("laguerre-monomial", {"n": 171},
+     "n = 171: an integer factor n!/(...) exceeds the double-precision range"),
+    ("laguerre-wright", {"beta": 1.5}, "beta must lie in (0, 1], got 1.5"),
+]
+
+
+@pytest.mark.parametrize("problem,bad,message", REFUSED, ids=[r[0] for r in REFUSED])
+def test_every_route_refuses_alike(capsys, problem, bad, message):
+    p = {**PARAMS[problem], **bad}
+    x, t = FIXED["x"], FIXED["t"]
+    for route in (lambda: _scalar(problem, p, x, t), lambda: _plan(problem, p).at(x, t)):
+        with pytest.raises(MLPolyError) as info:
+            route()
+        assert str(info.value) == message
+    code = 1 if isinstance(info.value, DomainError) else 2
+    assert run(_argv(problem, p, "x", 0.0, 1.0, points=3)) == code
+    prefix = "error" if code == 1 else "numerical failure"
+    assert capsys.readouterr() == ("", f"{prefix}: {message}\n")
+
+
 def test_case_ii_grid_still_checks_both_routes_at_every_point(capsys, monkeypatch):
     # with zero tolerances any rounding gap between the two routes is a disagreement
     monkeypatch.setattr(config, "IDENTITY_RTOL", 0.0)
@@ -192,7 +229,7 @@ def test_case_ii_grid_still_checks_both_routes_at_every_point(capsys, monkeypatc
     assert run(argv) == 2
     assert "disagree" in capsys.readouterr().err
 
-    solution = CaseIIPlan(12, 0.5, 0.6, 1.2).along_x(0.7)
+    solution = plan(DiffusionProblem(0.6, 1.2, FhpInitial(12, 0.5))).along_x(0.7)
     w = 1.2 * 0.7 ** 0.6
     raised = []
     for x in np.linspace(-2.0, 2.0, 11):

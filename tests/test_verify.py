@@ -1,6 +1,8 @@
 import math
 
-from mlpoly import verify
+import pytest
+
+from mlpoly import FloatOverflowError, verify
 from mlpoly.fokker_planck import _table_residual
 from mlpoly.gamma_core import _worst
 
@@ -28,7 +30,9 @@ def test_nan_gap_fails_its_check(monkeypatch):
 
 
 def test_nan_coefficient_gap_in_a_residual_table():
-    assert math.isnan(_table_residual([(1.0, 0.0, 0.0), (math.nan, 1.0, 0.0)], [(1.0, 0.0, 0.0)]))
+    # refused by name: a NaN residual would read as a failed identity, not as an overflow
+    with pytest.raises(FloatOverflowError, match=r"coefficient of x\*\*1\.0 t\*\*0\.0 is nan"):
+        _table_residual([(1.0, 0.0, 0.0), (math.nan, 1.0, 0.0)], [(1.0, 0.0, 0.0)])
 
 
 def test_an_operational_gap_is_a_failed_check_not_an_abort(monkeypatch, capsys):
@@ -45,3 +49,10 @@ def test_an_operational_gap_is_a_failed_check_not_an_abort(monkeypatch, capsys):
     failed = {line.split()[1]: line for line in out.splitlines() if line.startswith("FAIL")}
     assert failed["mlp-gf/mlp-operational"].startswith("FAIL mlp-gf/mlp-operational max_err=1.0000")
     assert out.splitlines()[-1] == f"passed {6 - len(failed)}/6"
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pde_residuals_pass_on_every_seed(seed):
+    # initial-condition-recovery compares every solution with its datum at t = 0
+    [(_, results)] = verify.run_suites("pde-residuals", seed=seed)
+    assert [check.name for check in results if not check.passed] == []
