@@ -7,12 +7,14 @@ Run:  python demos/03_ml_polynomials_and_konhauser.py
 import math
 
 from mlpoly import (
+    LaguerreMonomialInitial,
+    LaguerreProblem,
     konhauser,
     mlp_egf_closed,
     mlp_eval,
     mlp_ogf_closed,
     mlp_operational_check,
-    residual_laguerre,
+    residual,
     solve_laguerre_monomial,
     solve_laguerre_wright,
 )
@@ -51,7 +53,7 @@ for t in (0.1, 0.4, 1.0, 2.0):
     g = solve_laguerre_monomial(n, alpha, beta, b, 0.7, t)
     print(f"  t={t:4.1f}: G = {g:+.10f}")
 print(f"algebraic residual of the equation at n={n}: "
-      f"{residual_laguerre(n, alpha, beta, b):.2e}")
+      f"{residual(LaguerreProblem(alpha, beta, b, LaguerreMonomialInitial(n))):.2e}")
 
 print()
 print("=== a Wright-function datum factorizes into space and time parts ===")

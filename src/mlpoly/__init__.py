@@ -34,8 +34,7 @@ _EXPORTS = {
         "SolutionProfile",
         "WrightInitial",
         "plan",
-        "residual_laguerre",
-        "residual_tf_diffusion",
+        "residual",
         "solve_case_i",
         "solve_case_ii",
         "solve_laguerre_monomial",

@@ -9,9 +9,9 @@ cross-check; nothing in the library consumes it.
 import math
 
 from . import config
-from ._validate import degree, open_unit, positive
+from ._validate import degree, finite, open_unit, positive
 from .errors import DomainError, FloatOverflowError
-from .gamma_core import _lgamma, rgamma
+from .gamma_core import _check_power, _lgamma, rgamma
 
 
 def caputo_monomial(gamma_exp, alpha):
@@ -37,6 +37,11 @@ def caputo_monomial(gamma_exp, alpha):
             f"exponent {gamma_exp} in (0, alpha={alpha}) leaves the representable domain"
         )
     coeff = math.exp(_lgamma(1.0 + gamma_exp) - _lgamma(1.0 + gamma_exp - alpha))
+    if not math.isfinite(coeff):  # inf - inf: log Gamma left the double range
+        raise FloatOverflowError(
+            "log Gamma(1 + exponent) exceeds the double-precision range "
+            f"at exponent = {gamma_exp!r}"
+        )
     return coeff, max(gamma_exp - alpha, 0.0)
 
 
@@ -87,5 +92,11 @@ def rl_from_caputo(caputo_value, g0, t, alpha):
     RL = Caputo + t**(-alpha) * g(0) / Gamma(1 - alpha).
     """
     open_unit(alpha, "Caputo order")
+    finite(caputo_value, "caputo_value")
+    finite(g0, "g0")
     positive(t, "t")
-    return caputo_value + g0 * t ** (-alpha) * rgamma(1.0 - alpha)
+    _check_power(t, -alpha, "t")
+    value = caputo_value + g0 * t ** (-alpha) * rgamma(1.0 - alpha)
+    if math.isinf(value):
+        raise FloatOverflowError("the Riemann-Liouville value exceeds the double-precision range")
+    return value

@@ -22,11 +22,13 @@ that checks its parameters once.  :func:`plan` builds its grid plan
 (:class:`GridPlan`), which evaluates the solution along x or along t for any
 t >= 0; the scalar solve_* functions are its one-point case.
 
-The residual_* operations substitute a solution back into its equation as a
-bivariate coefficient table in (x, t), so the check is algebraic: no grids,
-no discretization error.  Residuals are reported coefficient-wise,
-normalized by the local coefficient magnitude, since the raw entries grow
-like n!.
+:func:`residual` substitutes a solution back into its equation.  It reads the
+solution from the plan itself, as a list of terms c x**i t**(alpha*j) (or
+c x**(alpha*i) t**(beta*j)), so it checks the rows that the solvers use; both
+sides become a bivariate coefficient table keyed by (i, j), and the check is
+algebraic: no grids, no discretization error.  Residuals are reported
+coefficient-wise, normalized by the local coefficient magnitude, since the
+raw entries grow like n!.
 """
 
 import json
@@ -225,6 +227,14 @@ class _FhpPlan(GridPlan):
     def _formula(self, xp, coeffs):
         return _weighted_sum(self._weights, self._table.values(coeffs, xp))
 
+    def _terms(self):
+        """Yield (c, i, j): the solution is the sum of c * x**i * t**(alpha*j)."""
+        table = self._table
+        kp = _powers(self._k, table.top // 2, "k")
+        for m, w, row in zip(table.degrees, self._weights, table.ratios):
+            for r, (ratio, kr, rg) in enumerate(zip(row, kp, table.rgammas)):
+                yield ratio * kr * rg * w, m - 2 * r, r
+
 
 class _CaseIPlan(_FhpPlan):
     """Grid plan of :func:`solve_case_i`."""
@@ -301,6 +311,13 @@ class _LaguerreMonomialPlan(GridPlan):
         for ratio, xr, ur, gx, gt in zip(self._ratios, xs, us, self._rgammas_x, self._rgammas_t):
             total += ratio * xr * ur * gx * gt
         return total
+
+    def _terms(self):
+        """Yield (c, i, j): the solution is the sum of c * x**(alpha*i) * t**(beta*j)."""
+        n = self._n
+        bp = _powers(self._b, n, "b")
+        for r, (ratio, gx, gt) in enumerate(zip(self._ratios, self._rgammas_x, self._rgammas_t)):
+            yield ratio * (-1.0) ** r * bp[n - r] * gx * gt, r, n - r
 
 
 class _LaguerreWrightPlan(GridPlan):
@@ -400,20 +417,19 @@ def solve_laguerre_wright(y_param, alpha, beta, b, x, t):
 def _table_residual(lhs_terms, rhs_terms):
     """Max normalized coefficient difference between two bivariate tables.
 
-    Tables are lists of (coeff, x_exp, t_exp); exponent pairs are snapped to
-    9 decimals.  Each difference is divided by max(1, |lhs|, |rhs|) so the
-    result measures agreement of the algebraic identity, not the raw n!-scale
-    coefficient growth.
+    Tables are lists of (coeff, i, j), keyed by the integer exponent indices
+    (i, j) of x and t.  Each difference is divided by max(1, |lhs|, |rhs|) so
+    the result measures agreement of the algebraic identity, not the raw
+    n!-scale coefficient growth.
     """
     def collect(terms):
         table = {}
-        for c, xe, te in terms:
-            key = (round(xe, 9), round(te, 9))
-            table[key] = table.get(key, 0.0) + c
-        for (xe, te), c in table.items():
+        for c, i, j in terms:
+            table[i, j] = table.get((i, j), 0.0) + c
+        for key, c in table.items():
             if not math.isfinite(c):
                 raise FloatOverflowError(
-                    f"the coefficient of x**{xe} t**{te} is {c!r}: the residual table "
+                    f"the coefficient of term {key} is {c!r}: the residual table "
                     f"leaves the double-precision range"
                 )
         return table
@@ -428,68 +444,31 @@ def _table_residual(lhs_terms, rhs_terms):
     return worst
 
 
-def residual_tf_diffusion(n, alpha, k):
-    """Substitute F = H[alpha]_n(x, k t**alpha) into the diffusion equation.
+def residual(prob):
+    """Substitute a problem's solution into its equation.
 
-    Both sides are expanded into a bivariate coefficient table; the return
-    value is the worst normalized coefficient mismatch (0 up to rounding,
-    since the identity is algebraic).
+    The solution is its plan's own term list; the Caputo derivative in t and
+    the space operator (k d^2/dx^2, or -(b/alpha) K) act on it term by term,
+    and the return value is the worst normalized coefficient mismatch of the
+    two sides (0 up to rounding, since the identity is algebraic).  A Wright
+    datum has no finite term list, and beta = 1 no Caputo derivative in t.
     """
-    n = degree(n, "n")
-    open_unit(alpha, "alpha")
-    positive_finite(k, "k")
-    _check_degree(n)
-
-    # F term r: n!/(n-2r)! * k**r / Gamma(1+alpha r) * x**(n-2r) * t**(alpha r)
-    lhs = []  # Caputo derivative in t kills r = 0
-    rhs = []  # k * second x-derivative
-    kp = _powers(k, n // 2, "k")
-    for r in range(n // 2 + 1):
-        base = (
-            (math.factorial(n) // math.factorial(n - 2 * r))
-            * kp[r]
-            * rgamma(1.0 + alpha * r)
-        )
-        if r >= 1:
-            factor, _ = caputo_monomial(alpha * r, alpha)
-            lhs.append((base * factor, float(n - 2 * r), alpha * (r - 1)))
-        xe = n - 2 * r
-        if xe >= 2:
-            rhs.append((base * xe * (xe - 1) * k, float(xe - 2), alpha * r))
-    return _table_residual(lhs, rhs)
-
-
-def residual_laguerre(n, alpha, beta, b):
-    """Substitute the monomial-datum solution into the Laguerre-type equation.
-
-    Checks D_t^beta G = -(b/alpha) K G coefficient-wise on the bivariate
-    table with x-exponents alpha*r and t-exponents beta*(n-r); returns the
-    worst normalized mismatch.
-    """
-    n = degree(n, "n")
-    open_unit(alpha, "alpha")
-    open_unit(beta, "beta")
-    positive_finite(b, "b")
-    _check_degree(n)
-
-    # G term r: n!/r! (-1)**r b**(n-r)/(Gamma(1+alpha r) Gamma(1+beta(n-r)))
-    #           * x**(alpha r) * t**(beta (n-r))
-    lhs = []
-    rhs = []
-    nfact = math.factorial(n)
-    bp = _powers(b, n, "b")
-    for r in range(n + 1):
-        base = (
-            (nfact // math.factorial(r))
-            * (-1.0) ** r
-            * bp[n - r]
-            * rgamma(1.0 + alpha * r)
-            * rgamma(1.0 + beta * (n - r))
-        )
-        if n - r >= 1:  # Caputo in t kills the t-constant term
-            factor, te = caputo_monomial(beta * (n - r), beta)
-            lhs.append((base * factor, alpha * r, te))
-        if r >= 1:  # K annihilates the x-constant term
-            cfac, xe = caputo_monomial(alpha * r, alpha)
-            rhs.append((-(b / alpha) * base * (alpha * r) * cfac, xe, beta * (n - r)))
+    if isinstance(prob.initial, WrightInitial):
+        raise DomainError("a Wright datum has no finite coefficient table, so no residual")
+    laguerre = isinstance(prob, LaguerreProblem)
+    if laguerre:
+        open_unit(prob.beta, "beta")
+    alpha = prob.alpha
+    order = prob.beta if laguerre else alpha
+    lhs = []  # D_t^order
+    rhs = []  # the space operator
+    for c, i, j in plan(prob)._terms():
+        if j >= 1:  # Caputo in t kills the t-constant term
+            factor, _ = caputo_monomial(order * j, order)
+            lhs.append((c * factor, i, j - 1))
+        if laguerre and i >= 1:  # K annihilates the x-constant term
+            cfac, _ = caputo_monomial(alpha * i, alpha)
+            rhs.append((-(prob.b / alpha) * c * (alpha * i) * cfac, i - 1, j))
+        elif not laguerre and i >= 2:
+            rhs.append((c * i * (i - 1) * prob.k, i - 2, j))
     return _table_residual(lhs, rhs)

@@ -81,8 +81,12 @@ def gamma(x):
         return _math_gamma(x, x)
     if _nonpos_int(x):
         raise DomainError(f"gamma pole at x = {x}")
-    # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-    return _PI / (_sinpi(x) * _math_gamma(1.0 - x, x))
+    # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x); the quotient overflows
+    # next to the pole at 0
+    value = _PI / (_sinpi(x) * _math_gamma(1.0 - x, x))
+    if not -_INF < value < _INF:
+        raise FloatOverflowError(f"Gamma({x!r}) exceeds the double-precision range at x = {x!r}")
+    return value
 
 
 def rgamma(x):
@@ -246,4 +250,12 @@ def levy_subordination_moment(beta, m, t):
     m = degree(m, "m")
     positive_finite(t, "t")
     _check_degree(m, "m")
-    return math.factorial(m) * t ** (beta * m) * rgamma(1.0 + beta * m)
+    try:
+        scaled = math.factorial(m) * t ** (beta * m)
+    except OverflowError:
+        scaled = _INF
+    if scaled == _INF:
+        raise FloatOverflowError(
+            f"m! t**(beta*m) exceeds the double-precision range at t = {t!r}"
+        )
+    return scaled * rgamma(1.0 + beta * m)

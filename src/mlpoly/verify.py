@@ -16,8 +16,14 @@ from ._pcg import Generator
 from .caputo import caputo_l1, caputo_monomial, caputo_poly, rl_from_caputo
 from .config import SUITE_NAMES
 from .fokker_planck import (
-    residual_laguerre,
-    residual_tf_diffusion,
+    DiffusionProblem,
+    FhpInitial,
+    HermiteInitial,
+    LaguerreMonomialInitial,
+    LaguerreProblem,
+    MonomialInitial,
+    SeriesInitial,
+    residual,
     solve_case_i,
     solve_case_ii,
     solve_laguerre_monomial,
@@ -301,14 +307,23 @@ def _caputo(rng, n_max):
 
 def _pde_residuals(rng, n_max):
     for n in range(min(n_max, 10) + 1):
+        series = SeriesInitial([(-0.6) ** r for r in range(n + 1)])
         for alpha in (0.3, 0.5, 0.8):
-            yield "tf-diffusion-residual", residual_tf_diffusion(n, alpha, 1.0)
-            yield "tf-diffusion-residual", residual_tf_diffusion(n, alpha, 0.7)
+            for k in (1.0, 0.7):
+                prob = DiffusionProblem(alpha, k, MonomialInitial(n))
+                yield "tf-diffusion-residual", residual(prob)
+            for a in (-0.7, 0.4):
+                case_i = DiffusionProblem(alpha, 1.3, HermiteInitial(n, a))
+                case_ii = DiffusionProblem(alpha, 1.3, FhpInitial(n, a))
+                yield "case-i-residual", residual(case_i)
+                yield "case-ii-residual", residual(case_ii)
+            yield "series-residual", residual(DiffusionProblem(alpha, 0.7, series))
 
     for n in range(min(n_max, 6) + 1):
         for alpha in (0.3, 0.5, 0.8):
             for beta in (0.3, 0.5, 0.8):
-                yield "laguerre-residual", residual_laguerre(n, alpha, beta, 1.0)
+                prob = LaguerreProblem(alpha, beta, 1.0, LaguerreMonomialInitial(n))
+                yield "laguerre-residual", residual(prob)
 
     # every solution reproduces its initial datum at t = 0
     for _ in range(15):
@@ -470,6 +485,9 @@ _CHECKS = {
     "pde-residuals": (_pde_residuals, (
         ("tf-diffusion-residual", 1e-10),
         ("laguerre-residual", 1e-10),
+        ("case-i-residual", 1e-10),
+        ("case-ii-residual", 1e-10),
+        ("series-residual", 1e-10),
         ("initial-condition-recovery", 1e-8),
         ("case-i-umbral-equality", 1e-9),
         ("case-ii-both-forms", 1e-9),

@@ -91,7 +91,9 @@ def test_07_caputo_eigenfunction_and_l1_order(suites):
 
 def test_08_pde_residuals(suites):
     _criterion(suites, 8, "PDE residuals", 1e-10, 5.0,
-               "pde-residuals/tf-diffusion-residual", "pde-residuals/laguerre-residual")
+               "pde-residuals/tf-diffusion-residual", "pde-residuals/laguerre-residual",
+               "pde-residuals/case-i-residual", "pde-residuals/case-ii-residual",
+               "pde-residuals/series-residual")
 
 
 def test_09_subordination_chain(suites):

@@ -33,6 +33,7 @@ from mlpoly import (
     PowerSeries,
     SeriesInitial,
     SolutionProfile,
+    WrightInitial,
     WrightSeries,
     appell_A_fhp,
     appell_A_mlp,
@@ -66,8 +67,7 @@ from mlpoly import (
     plan,
     relaxation_cole_cole,
     relaxation_hn,
-    residual_laguerre,
-    residual_tf_diffusion,
+    residual,
     rgamma,
     rl_from_caputo,
     solve_case_i,
@@ -88,6 +88,16 @@ SAMPLES = [0.0, 1.0, 2.0, 3.0]
 
 def _along_x(t):
     return plan(DiffusionProblem(0.5, 1.0, FhpInitial(2, 0.3))).along_x(t)
+
+
+# The residual of a monomial datum, under the names and argument order of the
+# two functions that ``residual`` replaced, so that each row keeps its id.
+def residual_tf_diffusion(n, alpha, k):
+    return residual(DiffusionProblem(alpha, k, MonomialInitial(n)))
+
+
+def residual_laguerre(n, alpha, beta, b):
+    return residual(LaguerreProblem(alpha, beta, b, LaguerreMonomialInitial(n)))
 
 
 UNCHANGED = [
@@ -178,7 +188,7 @@ UNCHANGED = [
     (solve_laguerre_wright, (0.5, 0.0, 0.5, 1.0, 1.0, 1.0), "alpha must lie in (0, 1), got 0.0"),
     (solve_laguerre_wright, (0.5, 0.5, 0.5, 1.0, 1.0, NAN), "t must be nonnegative, got nan"),
     (residual_tf_diffusion, (3, 1.0, 1.0), "alpha must lie in (0, 1), got 1.0"),
-    (residual_tf_diffusion, (3, 0.5, 0.0), "k must be positive, got 0.0"),
+    (residual_tf_diffusion, (3, 0.5, 0.0), "diffusivity k must be positive, got 0.0"),
     (residual_laguerre, (3, 0.5, 1.0, 1.0), "beta must lie in (0, 1), got 1.0"),
     (residual_laguerre, (3, 0.5, 0.5, NAN), "b must be positive, got nan"),
     # where a positive or nonnegative argument must also be finite, NaN and
@@ -236,7 +246,7 @@ MENDED = [
     (solve_laguerre_wright, (0.5, 0.5, 0.5, 1.0, INF, 1.0), "x must be finite, got inf"),
     (solve_laguerre_wright, (0.5, 0.5, 0.5, 1.0, 1.0, INF), "t must be finite, got inf"),
     (LaguerreProblem, (0.5, 0.5, INF, LaguerreMonomialInitial(2)), "b must be finite, got inf"),
-    (residual_tf_diffusion, (6, 1e-300, INF), "k must be finite, got inf"),
+    (residual_tf_diffusion, (6, 1e-300, INF), "diffusivity k must be finite, got inf"),
     (residual_laguerre, (3, 0.5, 0.5, INF), "b must be finite, got inf"),
     (SeriesInitial, ((1.0, NAN),), "coeffs[1] must be finite, got nan"),
     # a non-finite float that reached the polynomial layer and came back as NaN or inf
@@ -254,6 +264,8 @@ MENDED = [
     (fhp_at_zero, (4, 0.5, NAN), "y must be finite, got nan"),
     (fhp_at_zero, (4, 0.5, INF), "y must be finite, got inf"),
     (levy_subordination_moment, (0.5, 2, INF), "t must be finite, got inf"),
+    (rl_from_caputo, (5e-324, INF, 1e300, 0.999999), "g0 must be finite, got inf"),
+    (rl_from_caputo, (NAN, 1.0, 1.0, 0.5), "caputo_value must be finite, got nan"),
     # a NaN argument of the Sheffer layer, refused as a NaN coefficient or under
     # the name of the series parameter it reached
     (appell_A_fhp, (0.5, NAN, 6), "y must be finite, got nan"),
@@ -301,8 +313,8 @@ def _degree_overflow(name, n):
 # A degree whose factorial leaves the double range (above 170) raised a raw
 # "OverflowError: int too large to convert to float" where an exact factorial
 # met a float; it is now refused by name before any factorial is built.  A
-# power or a residual coefficient beyond the range raised a raw OverflowError
-# or came back as NaN.
+# power, a product, a gamma value or a residual coefficient beyond the range
+# raised a raw OverflowError or came back as NaN or infinite.
 OVERFLOWING = [
     (residual_tf_diffusion, (400, 0.5, 1.0), _degree_overflow("n", 400)),
     (residual_laguerre, (200, 0.5, 0.5, 1.0), _degree_overflow("n", 200)),
@@ -315,7 +327,28 @@ OVERFLOWING = [
     (residual_laguerre, (12, 0.5, 0.5, 1e300),
      "b**12 exceeds the double-precision range at b = 1e+300"),
     (residual_laguerre, (12, 1e-300, 0.3, 2),
-     "the coefficient of x**0.0 t**3.3 is nan: the residual table leaves the double-precision range"),
+     "the coefficient of term (0, 11) is nan: the residual table leaves the double-precision range"),
+    (levy_subordination_moment, (0.3, 12, 1e308),
+     "m! t**(beta*m) exceeds the double-precision range at t = 1e+308"),
+    (levy_subordination_moment, (0.99, 170, 2.0),
+     "m! t**(beta*m) exceeds the double-precision range at t = 2.0"),
+    (caputo_monomial, (1e308, 0.5),
+     "log Gamma(1 + exponent) exceeds the double-precision range at exponent = 1e+308"),
+    (rl_from_caputo, (0.0, 1.0, 5e-324, 0.999999),
+     "t**-0.999999 exceeds the double-precision range at t = 5e-324"),
+    (rl_from_caputo, (1.0, 1e300, 1e-30, 0.9),
+     "the Riemann-Liouville value exceeds the double-precision range"),
+    (gamma, (5e-324,), "Gamma(5e-324) exceeds the double-precision range at x = 5e-324"),
+    (gamma, (-5e-324,), "Gamma(-5e-324) exceeds the double-precision range at x = -5e-324"),
+]
+
+# What has no residual: a Wright datum has no finite coefficient table, and
+# beta = 1, which the Laguerre record accepts, no Caputo derivative in t.
+RESIDUAL_REFUSED = [
+    ("wright-datum", LaguerreProblem(0.5, 0.5, 1.0, WrightInitial(0.5)),
+     "a Wright datum has no finite coefficient table, so no residual"),
+    ("laguerre-beta-one", LaguerreProblem(0.5, 1.0, 1.0, LaguerreMonomialInitial(3)),
+     "beta must lie in (0, 1), got 1.0"),
 ]
 
 
@@ -351,6 +384,14 @@ def test_an_integer_beyond_the_float_range_is_named(fn, args, name):
 def test_an_overflow_is_refused_by_name(fn, args, message):
     with pytest.raises(FloatOverflowError) as info:
         fn(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("prob, message", [r[1:] for r in RESIDUAL_REFUSED],
+                         ids=[r[0] for r in RESIDUAL_REFUSED])
+def test_a_problem_without_a_residual_is_refused(prob, message):
+    with pytest.raises(DomainError) as info:
+        residual(prob)
     assert str(info.value) == message
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mlpoly import config, fokker_planck
 from mlpoly.errors import DomainError, VerificationError
 from mlpoly.fokker_planck import (
     DiffusionProblem,
@@ -15,15 +16,14 @@ from mlpoly.fokker_planck import (
     SeriesInitial,
     SolutionProfile,
     WrightInitial,
-    residual_laguerre,
-    residual_tf_diffusion,
+    residual,
     solve_case_i,
     solve_case_ii,
     solve_laguerre_monomial,
     solve_laguerre_wright,
     solve_tf_diffusion,
 )
-from mlpoly.fractional_hermite import fhp_eval, umbral_hermite_shift
+from mlpoly.fractional_hermite import _FhpTable, fhp_eval, umbral_hermite_shift
 from mlpoly.gamma_core import levy_subordination_moment, rgamma
 from mlpoly.mittag_leffler import ml_one, wright
 
@@ -270,25 +270,71 @@ class TestLaguerreEvolution:
             solve_laguerre_monomial(2, 0.5, 0.5, 0.0, 0.5, 0.5)
 
 
+def _diffusion_residual(n, alpha, k):
+    return residual(DiffusionProblem(alpha, k, MonomialInitial(n)))
+
+
+def _laguerre_residual(n, alpha, beta, b):
+    return residual(LaguerreProblem(alpha, beta, b, LaguerreMonomialInitial(n)))
+
+
+def _off(row, r):
+    """``row`` as a tuple, with entry r off by a relative 1e-8."""
+    row = list(row)
+    row[r] *= 1.0 + 1e-8
+    return tuple(row)
+
+
 class TestResiduals:
     def test_low_orders_vanish(self):
         for n in (0, 1):
-            assert residual_tf_diffusion(n, 0.5, 1.0) == 0.0
-        assert residual_laguerre(0, 0.5, 0.5, 1.0) == 0.0
+            assert _diffusion_residual(n, 0.5, 1.0) == 0.0
+        assert _laguerre_residual(0, 0.5, 0.5, 1.0) == 0.0
 
     def test_degree_two_hand_check(self):
         # D_t^alpha [2 k t**alpha / Gamma(1+alpha)] = 2k and k d2/dx2 x**2 = 2k
-        assert residual_tf_diffusion(2, 0.4, 1.7) <= 1e-14
+        assert _diffusion_residual(2, 0.4, 1.7) <= 1e-14
 
     def test_diffusion_sweep(self):
         for n in range(11):
             for alpha in (0.3, 0.5, 0.8):
                 for k in (0.7, 1.0):
-                    assert residual_tf_diffusion(n, alpha, k) <= 1e-10
+                    assert _diffusion_residual(n, alpha, k) <= 1e-10
 
     def test_laguerre_sweep(self):
         for n in range(7):
             for alpha in (0.3, 0.5, 0.8):
                 for beta in (0.3, 0.5, 0.8):
-                    assert residual_laguerre(n, alpha, beta, 1.0) <= 1e-10
-                    assert residual_laguerre(n, alpha, beta, 1.6) <= 1e-10
+                    assert _laguerre_residual(n, alpha, beta, 1.0) <= 1e-10
+                    assert _laguerre_residual(n, alpha, beta, 1.6) <= 1e-10
+
+    @pytest.mark.parametrize("row", ["ratios", "rgammas"])
+    def test_a_wrong_fhp_row_fails(self, monkeypatch, row):
+        # the residual reads the plan's rows, so an error in one of them shows
+        def corrupted(degrees, alpha):
+            table = _FhpTable(degrees, alpha)  # not the cached table, which others share
+            if row == "ratios":
+                table.ratios = (_off(table.ratios[0], 1),) + table.ratios[1:]
+            else:
+                table.rgammas = _off(table.rgammas, 1)
+            return table
+
+        prob = DiffusionProblem(0.5, 1.0, HermiteInitial(6, 0.3))
+        monkeypatch.setattr(fokker_planck, "_fhp_table", corrupted)
+        assert residual(prob) > config.RESIDUAL_TOL
+        monkeypatch.undo()
+        assert residual(prob) <= config.RESIDUAL_TOL
+
+    def test_a_wrong_laguerre_ratio_fails(self, monkeypatch):
+        ratios = fokker_planck.factorial_ratios
+        monkeypatch.setattr(fokker_planck, "factorial_ratios", lambda n, d: _off(ratios(n, d), 1))
+        assert _laguerre_residual(4, 0.5, 0.3, 1.0) > config.RESIDUAL_TOL
+
+    # an argument of the x row only (1 + alpha), then of the t row only (1 + beta)
+    @pytest.mark.parametrize("arg", [1.0 + 0.5, 1.0 + 0.3])
+    def test_a_wrong_laguerre_rgamma_fails(self, monkeypatch, arg):
+        rgamma = fokker_planck.rgamma
+        monkeypatch.setattr(
+            fokker_planck, "rgamma", lambda x: rgamma(x) * (1.0 + 1e-8) if x == arg else rgamma(x)
+        )
+        assert _laguerre_residual(4, 0.5, 0.3, 1.0) > config.RESIDUAL_TOL

@@ -42,7 +42,7 @@ def test_no_public_callable_takes_a_removed_setting():
     assert {name: knobs for name, knobs in found.items() if knobs} == {}
     # the walk reaches the evaluators, the series classes and the records
     for name in ("ml_one", "wright", "MLSeries.__call__", "WrightSeries.__call__",
-                 "solve_tf_diffusion", "plan", "mlp_operational_check",
+                 "solve_tf_diffusion", "plan", "residual", "mlp_operational_check",
                  "SolutionProfile.to_csv", "FracPoly.has_integer_exponents"):
         assert name in found
 
