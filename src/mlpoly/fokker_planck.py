@@ -20,10 +20,15 @@ datum, where the solution factorizes (solve_laguerre_wright).
 A problem is a record (:class:`DiffusionProblem`, :class:`LaguerreProblem`)
 that checks its parameters once.  :func:`plan` builds its grid plan
 (:class:`GridPlan`), which evaluates the solution along x or along t for any
-t >= 0; the scalar solve_* functions are its one-point case.
+t >= 0; the scalar solve_* functions are its one-point case.  A diffusion
+plan is the fractional-Hermite sum of :mod:`.fractional_hermite` (the
+weighted sum that its convolution identities evaluate) at w = k t**alpha;
+the plan of a fractional-Hermite datum also evaluates the (+)_alpha route at
+every point and refuses a point where the two disagree.
 
 :func:`residual` substitutes a solution back into its equation.  It reads the
-solution from the plan itself, as a list of terms c x**i t**(alpha*j) (or
+solution from the plan itself (for diffusion, from the plain sum, without the
+(+)_alpha route), as a list of terms c x**i t**(alpha*j) (or
 c x**(alpha*i) t**(beta*j)), so it checks the rows that the solvers use; both
 sides become a bivariate coefficient table keyed by (i, j), and the check is
 algebraic: no grids, no discretization error.  Residuals are reported
@@ -47,17 +52,7 @@ from ._validate import (
 )
 from .caputo import caputo_monomial
 from .errors import DomainError, FloatOverflowError, VerificationError
-from .fractional_hermite import (
-    _convolution_degrees,
-    _convolution_i_weights,
-    _convolution_ii_weights,
-    _fhp_table,
-    _gamma_weights,
-    _oplus,
-    _oplus_binoms,
-    _oplus_sum,
-    _weighted_sum,
-)
+from .fractional_hermite import _convolution_degrees, _fhp_table, _FhpSum, _OplusSum
 from .gamma_core import _check_degree, _powers, _worst, factorial_ratios, rgamma
 from .mittag_leffler import MLSeries, WrightSeries
 
@@ -203,29 +198,21 @@ class GridPlan:
         return lambda t: formula(fixed, t_side(t))
 
 
-class _FhpPlan(GridPlan):
-    """Weighted sums sum_j weights[j] H[alpha]_{degrees[j]}(x, k t**alpha), t >= 0.
+class _FhpPlan(_FhpSum, GridPlan):
+    """A fractional-Hermite sum at w = k t**alpha, t >= 0.
 
-    The x side is the powers of x, the t side the coefficient rows at
-    w = k t**alpha.  At t = 0 the sum is the initial datum.
+    The x side and the formula are the sum's own; the t side is its
+    coefficient rows at w = k t**alpha.  At t = 0 the sum is the initial datum.
     """
 
-    def __init__(self, degrees, weights, alpha, k):
-        self._table = _fhp_table(degrees, alpha)
-        self._weights = weights
+    def __init__(self, table, weights, alpha, k):
+        super().__init__(table, weights)
         self._alpha = alpha
         self._k = k
 
-    def _x_side(self, x):
-        return self._table.x_powers(x)
-
     def _t_side(self, t):
         nonnegative_finite(t, "t")
-        table = self._table
-        return table.coeffs(table.y_powers(self._k * t ** self._alpha))
-
-    def _formula(self, xp, coeffs):
-        return _weighted_sum(self._weights, self._table.values(coeffs, xp))
+        return self._w_side(self._k * t ** self._alpha)
 
     def _terms(self):
         """Yield (c, i, j): the solution is the sum of c * x**i * t**(alpha*j)."""
@@ -236,42 +223,27 @@ class _FhpPlan(GridPlan):
                 yield ratio * kr * rg * w, m - 2 * r, r
 
 
-class _CaseIPlan(_FhpPlan):
-    """Grid plan of :func:`solve_case_i`."""
-
-    def __init__(self, n, a, alpha, k):
-        finite(a, "a")
-        super().__init__(_convolution_degrees(n), None, alpha, k)
-        self._weights = _convolution_i_weights(self._table.top, a)
-
-
 class _CaseIIPlan(_FhpPlan):
     """Grid plan of :func:`solve_case_ii`: both closed routes at every point.
 
-    The t side adds the deformed powers (w (+)_alpha a)**r to the coefficient
-    rows, and each point compares the two routes before returning.
+    The t side adds the (+)_alpha route's rows (w (+)_alpha a)**r to the
+    coefficient rows, and each point compares the two routes before returning.
     """
 
-    def __init__(self, n, a, alpha, k):
-        finite(a, "a")
-        super().__init__(_convolution_degrees(n), None, alpha, k)
-        table = self._table
-        self._weights = _convolution_ii_weights(table, a)
-        self._gammas = _gamma_weights(table)
-        self._binoms = _oplus_binoms(table.top, alpha)
-        self._a_powers = _powers(a, table.top // 2, "a")
+    def __init__(self, table, weights, alpha, k, oplus):
+        super().__init__(table, weights, alpha, k)
+        self._oplus = oplus
 
     def _t_side(self, t):
         nonnegative_finite(t, "t")
         table = self._table
         wp = table.y_powers(self._k * t ** self._alpha)
-        ap = self._a_powers
-        return table.coeffs(wp), [_oplus(binoms, wp, ap) for binoms in self._binoms]
+        return table.coeffs(wp), self._oplus._rows(wp)
 
     def _formula(self, xp, t_side):
-        coeffs, oplus = t_side
-        by_series = _weighted_sum(self._weights, self._table.values(coeffs, xp))
-        by_oplus = _oplus_sum(self._table.top, self._gammas, xp, oplus)
+        coeffs, rows = t_side
+        by_series = super()._formula(xp, coeffs)
+        by_oplus = self._oplus._formula(xp, rows)
         gap = abs(by_series - by_oplus)
         allowed = max(
             config.IDENTITY_RTOL * max(abs(by_series), abs(by_oplus)),
@@ -348,17 +320,31 @@ class _LaguerreWrightPlan(GridPlan):
 def plan(prob):
     """The grid plan of a problem record; the plan checks only its datum, x and t."""
     init = prob.initial
-    if isinstance(init, MonomialInitial):
-        return _FhpPlan((degree(init.n, "n"),), (1.0,), prob.alpha, prob.k)
-    if isinstance(init, SeriesInitial):
-        return _FhpPlan(range(len(init.coeffs)), init.coeffs, prob.alpha, prob.k)
-    if isinstance(init, HermiteInitial):
-        return _CaseIPlan(init.n, init.a, prob.alpha, prob.k)
     if isinstance(init, FhpInitial):
-        return _CaseIIPlan(init.n, init.a, prob.alpha, prob.k)
+        finite(init.a, "a")
+        table = _fhp_table(_convolution_degrees(init.n), prob.alpha)
+        oplus = _OplusSum(table, init.a, prob.alpha)
+        return _CaseIIPlan.convolution_ii(table, init.a, prob.alpha, prob.k, oplus)
     if isinstance(init, LaguerreMonomialInitial):
         return _LaguerreMonomialPlan(init.n, prob.alpha, prob.beta, prob.b)
-    return _LaguerreWrightPlan(init.y, prob.alpha, prob.beta, prob.b)
+    if isinstance(init, WrightInitial):
+        return _LaguerreWrightPlan(init.y, prob.alpha, prob.beta, prob.b)
+    return _sum_plan(prob)
+
+
+def _sum_plan(prob):
+    """A diffusion problem's solution as a plain :class:`_FhpPlan`, which for a
+    fractional-Hermite datum builds no (+)_alpha route."""
+    init, alpha, k = prob.initial, prob.alpha, prob.k
+    if isinstance(init, MonomialInitial):
+        return _FhpPlan(_fhp_table((degree(init.n, "n"),), alpha), (1.0,), alpha, k)
+    if isinstance(init, SeriesInitial):
+        return _FhpPlan(_fhp_table(range(len(init.coeffs)), alpha), init.coeffs, alpha, k)
+    finite(init.a, "a")
+    table = _fhp_table(_convolution_degrees(init.n), alpha)
+    if isinstance(init, HermiteInitial):
+        return _FhpPlan.convolution_i(table, init.a, alpha, k)
+    return _FhpPlan.convolution_ii(table, init.a, alpha, k)
 
 
 # -- the scalar solvers: one point of the plan ------------------------------------
@@ -462,7 +448,7 @@ def residual(prob):
     order = prob.beta if laguerre else alpha
     lhs = []  # D_t^order
     rhs = []  # the space operator
-    for c, i, j in plan(prob)._terms():
+    for c, i, j in (plan(prob) if laguerre else _sum_plan(prob))._terms():
         if j >= 1:  # Caputo in t kills the t-constant term
             factor, _ = caputo_monomial(order * j, order)
             lhs.append((c * factor, i, j - 1))

@@ -11,6 +11,14 @@ fractional binomial, the umbral shift of a Hermite initial datum, and both
 convolution identities that the diffusion solver relies on.  Integer ratios
 like n!/(n-2r)! are taken in exact integer arithmetic before converting to
 float, so coefficients are correct to the last unit even at n = 15.
+
+Every weighted sum of fractional Hermite polynomials is one
+:class:`_FhpSum`, a function of x and w: the convolution identities
+evaluate it at one point, and the diffusion plans of :mod:`.fokker_planck`
+inherit it and evaluate it at w = k t**alpha.  :class:`_OplusSum` is the
+second route to convolution ii, H[alpha]_n(x, w (+)_alpha a).  The scalar
+convolution routes and the umbral shift refuse a value beyond the double
+range with :class:`FloatOverflowError`.
 """
 
 import functools
@@ -18,6 +26,7 @@ import math
 from operator import mul
 
 from ._validate import degree, finite, half_open_unit, open_unit
+from .errors import FloatOverflowError
 from .fracpoly import FracPoly
 from .gamma_core import (
     _MAX_DEGREE,
@@ -190,7 +199,7 @@ def umbral_hermite_shift(n, x, a, w, alpha):
             )
         ratio = nfact // (math.factorial(n - 2 * r) * math.factorial(r))
         total += ratio * xp[n - 2 * r] * inner
-    return total
+    return _in_range(total, "the umbral shift")
 
 
 def convolution_identity_i_rhs(n, x, a, w, alpha):
@@ -201,11 +210,7 @@ def convolution_identity_i_rhs(n, x, a, w, alpha):
     Equal to :func:`umbral_hermite_shift` for alpha in (0, 1); at alpha = 1 it
     collapses to the classical addition H_n(x, a + w).
     """
-    table = _fhp_table(_convolution_degrees(n), alpha)
-    finite(a, "a")
-    finite(w, "w")
-    values = table.values(table.coeffs(table.y_powers(w)), table.x_powers(x))
-    return _weighted_sum(_convolution_i_weights(table.top, a), values)
+    return _convolution_rhs(_FhpSum.convolution_i, n, x, a, w, alpha)
 
 
 def convolution_identity_ii_rhs(n, x, a, w, alpha):
@@ -215,11 +220,7 @@ def convolution_identity_ii_rhs(n, x, a, w, alpha):
 
     Equal to H[alpha]_n(x, w (+)_alpha a), cf. :func:`fhp_oplus_eval`.
     """
-    table = _fhp_table(_convolution_degrees(n), alpha)
-    finite(a, "a")
-    finite(w, "w")
-    values = table.values(table.coeffs(table.y_powers(w)), table.x_powers(x))
-    return _weighted_sum(_convolution_ii_weights(table, a), values)
+    return _convolution_rhs(_FhpSum.convolution_ii, n, x, a, w, alpha)
 
 
 def fhp_oplus_eval(n, x, w, a, alpha):
@@ -230,12 +231,11 @@ def fhp_oplus_eval(n, x, w, a, alpha):
     finite(w, "w")
     finite(a, "a")
     wp = table.y_powers(w)
-    ap = _powers(a, table.top // 2, "a")
-    oplus = [_oplus(binoms, wp, ap) for binoms in _oplus_binoms(table.top, alpha)]
-    return _oplus_sum(table.top, _gamma_weights(table), table.x_powers(x), oplus)
+    route = _OplusSum(table, a, alpha)
+    return _in_range(route._formula(table.x_powers(x), route._rows(wp)), "the (+)_alpha sum")
 
 
-# -- the pieces the convolution forms share with the grid solver ----------------
+# -- the sums the convolution forms share with the grid solver -------------------
 
 
 def _convolution_degrees(n):
@@ -243,19 +243,27 @@ def _convolution_degrees(n):
     return range(degree(n, "n"), -1, -2)
 
 
-def _weighted_sum(weights, values):
-    total = 0.0
-    for term in map(mul, weights, values):
-        total += term
-    return total
+def _convolution_rhs(build, n, x, a, w, alpha):
+    """A convolution identity at (x, w); ``build(table, a)`` is its :class:`_FhpSum`.
+
+    The weights are built after the x and w sides, so a refusal names the
+    same argument as it always has.
+    """
+    table = _fhp_table(_convolution_degrees(n), alpha)
+    finite(a, "a")
+    finite(w, "w")
+    coeffs = table.coeffs(table.y_powers(w))
+    xp = table.x_powers(x)
+    return _in_range(build(table, a)._formula(xp, coeffs), "the convolution sum")
 
 
-def _convolution_i_weights(n, a):
-    """n!/(r! (n-2r)!) a**r, the weight of H[alpha]_{n-2r} in convolution i."""
-    ratios = factorial_ratios(
-        n, tuple(math.factorial(r) * math.factorial(n - 2 * r) for r in range(n // 2 + 1))
-    )
-    return list(map(mul, ratios, _powers(a, n // 2, "a")))
+def _in_range(value, name):
+    """``value``, or :class:`FloatOverflowError` where the sum ``name`` left the
+    double range (an infinity, or the NaN of inf - inf).  Only the scalar
+    routes check: on a grid the CLI's output gate names the point."""
+    if -math.inf < value < math.inf:
+        return value
+    raise FloatOverflowError(f"{name} is {value!r}: it leaves the double-precision range")
 
 
 def _gamma_weights(table):
@@ -263,19 +271,69 @@ def _gamma_weights(table):
     return [ratio * rg for ratio, rg in zip(table.ratios[0], table.rgammas)]
 
 
-def _convolution_ii_weights(table, a):
-    """n!/(n-2r)! a**r / Gamma(1+alpha*r), the weight of H[alpha]_{n-2r} in convolution ii."""
-    return list(map(mul, _gamma_weights(table), _powers(a, table.top // 2, "a")))
+class _FhpSum:
+    """sum_j weights[j] H[alpha]_{m_j}(x, w) over the degrees m_j of a :class:`_FhpTable`.
+
+    ``_x_side(x)`` is the powers of x, ``_w_side(w)`` the coefficient rows at
+    w, and ``_formula`` combines them in the operation order of the direct
+    sum.  The two class methods build the sums of the convolution identities
+    on a table of the degrees n, n-2, ..., 0; any further arguments go to the
+    constructor of the class they are called on.
+    """
+
+    def __init__(self, table, weights):
+        self._table = table
+        self._weights = weights
+
+    @classmethod
+    def convolution_i(cls, table, a, *args):
+        """Weights n!/(r! (n-2r)!) a**r, n the top degree of ``table``."""
+        n = table.top
+        ratios = factorial_ratios(
+            n, tuple(math.factorial(r) * math.factorial(n - 2 * r) for r in range(n // 2 + 1))
+        )
+        return cls(table, list(map(mul, ratios, _powers(a, n // 2, "a"))), *args)
+
+    @classmethod
+    def convolution_ii(cls, table, a, *args):
+        """Weights n!/(n-2r)! a**r / Gamma(1+alpha*r), n the top degree of ``table``."""
+        weights = list(map(mul, _gamma_weights(table), _powers(a, table.top // 2, "a")))
+        return cls(table, weights, *args)
+
+    def _x_side(self, x):
+        return self._table.x_powers(x)
+
+    def _w_side(self, w):
+        table = self._table
+        return table.coeffs(table.y_powers(w))
+
+    def _formula(self, xp, coeffs):
+        total = 0.0
+        for term in map(mul, self._weights, self._table.values(coeffs, xp)):
+            total += term
+        return total
 
 
-def _oplus_binoms(n, alpha):
-    """The rows C_alpha(r, .) for r = 0..n//2, one per power (w (+)_alpha a)**r."""
-    return [_frac_binom_row(r, alpha) for r in range(n // 2 + 1)]
+class _OplusSum:
+    """H[alpha]_n(x, w (+)_alpha a) for the top degree n of a table, at fixed a:
 
+        sum_r n!/(n-2r)! / Gamma(1+alpha*r) x**(n-2r) (w (+)_alpha a)**r
 
-def _oplus_sum(n, gammas, xp, oplus):
-    """sum_r n!/(n-2r)! / Gamma(1+alpha*r) x**(n-2r) (w (+)_alpha a)**r."""
-    total = 0.0
-    for term in map(mul, map(mul, gammas, xp[n::-2]), oplus):
-        total += term
-    return total
+    ``_rows(wp)`` expands each (w (+)_alpha a)**r from the powers of w, and
+    ``_formula`` sums them against the table's powers of x, x**n first.
+    """
+
+    def __init__(self, table, a, alpha):
+        self._a_powers = _powers(a, table.top // 2, "a")
+        self._binoms = [_frac_binom_row(r, alpha) for r in range(table.top // 2 + 1)]
+        self._gammas = _gamma_weights(table)
+
+    def _rows(self, wp):
+        ap = self._a_powers
+        return [_oplus(binoms, wp, ap) for binoms in self._binoms]
+
+    def _formula(self, xp, rows):
+        total = 0.0
+        for term in map(mul, map(mul, self._gammas, xp[::-2]), rows):
+            total += term
+        return total

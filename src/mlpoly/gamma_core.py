@@ -129,15 +129,22 @@ def factorial_ratios(n, denominators):
     """n! / d for each d in the tuple ``denominators``, as floats rounded once
     from the exact quotient.
 
-    Each d must divide n!, as in a binomial or multinomial coefficient.  A
-    quotient beyond the double-precision range raises
-    :class:`FloatOverflowError` naming n.
+    Each d must divide n!, as in a binomial or multinomial coefficient; any
+    other d (zero, a non-integral or non-finite float) is refused with a
+    :class:`DomainError`.  A quotient beyond the double-precision range
+    raises :class:`FloatOverflowError` naming n.
     """
-    nfact = math.factorial(n)
+    nfact = math.factorial(degree(n, "n"))
+    ratios = []
     try:
-        return [float(nfact // d) for d in denominators]
+        for d in denominators:
+            quotient, remainder = divmod(nfact, d) if d else (0, 1)  # 0 divides nothing
+            if remainder:  # also a NaN, an infinite or a non-integral d
+                raise DomainError(f"denominator {d!r} does not divide {n}!")
+            ratios.append(float(quotient))
     except OverflowError:
         raise _factor_overflow(n) from None
+    return ratios
 
 
 def _factor_overflow(n, name="n"):
@@ -225,7 +232,13 @@ def stieltjes_moment(alpha, sigma):
     """
     open_unit(alpha, "alpha")
     finite(sigma, "sigma")
-    num_arg = 1.0 - sigma / alpha
+    ratio = sigma / alpha
+    if not -_INF < ratio < _INF:
+        raise FloatOverflowError(
+            f"sigma/alpha exceeds the double-precision range at sigma = {sigma!r}, "
+            f"alpha = {alpha!r}"
+        )
+    num_arg = 1.0 - ratio
     den_arg = 1.0 - sigma
     num_pole = _near_pole(num_arg)
     den_pole = _near_pole(den_arg)
@@ -254,8 +267,16 @@ def levy_subordination_moment(beta, m, t):
         scaled = math.factorial(m) * t ** (beta * m)
     except OverflowError:
         scaled = _INF
-    if scaled == _INF:
+    if scaled < _INF:
+        return scaled * rgamma(1.0 + beta * m)
+    # m! alone takes most of the range (170! ~ 7e306): divide by Gamma(1 + beta*m)
+    # before scaling by t**(beta*m)
+    try:
+        moment = math.factorial(m) * rgamma(1.0 + beta * m) * t ** (beta * m)
+    except OverflowError:
+        moment = _INF
+    if moment == _INF:
         raise FloatOverflowError(
             f"m! t**(beta*m) exceeds the double-precision range at t = {t!r}"
         )
-    return scaled * rgamma(1.0 + beta * m)
+    return moment

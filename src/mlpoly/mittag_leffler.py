@@ -170,7 +170,9 @@ def _sum_series(row, grow, z, label, ratio_factor):
         + (abs(prev) if math.isfinite(prev) else 0.0)
         + tail
         + _SUM_ERR_FACTOR * _EPS * sum_abs
-        + _EXP_ERR_FACTOR * _EPS * max_scale * abs(value)
+        # an exact zero has no exponent rounding, even where a log-gamma
+        # scale left the double range (inf * 0 would be NaN)
+        + (_EXP_ERR_FACTOR * _EPS * max_scale * abs(value) if value else 0.0)
     )
     if not converged:
         raise ConvergenceError(

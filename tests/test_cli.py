@@ -84,6 +84,13 @@ class TestEvalCommands:
         assert coeffs == [{"c": 2.0, "mu": 0.0}, {"c": 1.0, "mu": 2.0}]
         assert [item["mu"] for item in coeffs] == sorted(i["mu"] for i in coeffs)
 
+    def test_coefficient_output_csv(self, capsys):
+        code, out, err = _run(
+            capsys, "eval-fhp", "--n", "2", "--alpha", "1", "--y", "1", "--coeffs",
+            "--format", "csv",
+        )
+        assert (code, out, err) == (0, "exponent,coefficient\n0,2\n2,1\n", "")
+
     def test_coefficient_output_mlp(self, capsys):
         code, out, _ = _run(
             capsys, "eval-mlp", "--n", "1", "--alpha", "0.5", "--beta", "1",
@@ -96,6 +103,12 @@ class TestEvalCommands:
         code, _, err = _run(capsys, "eval-fhp", "--n", "2", "--alpha", "1", "--y", "1")
         assert code == 1
         assert "--x" in err
+
+    def test_missing_y_without_coeffs(self, capsys):
+        code, out, err = _run(capsys, "eval-mlp", "--n", "2", "--alpha", "0.5", "--beta", "1",
+                              "--x", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: --y is required unless --coeffs is given\n"
 
     def test_budget_flag_overrides(self, capsys):
         code, _, err = _run(
@@ -169,6 +182,17 @@ class TestSolve:
         )
         assert code == 1
         assert "--n" in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--grid-points", "1"), "--grid-points must be at least 2"),
+        (("--grid-min", "1", "--grid-max", "1"), "--grid-max must exceed --grid-min"),
+        (("--coeffs=a,b",), "--coeffs must be comma-separated numbers, got 'a,b'"),
+    ], ids=["grid-points", "grid-range", "coeffs"])
+    def test_bad_grid_or_series_flag(self, capsys, flags, message):
+        code, out, err = _run(capsys, "solve", "--problem", "tf-diffusion", "--n", "2",
+                              "--alpha", "0.5", "--t", "1", "--grid-min", "0", "--grid-max", "1",
+                              *flags)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "profile.csv"

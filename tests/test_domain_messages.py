@@ -79,6 +79,7 @@ from mlpoly import (
     umbral_hermite_shift,
     wright,
 )
+from mlpoly.gamma_core import factorial_ratios
 
 NAN = math.nan
 INF = math.inf
@@ -206,6 +207,13 @@ UNCHANGED = [
 ]
 
 MENDED = [
+    # a degree or denominator that is no factor of n! (a raw ValueError or
+    # ZeroDivisionError, or a float quotient such as 3! // 0.999999 = 6.0)
+    (factorial_ratios, (-1, (2, 400)), "n must be a nonnegative integer, got -1"),
+    (factorial_ratios, (40, (3, 0)), "denominator 0 does not divide 40!"),
+    (factorial_ratios, (3, (0.999999, -INF, NAN)), "denominator 0.999999 does not divide 3!"),
+    (factorial_ratios, (4, (-INF,)), "denominator -inf does not divide 4!"),
+    (factorial_ratios, (5, (NAN,)), "denominator nan does not divide 5!"),
     # a non-finite integer argument
     (fhp_eval, (NAN, 0.5, 1.0, 1.0), "n must be a nonnegative integer, got nan"),
     (fhp_eval, (INF, 0.5, 1.0, 1.0), "n must be a nonnegative integer, got inf"),
@@ -330,8 +338,17 @@ OVERFLOWING = [
      "the coefficient of term (0, 11) is nan: the residual table leaves the double-precision range"),
     (levy_subordination_moment, (0.3, 12, 1e308),
      "m! t**(beta*m) exceeds the double-precision range at t = 1e+308"),
-    (levy_subordination_moment, (0.99, 170, 2.0),
-     "m! t**(beta*m) exceeds the double-precision range at t = 2.0"),
+    (stieltjes_moment, (5e-324, 0.3),
+     "sigma/alpha exceeds the double-precision range at sigma = 0.3, alpha = 5e-324"),
+    # a sum beyond the double range came back as inf or -inf
+    (convolution_identity_i_rhs, (3, 0.3, 1e308, 1e300, 1.0),
+     "the convolution sum is inf: it leaves the double-precision range"),
+    (convolution_identity_ii_rhs, (3, -1e-300, -1e200, -1e308, 0.999999),
+     "the convolution sum is inf: it leaves the double-precision range"),
+    (fhp_oplus_eval, (3, 0.3, 1e308, 1e300, 1.0),
+     "the (+)_alpha sum is inf: it leaves the double-precision range"),
+    (umbral_hermite_shift, (2, 0.5, -1e308, -1e200, 0.3),
+     "the umbral shift is -inf: it leaves the double-precision range"),
     (caputo_monomial, (1e308, 0.5),
      "log Gamma(1 + exponent) exceeds the double-precision range at exponent = 1e+308"),
     (rl_from_caputo, (0.0, 1.0, 5e-324, 0.999999),

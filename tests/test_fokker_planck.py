@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mlpoly import config, fokker_planck
+from mlpoly import config, fokker_planck, fractional_hermite
 from mlpoly.errors import DomainError, VerificationError
 from mlpoly.fokker_planck import (
     DiffusionProblem,
@@ -324,6 +324,15 @@ class TestResiduals:
         assert residual(prob) > config.RESIDUAL_TOL
         monkeypatch.undo()
         assert residual(prob) <= config.RESIDUAL_TOL
+
+    def test_the_residual_builds_no_oplus_route(self, monkeypatch):
+        # the residual reads the plain convolution sum; the (+)_alpha route is
+        # the grid plan's per-point check, and its rows were built for nothing
+        def refuse(*args):
+            raise AssertionError("a (+)_alpha row was built")
+
+        monkeypatch.setattr(fractional_hermite, "frac_binom", refuse)
+        assert residual(DiffusionProblem(0.5, 1.0, FhpInitial(6, 0.3))) <= config.RESIDUAL_TOL
 
     def test_a_wrong_laguerre_ratio_fails(self, monkeypatch):
         ratios = fokker_planck.factorial_ratios

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -223,6 +224,14 @@ class TestLevySubordinationMoment:
                     lhs = levy_subordination_moment(beta, m, t)
                     rhs = t ** (beta * m) * levy_subordination_moment(beta, m, 1.0)
                     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_moment_where_the_factorial_fills_the_range(self):
+        # 170! ~ 7.3e306 leaves no room for 2**168.3, but the moment is ~2.8e54:
+        # it was refused as an overflow
+        with mp.workdps(50):
+            x = mp.mpf(0.99 * 170)  # beta*m as the function forms it, in floating point
+            want = float(mp.factorial(170) * mp.mpf(2) ** x / mp.gamma(1 + x))
+        assert levy_subordination_moment(0.99, 170, 2.0) == pytest.approx(want, rel=1e-15)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -73,6 +73,16 @@ class TestMlOne:
         with pytest.raises(ConvergenceError, match="overflows"):
             ml_one(0.3, -40.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda: ml_two(1e308, 0.0, 1e308),
+        lambda: wright(1e200, 1e308, 0.0),
+        lambda: ml_three(1e-10, 1e308, -1e-300, 1e-10),
+    ], ids=["ml_two", "wright", "ml_three"])
+    def test_a_log_gamma_scale_beyond_the_range_gives_no_nan_estimate(self, call):
+        # every term is an exact zero, but log Gamma(1e308) left the double
+        # range; the estimate was inf * 0 = NaN
+        assert call() == (0.0, 0.0, 2)
+
     def test_error_estimate_is_honest(self):
         for alpha in (0.5, 0.8):
             for z in (-3.0, 2.0):
