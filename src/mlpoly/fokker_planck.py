@@ -52,7 +52,7 @@ from ._validate import (
 )
 from .caputo import caputo_monomial
 from .errors import DomainError, FloatOverflowError, VerificationError
-from .fractional_hermite import _convolution_degrees, _fhp_table, _FhpSum, _OplusSum
+from .fractional_hermite import _convolution_degrees, _fhp_table, _FhpSum, _in_range, _OplusSum
 from .gamma_core import _check_degree, _powers, _worst, factorial_ratios, rgamma
 from .mittag_leffler import MLSeries, WrightSeries
 
@@ -350,6 +350,12 @@ def _sum_plan(prob):
 # -- the scalar solvers: one point of the plan ------------------------------------
 
 
+def _solve_at(prob, x, t):
+    """The solution at (x, t), or :class:`FloatOverflowError` where it leaves the
+    double range; the grid routes leave that to the CLI's output gate."""
+    return _in_range(plan(prob).at(x, t), f"the solution at (x, t) = ({x!r}, {t!r})")
+
+
 def solve_tf_diffusion(prob, x, t):
     """Solution of the time-fractional diffusion problem at the point (x, t).
 
@@ -358,7 +364,7 @@ def solve_tf_diffusion(prob, x, t):
     single fractional Hermite polynomial.  Hermite/fractional-Hermite data
     dispatch to :func:`solve_case_i` / :func:`solve_case_ii`.
     """
-    return plan(prob).at(x, t)
+    return _solve_at(prob, x, t)
 
 
 def solve_case_i(n, a, alpha, k, x, t):
@@ -368,7 +374,7 @@ def solve_case_i(n, a, alpha, k, x, t):
 
     At t = 0 the initial polynomial is recovered.
     """
-    return plan(DiffusionProblem(alpha, k, HermiteInitial(n, a))).at(x, t)
+    return _solve_at(DiffusionProblem(alpha, k, HermiteInitial(n, a)), x, t)
 
 
 def solve_case_ii(n, a, alpha, k, x, t):
@@ -378,7 +384,7 @@ def solve_case_ii(n, a, alpha, k, x, t):
     the deformed-addition form H[alpha]_n(x, k t**alpha (+)_alpha a) — and the
     two must agree to the identity tolerance (else :class:`VerificationError`).
     """
-    return plan(DiffusionProblem(alpha, k, FhpInitial(n, a))).at(x, t)
+    return _solve_at(DiffusionProblem(alpha, k, FhpInitial(n, a)), x, t)
 
 
 def solve_laguerre_monomial(n, alpha, beta, b, x, t):
@@ -389,12 +395,12 @@ def solve_laguerre_monomial(n, alpha, beta, b, x, t):
 
     At beta = 1 this collapses to E^{-n}_{alpha,1}(x**alpha, b*t).
     """
-    return plan(LaguerreProblem(alpha, beta, b, LaguerreMonomialInitial(n))).at(x, t)
+    return _solve_at(LaguerreProblem(alpha, beta, b, LaguerreMonomialInitial(n)), x, t)
 
 
 def solve_laguerre_wright(y_param, alpha, beta, b, x, t):
     """Solution for the Wright datum: W_{alpha,1}(-y x**alpha) * E_beta(b y t**beta)."""
-    return plan(LaguerreProblem(alpha, beta, b, WrightInitial(y_param))).at(x, t)
+    return _solve_at(LaguerreProblem(alpha, beta, b, WrightInitial(y_param)), x, t)
 
 
 # -- algebraic residuals -----------------------------------------------------------

@@ -102,7 +102,8 @@ class FracPoly:
     def __sub__(self, other):
         if not isinstance(other, FracPoly):
             return NotImplemented
-        return self + (-other)
+        # negating a canonical polynomial moves no exponent and drops no term
+        return FracPoly(list(self._terms) + [(-c, mu) for c, mu in other._terms])
 
     def __neg__(self):
         return FracPoly([(-c, mu) for c, mu in self._terms])

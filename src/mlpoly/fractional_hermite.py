@@ -33,11 +33,31 @@ from .gamma_core import (
     _check_degree,
     _check_power,
     _factor_overflow,
+    _lgamma,
     _powers,
+    _row_cache,
     factorial_ratios,
     frac_binom,
     rgamma,
 )
+
+
+@functools.lru_cache(maxsize=_MAX_DEGREE + 1)
+def _hermite_ratios(m):
+    """The exact integer ratios m!/(m-2r)!, r = 0..m//2, each rounded once to
+    float: a tuple, shared by every table that holds degree m at any alpha."""
+    return tuple(factorial_ratios(m, tuple(math.factorial(m - 2 * r) for r in range(m // 2 + 1))))
+
+
+@functools.lru_cache(maxsize=_MAX_DEGREE + 1)
+def _hermite_weights(n):
+    """The exact integer ratios n!/(r! (n-2r)!), r = 0..n//2, each rounded once to
+    float: the weights of the classical H_n(x, y) = sum_r w_r x**(n-2r) y**r."""
+    return tuple(
+        factorial_ratios(
+            n, tuple(math.factorial(r) * math.factorial(n - 2 * r) for r in range(n // 2 + 1))
+        )
+    )
 
 
 class _FhpTable:
@@ -68,10 +88,7 @@ class _FhpTable:
         if self.top > _MAX_DEGREE:
             raise _factor_overflow(next(m for m in degrees if m > _MAX_DEGREE))
         self.rgammas = tuple(rgamma(1.0 + alpha * r) for r in range(self.top // 2 + 1))
-        self.ratios = tuple(
-            tuple(factorial_ratios(m, tuple(math.factorial(m - 2 * r) for r in range(m // 2 + 1))))
-            for m in degrees
-        )
+        self.ratios = tuple(map(_hermite_ratios, degrees))
 
     def y_powers(self, y):
         return _powers(y, self.top // 2, "y")
@@ -126,6 +143,14 @@ def fhp_eval(n, alpha, x, y):
     return table.values(table.coeffs(table.y_powers(y)), table.x_powers(x))[0]
 
 
+def _fhp_values(top, alpha, x, y):
+    """[H[alpha]_n(x, y) for n = 0..top] from one table; the table performs the
+    direct sum's operations for each degree, so each value equals ``fhp_eval``'s."""
+    table = _fhp_table(range(degree(top, "n") + 1), alpha)
+    finite(y, "y")
+    return table.values(table.coeffs(table.y_powers(y)), table.x_powers(x))
+
+
 def fhp_at_zero(n, alpha, y):
     """H[alpha]_n(0, y): zero for odd n, n! y**(n/2) / Gamma(1+alpha*n/2) for even n.
 
@@ -155,8 +180,15 @@ def oplus_power(x, y, n, alpha):
     return _oplus(_frac_binom_row(n, alpha), _powers(x, n, "x"), _powers(y, n, "y"))
 
 
+@_row_cache(maxsize=256)
 def _frac_binom_row(n, alpha):
-    return [frac_binom(n, r, alpha) for r in range(n + 1)]
+    """The row C_alpha(n, r), r = 0..n, for a checked degree n and alpha: a
+    tuple of ``frac_binom(n, r, alpha)`` to the last bit, from frac_binom's
+    log-gamma values read from one row instead of three per entry."""
+    if alpha == 1.0:
+        return tuple(frac_binom(n, r, alpha) for r in range(n + 1))  # the exact comb
+    lg = [_lgamma(1.0 + alpha * j) for j in range(n + 1)]
+    return tuple(math.exp(lg[n] - lg[r] - lg[n - r]) for r in range(n + 1))
 
 
 def _oplus(binoms, xp, yp):
@@ -185,19 +217,12 @@ def umbral_hermite_shift(n, x, a, w, alpha):
     finite(w, "w")
     _check_degree(n)
     xp, ap, wp = _powers(x, n, "x"), _powers(a, n // 2, "a"), _powers(w, n // 2, "w")
+    rg = [rgamma(1.0 + alpha * j) for j in range(n // 2 + 1)]
     total = 0.0
-    nfact = math.factorial(n)
-    for r in range(n // 2 + 1):
+    for r, ratio in enumerate(_hermite_weights(n)):
         inner = 0.0
         for k in range(r + 1):
-            inner += (
-                math.comb(r, k)
-                * ap[k]
-                * wp[r - k]
-                * math.factorial(r - k)
-                * rgamma(1.0 + alpha * (r - k))
-            )
-        ratio = nfact // (math.factorial(n - 2 * r) * math.factorial(r))
+            inner += math.comb(r, k) * ap[k] * wp[r - k] * math.factorial(r - k) * rg[r - k]
         total += ratio * xp[n - 2 * r] * inner
     return _in_range(total, "the umbral shift")
 
@@ -289,10 +314,7 @@ class _FhpSum:
     def convolution_i(cls, table, a, *args):
         """Weights n!/(r! (n-2r)!) a**r, n the top degree of ``table``."""
         n = table.top
-        ratios = factorial_ratios(
-            n, tuple(math.factorial(r) * math.factorial(n - 2 * r) for r in range(n // 2 + 1))
-        )
-        return cls(table, list(map(mul, ratios, _powers(a, n // 2, "a"))), *args)
+        return cls(table, list(map(mul, _hermite_weights(n), _powers(a, n // 2, "a"))), *args)
 
     @classmethod
     def convolution_ii(cls, table, a, *args):

@@ -10,6 +10,7 @@ come from ``math.gamma`` while it is finite: it is accurate to a few ulps
 rounding of a number of size |log Gamma|.  Everything is standard library.
 """
 
+import functools
 import math
 
 from ._validate import degree, finite, half_open_unit, open_unit, positive_finite
@@ -157,6 +158,29 @@ def _check_degree(n, name="n"):
     """Refuse a degree whose factorial leaves the double range, before any is built."""
     if n > _MAX_DEGREE:
         raise _factor_overflow(n, name)
+
+
+def _row_cache(maxsize):
+    """Share the rows that ``build(top, *params)`` returns, per (top, *params).
+
+    A row must be immutable (a tuple), since every caller gets the same one.
+    Keys are typed: an int and a float that compare equal can give different
+    arguments (beta + alpha*r is exact in ints only), so they get their own
+    rows.  A degree past ``_MAX_DEGREE`` is valid but rare, and its row is
+    built and not kept, so the cache holds at most ``maxsize`` rows of at most
+    ``_MAX_DEGREE + 1`` entries.
+    """
+    def wrap(build):
+        cached = functools.lru_cache(maxsize=maxsize, typed=True)(build)
+
+        @functools.wraps(build)
+        def row(top, *params):
+            return (cached if top <= _MAX_DEGREE else build)(top, *params)
+
+        row.cache_info, row.cache_clear = cached.cache_info, cached.cache_clear
+        return row
+
+    return wrap
 
 
 def _dyadic(values, ratio=float.as_integer_ratio):

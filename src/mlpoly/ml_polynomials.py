@@ -19,7 +19,7 @@ import functools
 import math
 
 from . import config
-from ._validate import FLOAT_MAX, degree, finite_float, open_unit, positive, positive_finite
+from ._validate import FLOAT_MAX, degree, finite, finite_float, open_unit, positive, positive_finite
 from .caputo import caputo_monomial
 from .errors import DomainError, FloatOverflowError, VerificationError
 from .fracpoly import FracPoly
@@ -30,6 +30,7 @@ from .gamma_core import (
     _power_overflow,
     _powers,
     _round_dyadic,
+    _row_cache,
     _worst,
     ln_gamma,
     rgamma,
@@ -44,6 +45,39 @@ def _rgamma_ratio(arg):
     return rgamma(arg).as_integer_ratio()
 
 
+@_row_cache(maxsize=64)
+def _rgamma_row(top, alpha, beta):
+    """The row 1/Gamma(beta + alpha*r), r = 0..top, as ``_dyadic`` integers: a
+    tuple of mantissas and their one exponent, shared by every sum at
+    (top, alpha, beta)."""
+    gm, ge = _dyadic([beta + alpha * r for r in range(top + 1)], _rgamma_ratio)
+    return tuple(gm), ge
+
+
+def _checked_args(n, alpha, beta, x, y):
+    """The argument checks of :func:`mlp_eval`; returns n, x and y as int and floats."""
+    n = degree(n, "n")
+    positive_finite(alpha, "alpha")
+    positive_finite(beta, "beta")
+    return n, finite_float(x, "x"), finite_float(y, "y")
+
+
+def _check_powers(n, x, y):
+    # a power beyond the double range is refused, naming its base, even where
+    # the exact sum would fit
+    _check_power(-x, n, "(-x)")
+    _check_power(y, n, "y")
+
+
+def _rounded_value(total, e, n, alpha, beta, x, y):
+    try:
+        return _round_dyadic(total, e)
+    except OverflowError:
+        raise FloatOverflowError(
+            f"E^-{n}_({alpha},{beta})({x!r}, {y!r}) exceeds the double-precision range"
+        ) from None
+
+
 def mlp_eval(n, alpha, beta, x, y):
     """Value of E^{-n}_{alpha,beta}(x, y); the n = 0 polynomial is 1/Gamma(beta).
 
@@ -52,16 +86,9 @@ def mlp_eval(n, alpha, beta, x, y):
     rounded once: the value is the correctly rounded sum, however much its
     terms cancel.
     """
-    n = degree(n, "n")
-    positive_finite(alpha, "alpha")
-    positive_finite(beta, "beta")
-    x = finite_float(x, "x")
-    y = finite_float(y, "y")
-    # a power beyond the double range is refused, naming its base, even where
-    # the exact sum would fit
-    _check_power(-x, n, "(-x)")
-    _check_power(y, n, "y")
-    gm, ge = _dyadic([beta + alpha * r for r in range(n + 1)], _rgamma_ratio)
+    n, x, y = _checked_args(n, alpha, beta, x, y)
+    _check_powers(n, x, y)
+    gm, ge = _rgamma_row(n, alpha, beta)
     # (-x)**r y**(n-r) = xm**r ym**(n-r) 2**(n*e)
     (xm, ym), e = _dyadic((-x, y))
     # Horner in xm: total = sum_r C(n,r) gm[r] xm**r ym**(n-r)
@@ -70,12 +97,35 @@ def mlp_eval(n, alpha, beta, x, y):
     for r in range(n, -1, -1):
         total = total * xm + math.comb(n, r) * gm[r] * ypow
         ypow *= ym
-    try:
-        return _round_dyadic(total, ge + n * e)
-    except OverflowError:
-        raise FloatOverflowError(
-            f"E^-{n}_({alpha},{beta})({x!r}, {y!r}) exceeds the double-precision range"
-        ) from None
+    return _rounded_value(total, ge + n * e, n, alpha, beta, x, y)
+
+
+def _mlp_values(top, alpha, beta, x, y):
+    """[E^{-n}_{alpha,beta}(x, y) for n = 0..top], each equal to ``mlp_eval``'s.
+
+    With a_r = gm[r] xm**r, the exact sum of degree n is
+    S_n = sum_r C(n,r) a_r ym**(n-r), and one pass b_r <- ym*b_r + b_{r+1}
+    over b = a takes every S_n to the next: S_n is b_0 after n passes.  Each
+    S_n is rounded once, as ``mlp_eval`` rounds it, so the bits agree, and a
+    refusal comes at the first degree that ``mlp_eval`` refuses, with its
+    message.  The passes cost O(top**2) in all; one degree alone is cheaper
+    by Horner.
+    """
+    top, x, y = _checked_args(top, alpha, beta, x, y)
+    gm, ge = _rgamma_row(top, alpha, beta)
+    (xm, ym), e = _dyadic((-x, y))
+    b = []
+    xpow = 1
+    for g in gm:
+        b.append(g * xpow)
+        xpow *= xm
+    values = []
+    for n in range(top + 1):
+        _check_powers(n, x, y)
+        values.append(_rounded_value(b[0], ge + n * e, n, alpha, beta, x, y))
+        for r in range(top - n):
+            b[r] = ym * b[r] + b[r + 1]
+    return values
 
 
 def mlp_coeffs(n, alpha, beta, x):
@@ -93,6 +143,7 @@ def mlp_coeffs(n, alpha, beta, x):
 def mlp_one_var_reduction(n, alpha, beta, x, y):
     """Homogeneity route y**n * E^{-n}_{alpha,beta}(x/y, 1); undefined at y = 0."""
     n = degree(n, "n")
+    finite(y, "y")
     if y == 0.0:
         raise DomainError("one-variable reduction is undefined at y = 0; use mlp_eval")
     _check_power(y, n, "y")
@@ -121,11 +172,14 @@ def konhauser(n, alpha, beta, x, y):
             raise FloatOverflowError("x exceeds the double-precision range") from None
         raise _power_overflow(x, alpha, "x") from None
     _check_degree(n)
-    return (
-        math.exp(ln_gamma(beta + alpha * n))
-        * mlp_eval(n, alpha, beta, xa, y)
-        / math.factorial(n)
-    )
+    arg = beta + alpha * n
+    try:
+        gamma_factor = math.exp(ln_gamma(arg))
+    except OverflowError:
+        raise FloatOverflowError(
+            f"Gamma(beta+alpha*n) = Gamma({arg!r}) exceeds the double-precision range"
+        ) from None
+    return gamma_factor * mlp_eval(n, alpha, beta, xa, y) / math.factorial(n)
 
 
 def mlp_ogf_closed(lam, alpha, beta, x, y):
@@ -146,7 +200,13 @@ def mlp_egf_closed(lam, alpha, beta, x, y):
     """
     positive(alpha, "alpha")
     positive(beta, "beta")
-    return math.exp(lam * y) * wright(alpha, beta, -lam * x).value
+    try:
+        growth = math.exp(lam * y)
+    except OverflowError:
+        raise FloatOverflowError(
+            f"exp(lam*y) exceeds the double-precision range at lam*y = {lam * y!r}"
+        ) from None
+    return growth * wright(alpha, beta, -lam * x).value
 
 
 def frac_laguerre_apply(p, alpha):

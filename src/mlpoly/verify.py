@@ -31,6 +31,7 @@ from .fokker_planck import (
 )
 from .fracpoly import FracPoly
 from .fractional_hermite import (
+    _fhp_values,
     convolution_identity_i_rhs,
     convolution_identity_ii_rhs,
     fhp_at_zero,
@@ -43,11 +44,11 @@ from .fractional_hermite import (
 from .gamma_core import _worst, levy_subordination_moment, rgamma
 from .mittag_leffler import ml_one, ml_two, wright
 from .ml_polynomials import (
+    _mlp_values,
     _operational_sides,
     konhauser,
     mlp_coeffs,
     mlp_egf_closed,
-    mlp_eval,
     mlp_ogf_closed,
     mlp_one_var_reduction,
 )
@@ -152,9 +153,8 @@ def _fhp_identities(rng, n_max):
         for _ in range(34):
             lam = rng.uniform(-0.4, 0.4)
             x, y = rng.uniform(-1.0, 1.0, size=2)
-            partial = sum(
-                lam ** n / math.factorial(n) * fhp_eval(n, alpha, x, y) for n in range(31)
-            )
+            values = _fhp_values(30, alpha, x, y)
+            partial = sum(lam ** n / math.factorial(n) * v for n, v in enumerate(values))
             closed = math.exp(x * lam) * ml_one(alpha, y * lam * lam).value
             yield "fhp-egf", abs(partial - closed)
 
@@ -178,10 +178,10 @@ def _fhp_identities(rng, n_max):
         x, y = rng.uniform(-1.0, 1.0, size=2)
         s = rng.uniform(0.2, 2.0)
         alpha = rng.uniform(0.2, 1.0)
-        for n in range(min(n_max, 10) + 1):
-            yield "fhp-homogeneity", _rel_gap(
-                fhp_eval(n, alpha, s * x, s * s * y), s ** n * fhp_eval(n, alpha, x, y)
-            )
+        top = min(n_max, 10)
+        scaled, plain = _fhp_values(top, alpha, s * x, s * s * y), _fhp_values(top, alpha, x, y)
+        for n in range(top + 1):
+            yield "fhp-homogeneity", _rel_gap(scaled[n], s ** n * plain[n])
             yield "fhp-homogeneity", _rel_gap(
                 oplus_power(s * x, s * y, n, alpha), s ** n * oplus_power(x, y, n, alpha)
             )
@@ -197,7 +197,7 @@ def _mlp_gf(rng, n_max):
         x = rng.uniform(0.4, 1.1)
         y = rng.uniform(0.4, 1.1)
         lam = rng.uniform(0.3, 1.0) * 0.5 / (abs(x) + abs(y))
-        partial = sum(lam ** n * mlp_eval(n, alpha, beta, x, y) for n in range(41))
+        partial = sum(lam ** n * v for n, v in enumerate(_mlp_values(40, alpha, beta, x, y)))
         yield "mlp-ogf", abs(partial - mlp_ogf_closed(lam, alpha, beta, x, y))
 
     for _ in range(30):
@@ -206,10 +206,8 @@ def _mlp_gf(rng, n_max):
         x = rng.uniform(0.2, 1.2)
         y = rng.uniform(0.2, 1.2)
         lam = rng.uniform(-0.8, 0.8)
-        partial = sum(
-            lam ** n / math.factorial(n) * mlp_eval(n, alpha, beta, x, y)
-            for n in range(31)
-        )
+        values = _mlp_values(30, alpha, beta, x, y)
+        partial = sum(lam ** n / math.factorial(n) * v for n, v in enumerate(values))
         yield "mlp-egf", abs(partial - mlp_egf_closed(lam, alpha, beta, x, y))
 
     for _ in range(30):
@@ -217,9 +215,10 @@ def _mlp_gf(rng, n_max):
         beta = rng.uniform(0.5, 2.0)
         x = rng.uniform(-1.0, 1.0)
         y = rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0])
+        direct = _mlp_values(n_max, alpha, beta, x, y)
         for n in range(n_max + 1):
             yield "mlp-one-var-reduction", _rel_gap(
-                mlp_one_var_reduction(n, alpha, beta, x, y), mlp_eval(n, alpha, beta, x, y)
+                mlp_one_var_reduction(n, alpha, beta, x, y), direct[n]
             )
 
     for n in range(min(n_max, 10) + 1):
@@ -387,15 +386,18 @@ def _pde_residuals(rng, n_max):
 
 def _ladder_gaps(family, coeffs, gd, n_max):
     """The raising, lowering and commutator gaps of the ladder with log-derivative
-    ``gd`` on the polynomials ``coeffs(n)`` of ``family``, n = 0..n_max."""
+    ``gd`` on the polynomials ``coeffs(n)`` of ``family``, n = 0..n_max; each
+    polynomial and each of its two images is built once."""
+    prev, p = None, coeffs(0)
     for n in range(n_max + 1):
-        p = coeffs(n)
-        yield f"ladder-raising-{family}", _scaled_gap(raising_apply(p, gd), coeffs(n + 1))
+        following = coeffs(n + 1)
+        raised, lowered = raising_apply(p, gd), lowering_apply(p)
+        yield f"ladder-raising-{family}", _scaled_gap(raised, following)
         if n >= 1:
-            image, target = lowering_apply(p), coeffs(n - 1).scale(float(n))
-            yield f"ladder-lowering-{family}", _scaled_gap(image, target)
-        commutator = lowering_apply(raising_apply(p, gd)) - raising_apply(lowering_apply(p), gd)
+            yield f"ladder-lowering-{family}", _scaled_gap(lowered, prev.scale(float(n)))
+        commutator = lowering_apply(raised) - raising_apply(lowered, gd)
         yield "ladder-commutator", _scaled_gap(commutator, p)
+        prev, p = p, following
 
 
 def _sheffer_ladder(rng, n_max):
