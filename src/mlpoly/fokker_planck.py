@@ -53,7 +53,7 @@ from ._validate import (
 from .caputo import caputo_monomial
 from .errors import DomainError, FloatOverflowError, VerificationError
 from .fractional_hermite import _convolution_degrees, _fhp_table, _FhpSum, _in_range, _OplusSum
-from .gamma_core import _check_degree, _powers, _worst, factorial_ratios, rgamma
+from .gamma_core import _check_degree, _powers, _rgammas, _worst, factorial_ratios
 from .mittag_leffler import MLSeries, WrightSeries
 
 
@@ -267,8 +267,8 @@ class _LaguerreMonomialPlan(GridPlan):
         self._beta = beta
         self._b = b
         self._ratios = factorial_ratios(n, tuple(math.factorial(r) for r in range(n + 1)))
-        self._rgammas_x = [rgamma(1.0 + alpha * r) for r in range(n + 1)]
-        self._rgammas_t = [rgamma(1.0 + beta * (n - r)) for r in range(n + 1)]
+        self._rgammas_x = _rgammas(n, alpha, 1.0)
+        self._rgammas_t = _rgammas(n, beta, 1.0)[::-1]
 
     def _x_side(self, x):
         nonnegative_finite(x, "x")

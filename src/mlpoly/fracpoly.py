@@ -84,7 +84,7 @@ class FracPoly:
         return self._terms[-1][1] if self._terms else None
 
     def has_integer_exponents(self):
-        return all(abs(mu - round(mu)) <= 1e-9 for _, mu in self._terms)
+        return all(abs(mu - round(mu)) <= config.EXP_SNAP for _, mu in self._terms)
 
     def coeff_at(self, exponent):
         for c, mu in self._terms:
@@ -163,7 +163,7 @@ class FracPoly:
             raise FloatOverflowError("x exceeds the double-precision range") from None
         total = 0.0
         for c, mu in self._terms:
-            if x < 0.0 and abs(mu - round(mu)) > 1e-9:
+            if x < 0.0 and abs(mu - round(mu)) > config.EXP_SNAP:
                 raise DomainError(
                     f"x**{mu} is not real for x = {x} < 0"
                 )

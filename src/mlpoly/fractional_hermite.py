@@ -35,6 +35,7 @@ from .gamma_core import (
     _factor_overflow,
     _lgamma,
     _powers,
+    _rgammas,
     _row_cache,
     factorial_ratios,
     frac_binom,
@@ -87,7 +88,7 @@ class _FhpTable:
         self.top = max(degrees)
         if self.top > _MAX_DEGREE:
             raise _factor_overflow(next(m for m in degrees if m > _MAX_DEGREE))
-        self.rgammas = tuple(rgamma(1.0 + alpha * r) for r in range(self.top // 2 + 1))
+        self.rgammas = _rgammas(self.top // 2, alpha, 1.0)
         self.ratios = tuple(map(_hermite_ratios, degrees))
 
     def y_powers(self, y):
@@ -164,7 +165,8 @@ def fhp_at_zero(n, alpha, y):
         return 0.0
     half = n // 2
     _check_power(y, half, "y")
-    return math.factorial(n) * (y ** half) * rgamma(1.0 + alpha * half)
+    value = math.factorial(n) * (y ** half) * rgamma(1.0 + alpha * half)
+    return _in_range(value, f"H[alpha]_{n}(0, {y!r})")
 
 
 def oplus_power(x, y, n, alpha):
@@ -217,7 +219,7 @@ def umbral_hermite_shift(n, x, a, w, alpha):
     finite(w, "w")
     _check_degree(n)
     xp, ap, wp = _powers(x, n, "x"), _powers(a, n // 2, "a"), _powers(w, n // 2, "w")
-    rg = [rgamma(1.0 + alpha * j) for j in range(n // 2 + 1)]
+    rg = _rgammas(n // 2, alpha, 1.0)
     total = 0.0
     for r, ratio in enumerate(_hermite_weights(n)):
         inner = 0.0

@@ -183,11 +183,16 @@ def _row_cache(maxsize):
     return wrap
 
 
-def _dyadic(values, ratio=float.as_integer_ratio):
+def _rgammas(top, alpha, beta):
+    """The row rgamma(beta + alpha*r), r = 0..top, as a tuple: the reciprocal
+    gammas that both polynomial families and the Laguerre solution sum against."""
+    return tuple([rgamma(beta + alpha * r) for r in range(top + 1)])
+
+
+def _dyadic(values):
     """Integers m_i and one exponent e <= 0 with m_i * 2**e == values[i] exactly, for
-    finite floats; ``ratio`` maps a value to its float's exact (m, 2**k) (a caller
-    may pass a cached map).  Exact sums and products of the values are integer ones."""
-    ratios = list(map(ratio, values))
+    finite floats.  Exact sums and products of the values are integer ones."""
+    ratios = list(map(float.as_integer_ratio, values))
     top = max([d for _, d in ratios]).bit_length()
     return [m << (top - d.bit_length()) for m, d in ratios], 1 - top
 

@@ -44,7 +44,7 @@ from collections import namedtuple
 from . import config
 from ._validate import FLOAT_MAX, finite, half_open_unit, nonnegative, positive, positive_finite
 from .errors import ConvergenceError, DomainError
-from .gamma_core import log_abs_rgamma
+from .gamma_core import _check_power, log_abs_rgamma
 
 _EPS = 2.220446049250313e-16
 _SUM_ERR_FACTOR = 8.0
@@ -328,4 +328,5 @@ def relaxation_hn(alpha, beta, tau, t):
         return 1.0
     u = (t / tau) ** alpha
     prab = ml_three(alpha, 1.0 + alpha * beta, beta, -u).value
+    _check_power(u, beta, "u")
     return 1.0 - u ** beta * prab

@@ -15,7 +15,6 @@ exponential exp(-(y/alpha) K) applied to (-1)**n x**(alpha n)/Gamma(1+alpha n)
 truncates exactly after n applications and reproduces the polynomial.
 """
 
-import functools
 import math
 
 from . import config
@@ -29,6 +28,7 @@ from .gamma_core import (
     _dyadic,
     _power_overflow,
     _powers,
+    _rgammas,
     _round_dyadic,
     _row_cache,
     _worst,
@@ -38,19 +38,12 @@ from .gamma_core import (
 from .mittag_leffler import ml_two, wright
 
 
-@functools.lru_cache(maxsize=4096)
-def _rgamma_ratio(arg):
-    """``rgamma(arg)`` as its exact ratio (m, 2**k), shared: the sums of every
-    degree and argument at one (alpha, beta) read the same entries."""
-    return rgamma(arg).as_integer_ratio()
-
-
 @_row_cache(maxsize=64)
 def _rgamma_row(top, alpha, beta):
     """The row 1/Gamma(beta + alpha*r), r = 0..top, as ``_dyadic`` integers: a
     tuple of mantissas and their one exponent, shared by every sum at
     (top, alpha, beta)."""
-    gm, ge = _dyadic([beta + alpha * r for r in range(top + 1)], _rgamma_ratio)
+    gm, ge = _dyadic(_rgammas(top, alpha, beta))
     return tuple(gm), ge
 
 
@@ -135,9 +128,8 @@ def mlp_coeffs(n, alpha, beta, x):
     positive(beta, "beta")
     x = finite_float(x, "x")
     xp = _powers(-x, n, "(-x)")
-    return FracPoly(
-        [(math.comb(n, r) * xp[r] * rgamma(beta + alpha * r), float(n - r)) for r in range(n + 1)]
-    )
+    rg = _rgammas(n, alpha, beta)
+    return FracPoly([(math.comb(n, r) * xp[r] * rg[r], float(n - r)) for r in range(n + 1)])
 
 
 def mlp_one_var_reduction(n, alpha, beta, x, y):
@@ -191,6 +183,9 @@ def mlp_ogf_closed(lam, alpha, beta, x, y):
     positive(beta, "beta")
     if abs(lam * y) >= 1.0:
         raise DomainError(f"|lambda*y| must be < 1, got {abs(lam * y)}")
+    finite(lam, "lam")
+    finite(x, "x")
+    finite(y, "y")
     return ml_two(alpha, beta, -lam * x / (1.0 - lam * y)).value / (1.0 - lam * y)
 
 
@@ -200,8 +195,13 @@ def mlp_egf_closed(lam, alpha, beta, x, y):
     """
     positive(alpha, "alpha")
     positive(beta, "beta")
+    finite(lam, "lam")
+    finite(x, "x")
+    finite(y, "y")
     try:
         growth = math.exp(lam * y)
+        if growth == math.inf:  # lam*y itself overflowed, and exp(inf) raises nothing
+            raise OverflowError
     except OverflowError:
         raise FloatOverflowError(
             f"exp(lam*y) exceeds the double-precision range at lam*y = {lam * y!r}"

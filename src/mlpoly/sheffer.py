@@ -28,7 +28,7 @@ from collections import namedtuple
 from ._validate import degree, finite, finite_float, positive
 from .errors import DomainError, FloatOverflowError, SingularityError
 from .fracpoly import FracPoly
-from .gamma_core import _dyadic, _powers, _round_dyadic, rgamma
+from .gamma_core import _dyadic, _powers, _rgammas, _round_dyadic
 from .mittag_leffler import ml_one, ml_two, wright
 
 
@@ -140,9 +140,9 @@ def appell_A_fhp(alpha, y, n_order):
     if n_order < 2:
         raise DomainError(f"order must be >= 2, got {n_order}")
     n_order = degree(n_order, "order")
+    yp = _powers(y, n_order // 2, "y")
     coeffs = [0.0] * (n_order + 1)
-    for r, yr in enumerate(_powers(y, n_order // 2, "y")):
-        coeffs[2 * r] = yr * rgamma(1.0 + alpha * r)
+    coeffs[::2] = [yr * rg for yr, rg in zip(yp, _rgammas(n_order // 2, alpha, 1.0))]
     return PowerSeries(tuple(coeffs))
 
 
@@ -154,11 +154,9 @@ def appell_A_mlp(alpha, beta, x, n_order):
     if n_order < 1:
         raise DomainError(f"order must be >= 1, got {n_order}")
     n_order = max(degree(n_order, "order"), 2)
-    coeffs = tuple(
-        _over_factorial(xr * rgamma(beta + alpha * r), r)
-        for r, xr in enumerate(_powers(-x, n_order, "(-x)"))
-    )
-    return PowerSeries(coeffs)
+    xp = _powers(-x, n_order, "(-x)")
+    rg = _rgammas(n_order, alpha, beta)
+    return PowerSeries(tuple(_over_factorial(xp[r] * rg[r], r) for r in range(n_order + 1)))
 
 
 def _over_factorial(v, r):

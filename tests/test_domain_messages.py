@@ -163,6 +163,7 @@ UNCHANGED = [
     (konhauser, (2, 0.5, 0.0, 1.0, 1.0), "beta must be positive, got 0.0"),
     (mlp_ogf_closed, (0.1, NAN, 1.0, 1.0, 1.0), "alpha must be positive, got nan"),
     (mlp_egf_closed, (0.1, 0.5, 0.0, 1.0, 1.0), "beta must be positive, got 0.0"),
+    (mlp_ogf_closed, (0.5, 0.5, 1.0, 1.0, INF), "|lambda*y| must be < 1, got inf"),
     (frac_laguerre_apply, (FracPoly.one(), 1.0), "alpha must lie in (0, 1), got 1.0"),
     (mlp_operational_check, (2, 0.0, 1.0), "alpha must lie in (0, 1), got 0.0"),
     # Appell/Sheffer machinery
@@ -284,6 +285,11 @@ MENDED = [
     (aux_v_h_mlp, (0.1, 2.0, 0.5, 1.0, NAN), "x must be finite, got nan"),
     # x reached the coefficients unchecked (then "non-finite term (nan, 0.0)")
     (mlp_coeffs, (2, 0.5, 1.0, NAN), "x must be finite, got nan"),
+    # a non-finite argument of a closed generating function, returned as inf or
+    # refused under the name of the series it reached
+    (mlp_egf_closed, (1.0, 0.5, 1.0, 0.0, INF), "y must be finite, got inf"),
+    (mlp_egf_closed, (NAN, 0.5, 1.0, 0.0, 1.0), "lam must be finite, got nan"),
+    (mlp_ogf_closed, (0.5, 0.5, 1.0, INF, 1.0), "x must be finite, got inf"),
 ]
 
 HUGE = 10 ** 400  # a Python int with no float value
@@ -357,6 +363,14 @@ OVERFLOWING = [
      "the Riemann-Liouville value exceeds the double-precision range"),
     (gamma, (5e-324,), "Gamma(5e-324) exceeds the double-precision range at x = 5e-324"),
     (gamma, (-5e-324,), "Gamma(-5e-324) exceeds the double-precision range at x = -5e-324"),
+    (mlp_egf_closed, (1e200, 0.5, 1.0, 0.0, 1e200),
+     "exp(lam*y) exceeds the double-precision range at lam*y = inf"),
+    (fhp_at_zero, (2, 1e-300, -1e308),
+     "H[alpha]_2(0, -1e+308) is -inf: it leaves the double-precision range"),
+    (fhp_at_zero, (170, 0.5, 1e3),
+     "H[alpha]_170(0, 1000.0) is inf: it leaves the double-precision range"),
+    (relaxation_hn, (0.3, 1e200, 1e-10, 1e200),
+     "u**1e+200 exceeds the double-precision range at u = 9.999999999999946e+62"),
 ]
 
 # What has no residual: a Wright datum has no finite coefficient table, and

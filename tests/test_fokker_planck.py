@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mlpoly import config, fokker_planck, fractional_hermite
+from mlpoly import config, fokker_planck, fractional_hermite, gamma_core
 from mlpoly.errors import DomainError, VerificationError
 from mlpoly.fokker_planck import (
     DiffusionProblem,
@@ -342,8 +342,8 @@ class TestResiduals:
     # an argument of the x row only (1 + alpha), then of the t row only (1 + beta)
     @pytest.mark.parametrize("arg", [1.0 + 0.5, 1.0 + 0.3])
     def test_a_wrong_laguerre_rgamma_fails(self, monkeypatch, arg):
-        rgamma = fokker_planck.rgamma
+        rgamma = gamma_core.rgamma
         monkeypatch.setattr(
-            fokker_planck, "rgamma", lambda x: rgamma(x) * (1.0 + 1e-8) if x == arg else rgamma(x)
+            gamma_core, "rgamma", lambda x: rgamma(x) * (1.0 + 1e-8) if x == arg else rgamma(x)
         )
         assert _laguerre_residual(4, 0.5, 0.3, 1.0) > config.RESIDUAL_TOL

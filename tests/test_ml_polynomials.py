@@ -10,7 +10,7 @@ from mlpoly.fracpoly import FracPoly
 from mlpoly.gamma_core import gamma, rgamma
 from mlpoly.mittag_leffler import ml_three
 from mlpoly.ml_polynomials import (
-    _rgamma_ratio,
+    _rgamma_row,
     frac_laguerre_apply,
     konhauser,
     mlp_coeffs,
@@ -84,7 +84,7 @@ class TestMlpEval:
         shared = [mlp_eval(n, 0.37, 1.21, 0.8, 0.6) for n in degrees]
         fresh = []
         for n in degrees:
-            _rgamma_ratio.cache_clear()
+            _rgamma_row.cache_clear()
             fresh.append(mlp_eval(n, 0.37, 1.21, 0.8, 0.6))
         assert shared == fresh
 
