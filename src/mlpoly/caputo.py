@@ -8,7 +8,6 @@ cross-check; nothing in the library consumes it.
 
 import math
 
-from . import config
 from ._validate import degree, finite, open_unit, positive
 from .errors import DomainError, FloatOverflowError
 from .gamma_core import _check_power, _lgamma, rgamma
@@ -19,20 +18,20 @@ def caputo_monomial(gamma_exp, alpha):
 
     gamma_exp = 0 gives (0, 0) — constants are annihilated.  Exponents in
     (0, alpha) would map below exponent zero and are rejected.  Comparisons
-    are snap-tolerant: exponents created by repeated float subtraction may
-    sit a few ulps off 0 or alpha.
+    are exact, and a step keeps the alpha-lattice: the float ``alpha * k``
+    (k an integer) maps to ``alpha * (k - 1)``, any other exponent to
+    ``gamma_exp - alpha``.
     """
     open_unit(alpha, "Caputo order")
-    snap = config.EXP_SNAP
     try:
         finite = math.isfinite(gamma_exp)
     except OverflowError:  # an int beyond the double range
         raise FloatOverflowError("exponent exceeds the double-precision range") from None
-    if not finite or gamma_exp < -snap:
+    if not finite or gamma_exp < 0.0:
         raise DomainError(f"exponent must be finite and >= 0, got {gamma_exp}")
-    if abs(gamma_exp) <= snap:
+    if gamma_exp == 0.0:
         return 0.0, 0.0
-    if gamma_exp < alpha - snap:
+    if gamma_exp < alpha:
         raise DomainError(
             f"exponent {gamma_exp} in (0, alpha={alpha}) leaves the representable domain"
         )
@@ -42,7 +41,12 @@ def caputo_monomial(gamma_exp, alpha):
             "log Gamma(1 + exponent) exceeds the double-precision range "
             f"at exponent = {gamma_exp!r}"
         )
-    return coeff, max(gamma_exp - alpha, 0.0)
+    k = gamma_exp / alpha  # inf where the quotient overflows
+    if k < 2.0 ** 53:
+        k = round(k)
+        if alpha * k == gamma_exp:
+            return coeff, alpha * (k - 1)
+    return coeff, gamma_exp - alpha
 
 
 def caputo_poly(p, alpha):

@@ -24,12 +24,6 @@ TERM_BUDGET = 400
 #: cancellation noise dwarfs the requested tolerance.
 HONESTY_FACTOR = 100.0
 
-# Generalized polynomials ------------------------------------------------------
-
-#: Two exponents within this absolute distance are considered equal when
-#: merging FracPoly terms or aligning coefficient tables.
-EXP_SNAP = 1e-9
-
 # Identity / residual checks ---------------------------------------------------
 
 IDENTITY_RTOL = 1e-9

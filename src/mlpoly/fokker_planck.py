@@ -460,7 +460,7 @@ def residual(prob):
             lhs.append((c * factor, i, j - 1))
         if laguerre and i >= 1:  # K annihilates the x-constant term
             cfac, _ = caputo_monomial(alpha * i, alpha)
-            rhs.append((-(prob.b / alpha) * c * (alpha * i) * cfac, i - 1, j))
+            rhs.append((-prob.b * c * i * cfac, i - 1, j))
         elif not laguerre and i >= 2:
             rhs.append((c * i * (i - 1) * prob.k, i - 2, j))
     return _table_residual(lhs, rhs)

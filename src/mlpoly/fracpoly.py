@@ -2,17 +2,16 @@
 
 One carrier type serves ordinary polynomials, the fractional Hermite and
 Mittag-Leffler polynomials, and truncated power series with fractional
-exponents.  Terms are kept sorted by strictly increasing exponent; exponents
-closer than ``config.EXP_SNAP`` are merged (fractional exponents arrive from
-float arithmetic along different routes, e.g. ``a*r - a`` versus
-``a*(r-1)``), and exact zero coefficients are removed.
+exponents.  Terms are kept sorted by strictly increasing exponent; terms with
+equal exponents are merged, summed in input order, and exact zero
+coefficients are removed.  Exponents are compared exactly: 0.1 + 0.2 and 0.3
+are two exponents.
 """
 
 import json
 import math
 import numbers
 
-from . import config
 from .errors import DomainError, FloatOverflowError
 
 
@@ -22,9 +21,8 @@ class FracPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
-        snap = config.EXP_SNAP
-        merged = []  # sorted (exponent, coefficient) pairs
-        for coeff, exponent in sorted(terms, key=lambda t: t[1]):
+        merged = {}  # exponent -> coefficient sum
+        for coeff, exponent in terms:
             try:
                 coeff = float(coeff)
                 exponent = float(exponent)
@@ -37,15 +35,11 @@ class FracPoly:
                         f"the coefficient of x**{exponent} exceeds the double-precision range"
                     )
                 raise DomainError(f"non-finite term ({coeff}, {exponent})")
-            if abs(exponent) <= snap:
-                exponent = 0.0
             if exponent < 0.0:
                 raise DomainError(f"negative exponent {exponent} not representable")
-            if merged and abs(exponent - merged[-1][0]) <= snap:
-                merged[-1][1] += coeff
-            else:
-                merged.append([exponent, coeff])
-        self._terms = tuple((c, mu) for mu, c in merged if c != 0.0)
+            exponent += 0.0  # -0.0 becomes 0.0
+            merged[exponent] = merged.get(exponent, 0.0) + coeff
+        self._terms = tuple((merged[mu], mu) for mu in sorted(merged) if merged[mu] != 0.0)
 
     # -- construction helpers --------------------------------------------
 
@@ -84,11 +78,11 @@ class FracPoly:
         return self._terms[-1][1] if self._terms else None
 
     def has_integer_exponents(self):
-        return all(abs(mu - round(mu)) <= config.EXP_SNAP for _, mu in self._terms)
+        return all(mu.is_integer() for _, mu in self._terms)
 
     def coeff_at(self, exponent):
         for c, mu in self._terms:
-            if abs(mu - exponent) <= config.EXP_SNAP:
+            if mu == exponent:
                 return c
         return 0.0
 
@@ -147,10 +141,8 @@ class FracPoly:
         for c, mu in self._terms:
             if mu == 0.0:
                 continue
-            if mu < 1.0 and abs(mu - 1.0) > config.EXP_SNAP:
-                raise DomainError(
-                    f"derivative of x**{mu} has a negative exponent"
-                )
+            if mu < 1.0:
+                raise DomainError(f"derivative of x**{mu} has a negative exponent")
             out.append((c * mu, mu - 1.0))
         return FracPoly(out)
 
@@ -163,14 +155,9 @@ class FracPoly:
             raise FloatOverflowError("x exceeds the double-precision range") from None
         total = 0.0
         for c, mu in self._terms:
-            if x < 0.0 and abs(mu - round(mu)) > config.EXP_SNAP:
-                raise DomainError(
-                    f"x**{mu} is not real for x = {x} < 0"
-                )
-            if x < 0.0:
-                total += c * (x ** int(round(mu)))
-            else:
-                total += c * math.pow(x, mu)
+            if x < 0.0 and not mu.is_integer():
+                raise DomainError(f"x**{mu} is not real for x = {x} < 0")
+            total += c * (x ** int(mu) if x < 0.0 else math.pow(x, mu))
         return total
 
     # -- comparison / serialization -------------------------------------------

@@ -43,12 +43,23 @@ from collections import namedtuple
 
 from . import config
 from ._validate import FLOAT_MAX, finite, half_open_unit, nonnegative, positive, positive_finite
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, FloatOverflowError
 from .gamma_core import _check_power, log_abs_rgamma
 
 _EPS = 2.220446049250313e-16
 _SUM_ERR_FACTOR = 8.0
 _EXP_ERR_FACTOR = 32.0
+
+
+def _series_argument(expr, compute):
+    """``compute()``, or :class:`FloatOverflowError` naming the quantity ``expr``."""
+    try:
+        z = compute()
+    except (OverflowError, ZeroDivisionError):  # where float * and / give inf, ** and /0 raise
+        z = math.inf
+    if not math.isfinite(z):  # inf, or the NaN of inf * 0
+        raise FloatOverflowError(f"{expr} exceeds the double-precision range")
+    return z
 
 
 class MLParams(namedtuple("MLParams", "alpha beta gamma")):

@@ -26,6 +26,7 @@ from .gamma_core import (
     _check_degree,
     _check_power,
     _dyadic,
+    _factor_overflow,
     _power_overflow,
     _powers,
     _rgammas,
@@ -35,7 +36,7 @@ from .gamma_core import (
     ln_gamma,
     rgamma,
 )
-from .mittag_leffler import ml_two, wright
+from .mittag_leffler import _series_argument, ml_two, wright
 
 
 @_row_cache(maxsize=64)
@@ -124,12 +125,16 @@ def _mlp_values(top, alpha, beta, x, y):
 def mlp_coeffs(n, alpha, beta, x):
     """Coefficient form of E^{-n}_{alpha,beta}(x, .) as a :class:`FracPoly` in y."""
     n = degree(n, "n")
-    positive(alpha, "alpha")
-    positive(beta, "beta")
+    positive_finite(alpha, "alpha")
+    positive_finite(beta, "beta")
     x = finite_float(x, "x")
     xp = _powers(-x, n, "(-x)")
     rg = _rgammas(n, alpha, beta)
-    return FracPoly([(math.comb(n, r) * xp[r] * rg[r], float(n - r)) for r in range(n + 1)])
+    try:
+        terms = [(math.comb(n, r) * xp[r] * rg[r], float(n - r)) for r in range(n + 1)]
+    except OverflowError:  # C(n, r) beyond the double range
+        raise _factor_overflow(n) from None
+    return FracPoly(terms)
 
 
 def mlp_one_var_reduction(n, alpha, beta, x, y):
@@ -186,7 +191,8 @@ def mlp_ogf_closed(lam, alpha, beta, x, y):
     finite(lam, "lam")
     finite(x, "x")
     finite(y, "y")
-    return ml_two(alpha, beta, -lam * x / (1.0 - lam * y)).value / (1.0 - lam * y)
+    z = _series_argument("-lam*x/(1-lam*y)", lambda: -lam * x / (1.0 - lam * y))
+    return ml_two(alpha, beta, z).value / (1.0 - lam * y)
 
 
 def mlp_egf_closed(lam, alpha, beta, x, y):
@@ -206,7 +212,7 @@ def mlp_egf_closed(lam, alpha, beta, x, y):
         raise FloatOverflowError(
             f"exp(lam*y) exceeds the double-precision range at lam*y = {lam * y!r}"
         ) from None
-    return growth * wright(alpha, beta, -lam * x).value
+    return growth * wright(alpha, beta, _series_argument("-lam*x", lambda: -lam * x)).value
 
 
 def frac_laguerre_apply(p, alpha):
@@ -239,11 +245,9 @@ def _operational_sides(n, alpha, y):
     seed = FracPoly.monomial((-1.0) ** n * rgamma(1.0 + alpha * n), alpha * n)
     acc = seed
     power = seed
-    weight = 1.0
-    for r in range(1, n + 1):
-        power = frac_laguerre_apply(power, alpha)
-        weight *= (-y / alpha) / r
-        acc = acc + power.scale(weight)
+    for r in range(1, n + 1):  # per step, K's alpha cancels 1/alpha before (1/alpha)**r overflows
+        power = frac_laguerre_apply(power, alpha).scale((-y / alpha) / r)
+        acc = acc + power
 
     lhs = tuple(mlp_eval(n, alpha, 1.0, xi ** alpha, y) for xi in _OPERATIONAL_GRID)
     rhs = tuple(acc(xi) for xi in _OPERATIONAL_GRID)

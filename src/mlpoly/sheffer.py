@@ -29,7 +29,7 @@ from ._validate import degree, finite, finite_float, positive
 from .errors import DomainError, FloatOverflowError, SingularityError
 from .fracpoly import FracPoly
 from .gamma_core import _dyadic, _powers, _rgammas, _round_dyadic
-from .mittag_leffler import ml_one, ml_two, wright
+from .mittag_leffler import _series_argument, ml_one, ml_two, wright
 
 
 class PowerSeries(namedtuple("PowerSeries", "coeffs")):
@@ -178,17 +178,6 @@ def appell_auxiliary(a_fn, a_prime_fn, lam, x):
     return 1.0, a_prime_fn(x - 1.0) / den, lam + x, a_fn(lam + x - 1.0) / den
 
 
-def _series_argument(expr, compute):
-    """``compute()``, or :class:`FloatOverflowError` naming the series argument ``expr``."""
-    try:
-        z = compute()
-    except OverflowError:  # float ** raises where float * returns inf
-        z = math.inf
-    if not math.isfinite(z):  # inf, or the NaN of inf * 0
-        raise FloatOverflowError(f"{expr} exceeds the double-precision range")
-    return z
-
-
 def aux_v_h_fhp(lam, x, alpha, y):
     """Auxiliary pair (v, h) for the fractional Hermite family:
 
@@ -208,7 +197,9 @@ def aux_v_h_fhp(lam, x, alpha, y):
     den = ml_one(alpha, z).value
     if den == 0.0:
         raise SingularityError("E_alpha[y(x-1)**2] = 0: denominators vanish")
-    v = 2.0 / (alpha * s) * ml_two(alpha, 0.0, z).value / den
+    e0 = ml_two(alpha, 0.0, z).value
+    v = _series_argument("2/(alpha*(x-1)) * E_(alpha,0)/E_alpha",
+                         lambda: 2.0 / (alpha * s) * e0 / den)
     zh = _series_argument("y*(lam+x-1)**2", lambda: y * (lam + s) ** 2)
     h = ml_one(alpha, zh).value / den
     return v, h

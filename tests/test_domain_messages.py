@@ -42,6 +42,7 @@ from mlpoly import (
     caputo_l1,
     caputo_monomial,
     caputo_poly,
+    config,
     convolution_identity_i_rhs,
     convolution_identity_ii_rhs,
     fhp_at_zero,
@@ -241,6 +242,8 @@ MENDED = [
     (mlp_eval, (3, 0.5, INF, 1.0, 1.0), "beta must be finite, got inf"),
     (konhauser, (2, INF, 1.0, 1.0, 1.0), "alpha must be finite, got inf"),
     (konhauser, (2, 0.5, INF, 1.0, 1.0), "beta must be finite, got inf"),
+    (mlp_coeffs, (2, INF, 1.0, 0.5), "alpha must be finite, got inf"),
+    (mlp_coeffs, (2, 0.5, INF, 0.5), "beta must be finite, got inf"),
     # a non-finite float that reached a solver and came back as NaN or inf
     (solve_laguerre_monomial, (2, 0.5, 0.5, 1.0, INF, 1.0), "x must be finite, got inf"),
     (solve_laguerre_monomial, (2, 0.5, 0.5, 1.0, 1.0, INF), "t must be finite, got inf"),
@@ -340,8 +343,6 @@ OVERFLOWING = [
      "k**85 exceeds the double-precision range at k = 1e+200"),
     (residual_laguerre, (12, 0.5, 0.5, 1e300),
      "b**12 exceeds the double-precision range at b = 1e+300"),
-    (residual_laguerre, (12, 1e-300, 0.3, 2),
-     "the coefficient of term (0, 11) is nan: the residual table leaves the double-precision range"),
     (levy_subordination_moment, (0.3, 12, 1e308),
      "m! t**(beta*m) exceeds the double-precision range at t = 1e+308"),
     (stieltjes_moment, (5e-324, 0.3),
@@ -371,6 +372,23 @@ OVERFLOWING = [
      "H[alpha]_170(0, 1000.0) is inf: it leaves the double-precision range"),
     (relaxation_hn, (0.3, 1e200, 1e-10, 1e200),
      "u**1e+200 exceeds the double-precision range at u = 9.999999999999946e+62"),
+    # a binomial C(n, r) beyond the double range raised a raw OverflowError
+    (mlp_coeffs, (1100, 0.5, 1.0, 0.5),
+     "n = 1100: an integer factor n!/(...) exceeds the double-precision range"),
+    # a coefficient C(n, r)*(-x)**r beyond the range was refused as bad input,
+    # "non-finite term (nan, 16.0)", where it met a 1/Gamma that underflowed to 0
+    (mlp_coeffs, (1000, 0.5, 1.0, 1.9),
+     "the coefficient of x**755.0 exceeds the double-precision range"),
+    # an overflowing series argument was refused under the series' own names
+    (mlp_egf_closed, (1e200, 0.5, 1.0, 1e200, 0.0), "-lam*x exceeds the double-precision range"),
+    (mlp_ogf_closed, (0.99, 0.5, 1.0, 1e308, 0.999),
+     "-lam*x/(1-lam*y) exceeds the double-precision range"),
+    # 2/(alpha*(x-1)) = inf times an underflowed E_(alpha,0) came back as NaN,
+    # and an alpha*(x-1) that underflowed to 0 raised a raw ZeroDivisionError
+    (aux_v_h_fhp, (5e-324, 2.0, 5e-324, -1e-300),
+     "2/(alpha*(x-1)) * E_(alpha,0)/E_alpha exceeds the double-precision range"),
+    (aux_v_h_fhp, (0.0, 1.1, 5e-324, 0.0),
+     "2/(alpha*(x-1)) * E_(alpha,0)/E_alpha exceeds the double-precision range"),
 ]
 
 # What has no residual: a Wright datum has no finite coefficient table, and
@@ -424,6 +442,12 @@ def test_a_problem_without_a_residual_is_refused(prob, message):
     with pytest.raises(DomainError) as info:
         residual(prob)
     assert str(info.value) == message
+
+
+def test_a_tiny_alpha_leaves_the_laguerre_residual_exact():
+    # was refused as a NaN coefficient: the Caputo factor of x**(alpha*i) was
+    # snapped to 0 and multiplied b/alpha, which had overflowed to inf
+    assert residual_laguerre(12, 1e-300, 0.3, 2) <= config.RESIDUAL_TOL
 
 
 def test_a_factorial_beyond_the_float_range_divides_exactly():

@@ -17,14 +17,13 @@ class TestNormalization:
         p = FracPoly([(1.0, 1.0), (-1.0, 1.0), (2.0, 0.0)])
         assert p.terms == ((2.0, 0.0),)
 
-    def test_snap_merges_close_exponents(self):
-        p = FracPoly([(1.0, 0.5), (1.0, 0.5 + 1e-12)])
-        assert len(p.terms) == 1
-        assert p.terms[0][0] == 2.0
+    def test_close_exponents_stay_apart(self):
+        p = FracPoly([(1.0, 0.5 + 1e-12), (1.0, 0.5)])
+        assert p.terms == ((1.0, 0.5), (1.0, 0.5 + 1e-12))
 
-    def test_tiny_negative_exponent_snaps_to_zero(self):
-        p = FracPoly([(1.0, -1e-12)])
-        assert p.terms == ((1.0, 0.0),)
+    def test_tiny_negative_exponent_rejected(self):
+        with pytest.raises(DomainError, match=r"^negative exponent -1e-12 not representable$"):
+            FracPoly([(1.0, -1e-12)])
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(DomainError):

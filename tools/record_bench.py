@@ -2,12 +2,13 @@
 
     python3 tools/record_bench.py --baseline HEAD~1 --out BENCH_6.json --workdir /tmp/bench
 
-The baseline is exported with ``git archive`` into ``--workdir``; the change
-is this working tree.  For every workload the unchanged ``perfbench/run.py``
-of each tree runs ``PAIRS`` times in alternating order, ``SECONDS`` per run
-(pair i uses seed ``FIRST_SEED`` + i; the baseline goes first on even i), and
-the file records, per end-to-end metric, each side's runs, median and
-quartiles, and how many pairs the change won.  It also records:
+The baseline is exported with ``git archive`` into ``--workdir``, and the
+change is copied there from this working tree.  For every workload the
+unchanged ``perfbench/run.py`` of each tree runs ``PAIRS`` times in
+alternating order, ``SECONDS`` per run (pair i uses seed ``FIRST_SEED`` + i;
+the baseline goes first on even i), and the file records, per end-to-end
+metric, each side's runs, median and quartiles, and how many pairs the change
+won.  It also records:
 
 * ``cli_wall_s``: the wall time of each CLI command as a fresh process, the
   median of ``CLI_REPEATS`` runs per side, alternating, next to a bare
@@ -15,7 +16,10 @@ quartiles, and how many pairs the change won.  It also records:
 * ``import``: ``process.import_*`` from one traced ``run.py`` per side;
 * ``accuracy``: for ``eval-ml`` on a fixed grid of (alpha, beta, z), the
   largest |value - oracle| / abs_error_estimate against the 50-digit sums in
-  ``tests/oracles.py`` (1 or less means every estimate holds).
+  ``tests/oracles.py`` (1 or less means every estimate holds);
+* ``verify``: the ``verify --suite all`` report of each tree, one fresh
+  process per argv of ``VERIFY_ARGVS``, with every line (stdout, stderr or
+  exit code) that differs given as a [baseline, change] pair.
 """
 
 import argparse
@@ -24,6 +28,7 @@ import itertools
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -55,6 +60,10 @@ CLI_COMMANDS = {
     "verify": ["verify", "--suite", "all", "--seed", "0"],
 }
 
+#: the verify reports compared line by line: seeds 0-39, and seed 7 at three degrees
+VERIFY_ARGVS = [["--seed", str(seed)] for seed in range(40)] + [
+    ["--seed", "7", "--n-max", str(n)] for n in (4, 8, 15)]
+
 # Run in a child interpreter with one tree's ``src`` first on sys.path: prints
 # the eval-ml JSON records (or null for a refused point), one list.
 _ACCURACY_CHILD = """
@@ -77,6 +86,19 @@ def export_baseline(rev, dest):
     dest.mkdir(parents=True, exist_ok=True)
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest)
+    return dest
+
+
+def export_worktree(dest):
+    """Copy this working tree's tracked and untracked files, but not the ignored
+    ones, into ``dest``: a ``__pycache__`` here that the baseline export lacks
+    would make the change start faster."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                           cwd=ROOT, capture_output=True, check=True).stdout.decode().split("\0")
+    for name in names:
+        if name and (ROOT / name).is_file():  # a tracked file may be deleted
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
     return dest
 
 
@@ -163,6 +185,22 @@ def accuracy(trees):
     return out
 
 
+def verify_reports(trees):
+    def report(tree, argv):
+        proc = subprocess.run([sys.executable, "-m", "mlpoly.cli", "verify", "--suite", "all"] + argv,
+                              cwd=tree, env=env_for(tree), capture_output=True, text=True)
+        return proc.stdout.splitlines() + ["stderr: " + line for line in proc.stderr.splitlines()] + [
+            f"exit code {proc.returncode}"]
+
+    moved = {}
+    for argv in VERIFY_ARGVS:
+        pairs = itertools.zip_longest(report(trees["baseline"], argv), report(trees["change"], argv))
+        diff = [list(pair) for pair in pairs if pair[0] != pair[1]]
+        if diff:
+            moved[" ".join(argv)] = diff
+    return {"argvs": [" ".join(argv) for argv in VERIFY_ARGVS], "moved": moved}
+
+
 def import_metrics(trees, seconds):
     out = {}
     for side, tree in trees.items():
@@ -180,7 +218,8 @@ def main(argv=None):
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    trees = {"baseline": export_baseline(args.baseline, Path(args.workdir) / "baseline"), "change": ROOT}
+    trees = {"baseline": export_baseline(args.baseline, Path(args.workdir) / "baseline"),
+             "change": export_worktree(Path(args.workdir) / "change")}
     rev = subprocess.run(["git", "rev-parse", args.baseline], cwd=ROOT, capture_output=True,
                          text=True, check=True).stdout.strip()
     record = {
@@ -190,6 +229,7 @@ def main(argv=None):
         "accuracy": accuracy(trees),
         "cli_wall_s": cli_wall_times(trees, CLI_REPEATS),
         "import": import_metrics(trees, 3.0),
+        "verify": verify_reports(trees),
         "workloads": {},
     }
     seeds = range(FIRST_SEED, FIRST_SEED + PAIRS)
