@@ -139,9 +139,13 @@ def fhp_coeffs(n, alpha, y):
 
 def fhp_eval(n, alpha, x, y):
     """Value of H[alpha]_n(x, y) by the direct finite sum."""
-    table = _fhp_table((degree(n, "n"),), alpha)
+    n = degree(n, "n")
+    table = _fhp_table((n,), alpha)
     finite(y, "y")
-    return table.values(table.coeffs(table.y_powers(y)), table.x_powers(x))[0]
+    value = table.values(table.coeffs(table.y_powers(y)), table.x_powers(x))[0]
+    if -math.inf < value < math.inf:  # the name is formatted only for a refusal
+        return value
+    return _in_range(value, f"H[alpha]_{n}({x!r}, {y!r})")
 
 
 def _fhp_values(top, alpha, x, y):

@@ -185,7 +185,16 @@ def _row_cache(maxsize):
 
 def _rgammas(top, alpha, beta):
     """The row rgamma(beta + alpha*r), r = 0..top, as a tuple: the reciprocal
-    gammas that both polynomial families and the Laguerre solution sum against."""
+    gammas that both polynomial families and the Laguerre solution sum against.
+
+    The arguments run monotonically in r, so beta + alpha*top is the largest
+    in magnitude: where it leaves the double range, the row is refused by its
+    name before any entry is built."""
+    if abs(beta + alpha * top) == _INF:
+        raise FloatOverflowError(
+            f"beta + alpha*{top} exceeds the double-precision range at "
+            f"alpha = {alpha!r}, beta = {beta!r}"
+        )
     return tuple([rgamma(beta + alpha * r) for r in range(top + 1)])
 
 

@@ -1,41 +1,41 @@
 """Series evaluators for the Mittag-Leffler family and the Wright function.
 
 All evaluators share one engine, :func:`_sum_series`, the one summation
-loop.  Each evaluator describes its series by a row: entry r is a tuple
-``(sign, a, b, p)`` with
+loop.  It forms entry r of the coefficient row inline as ``(sign, a, b, p)``:
 
 * ``sign`` the sign of the coefficient (0.0 for an exact-zero term, at a
   pole of Gamma or past a Pochhammer truncation),
-* ``a`` the log of the coefficient's numerator (``-log|Gamma(beta+alpha*r)|``,
-  plus ``log|(gamma)_r|`` in the Prabhakar function),
+* ``a`` the log of the coefficient's numerator (``-log|Gamma(beta+alpha*r)|``
+  from ``gamma_core.log_abs_rgamma``, plus ``log|(gamma)_r|`` in the Prabhakar
+  function, whose sign and log the loop carries from term to term),
 * ``b`` the log of its denominator (``log r!``, or 0.0 in E_{alpha,beta}),
 * ``p`` the magnitude of the numerator's log pieces (``|a|``, or
   ``|log|(gamma)_r|| + |log|1/Gamma||``),
 
-and the loop forms term r inline as ``sign * zsign * exp((a + r*log|z|) - b)``
-in log space (so huge intermediate terms cannot overflow), where zsign is the
-sign of z**r.  The row is built lazily through a ``grow(r)`` callback, and
-:class:`MLSeries` and :class:`WrightSeries` keep theirs across arguments.
-The terms are summed with Neumaier compensation, and
-the run stops once two consecutive terms fall below ``tol * |partial sum|``
-and the geometric bound on the neglected tail, ``|t_r| rho / (1 - rho)`` with
-``rho`` the last term ratio, falls below ``tol/2 * |partial sum|``, where
-``tol`` is ``config.SERIES_TOL``; a run gives up after ``config.TERM_BUDGET``
-terms.  Both change only inside ``config.override``: no evaluator takes a
-per-call tolerance or budget.  The tail bound is certified once the term
-ratios can no longer increase: Gamma is log-convex, so Gamma(x)/Gamma(x + alpha)
-decreases for x > 0 (Gorenflo, Loutchko & Luchko, Fract. Calc. Appl. Anal. 5
-(2002); Hilfer & Seybold, Integral Transforms Spec. Funct. 17 (2006)).
-The returned error estimate is a documented heuristic, not a proven bound:
-the last two terms plus the tail bound (truncation), plus
-``8 * eps * sum|terms|`` (summation rounding under cancellation), plus
-``32 * eps * max_exponent * |value|`` (rounding of the log-space exponents
-themselves, which dominates when the terms carry exponents of hundreds).
-An evaluation whose estimate exceeds ``HONESTY_FACTOR * max(tol*|value|, tol)``
-is refused with a :class:`ConvergenceError` instead of silently returning
-cancellation noise — this is what bounds the honest domain for strongly
-alternating arguments (large negative z at small alpha).  Every refusal
-carries its ``reason``: ``"budget"``, ``"honesty"`` or ``"overflow"``.
+and term r as ``sign * zsign * exp((a + r*log|z|) - b)`` in log space (so huge
+intermediate terms cannot overflow), where zsign is the sign of z**r.
+:class:`MLSeries` and :class:`WrightSeries` keep their entries, which do not
+depend on z, in a row shared across arguments.  The terms are summed with
+Neumaier compensation, and the run stops once two consecutive terms fall
+below ``tol * |partial sum|`` and the geometric bound on the neglected tail,
+``|t_r| rho / (1 - rho)`` with ``rho`` the last term ratio, falls below
+``tol/2 * |partial sum|``, where ``tol`` is ``config.SERIES_TOL``; a run gives
+up after ``config.TERM_BUDGET`` terms.  Both change only inside
+``config.override``: no evaluator takes a per-call tolerance or budget.  The
+tail bound is certified once the term ratios can no longer increase: Gamma is
+log-convex, so Gamma(x)/Gamma(x + alpha) decreases for x > 0 (Gorenflo,
+Loutchko & Luchko, Fract. Calc. Appl. Anal. 5 (2002); Hilfer & Seybold,
+Integral Transforms Spec. Funct. 17 (2006)).  The returned error estimate is
+a documented heuristic, not a proven bound: the last two terms plus the tail
+bound (truncation), plus ``8 * eps * sum|terms|`` (summation rounding under
+cancellation), plus ``32 * eps * max_exponent * |value|`` (rounding of the
+log-space exponents themselves, which dominates when the terms carry
+exponents of hundreds).  An evaluation whose estimate exceeds
+``HONESTY_FACTOR * max(tol*|value|, tol)`` is refused with a
+:class:`ConvergenceError` instead of silently returning cancellation noise —
+this is what bounds the honest domain for strongly alternating arguments
+(large negative z at small alpha).  Every refusal carries its ``reason``:
+``"budget"``, ``"honesty"`` or ``"overflow"``.
 """
 
 import math
@@ -104,40 +104,69 @@ def _tail_bound(at, aprev, factor):
     return at * rho / (1.0 - rho) if rho < 1.0 else math.inf
 
 
-def _sum_series(row, grow, z, label, ratio_factor):
-    """Compensated summation of sum_r row[r] z**r with stop control.
+def _ratio_factor(r, alpha, beta, gamma):
+    """m with every term ratio |t_(k+1)/t_k|, k >= r >= 1, at most m * |t_r/t_(r-1)|,
+    or inf where no such m is known.  Beside |z|, a ratio is the quotient
+    Gamma(beta+alpha(r-1)) / Gamma(beta+alpha r), which stops increasing once
+    both arguments are positive (Gamma is log-convex), times 1, 1/r (in W) or
+    |gamma+r-1|/r (Prabhakar, beta > 0): nonincreasing for gamma >= 1 and
+    increasing towards 1 otherwise."""
+    if gamma is None:
+        return 1.0 if beta + alpha * (r - 1) > 0.0 else math.inf
+    if gamma >= 1.0:
+        return 1.0
+    return r / (gamma + r - 1) if gamma + r - 1 > 0.0 else math.inf
 
-    Entry r of ``row`` is ``(sign, a, b, p)`` as the module docstring
+
+def _sum_series(alpha, beta, z, factorial=False, gamma=None, row=None):
+    """Compensated summation of sum_r c_r z**r with stop control: c_r is
+    1/Gamma(beta+alpha*r), times 1/r! when ``factorial``, and times (gamma)_r
+    when ``gamma`` is not None (the Prabhakar function, with ``factorial``).
+
+    The loop forms entry r ``(sign, a, b, p)`` as the module docstring
     describes; ``(p + |r*log|z||) + b`` is the magnitude of the log-space
-    exponent pieces of term r.  ``grow(r)`` appends entry r to ``row`` and
-    returns it; entries already in ``row`` are reused.  ``label()`` names the
-    series in a refusal and is formatted only then.  ``ratio_factor(r)``
-    returns m such that every term ratio |t_(k+1)/t_k|, k >= r, is at most
-    m * |t_r/t_(r-1)|, or inf where no such m is known.  The tolerance and
-    term budget are ``config.SERIES_TOL`` and ``config.TERM_BUDGET``.
+    exponent pieces of term r.  ``row``, if not None, is the list of entries
+    that calls of one series without ``gamma`` share: the loop reads the
+    entries in it and appends those it forms.  The series is named only in a
+    refusal, formatted then.  The tolerance and term budget are
+    ``config.SERIES_TOL`` and ``config.TERM_BUDGET``.
     """
-    tol = config.SERIES_TOL
-    budget = config.TERM_BUDGET
-    exp = math.exp
+    tol, budget = config.SERIES_TOL, config.TERM_BUDGET
+    exp, lgamma = math.exp, math.lgamma
+    rgam = log_abs_rgamma  # the module's binding at call time, which a tracer may swap
     ninf = -math.inf
     # log|z| (-inf at z = 0), taken once: z**r has log-magnitude r*log|z| and,
     # when z < 0, sign -1 for odd r
     zlog1 = math.log(abs(z)) if z != 0.0 else ninf
     zflip = -1.0 if z < 0.0 else 1.0
     zsign = 1.0
-    built = len(row)
-    s = 0.0
-    comp = 0.0
-    sum_abs = 0.0
+    built = len(row) if row else 0
+    psign, plog = 1.0, 0.0  # (gamma)_r as sign and log
+    s = comp = sum_abs = tail = 0.0
     max_scale = 1.0
     prev = math.inf
     converged = False
-    used = 0
-    last = 0.0
-    tail = 0.0
     for r in range(budget):
         try:
-            sign, a, b, p = row[r] if r < built else grow(r)
+            if r < built:
+                sign, a, b, p = row[r]
+            elif gamma is None:
+                sign, a = rgam(beta + alpha * r)
+                b = lgamma(r + 1) if factorial else 0.0
+                p = abs(a)
+                if row is not None:
+                    row.append((sign, a, b, p))
+            else:  # (gamma)_r = (gamma)_(r-1) (gamma+r-1), zero from a zero factor on
+                factor = gamma + (r - 1)
+                if r and (psign == 0.0 or factor == 0.0):
+                    psign = 0.0
+                elif r:
+                    psign = -psign if factor < 0.0 else psign
+                    plog += math.log(abs(factor))
+                sign = psign
+                if psign != 0.0:
+                    gsign, glog = rgam(beta + alpha * r)
+                    sign, a, b, p = psign * gsign, plog + glog, lgamma(r + 1), abs(plog) + abs(glog)
             zlog = r * zlog1 if r else 0.0
             if sign == 0.0 or zlog == ninf:
                 t = 0.0
@@ -148,11 +177,10 @@ def _sum_series(row, grow, z, label, ratio_factor):
         except OverflowError:
             value = s + comp
             raise ConvergenceError(
-                f"{label()}: term {r} overflows the double-precision range "
-                f"(partial={value!r})",
+                f"{_label(alpha, beta, z, factorial, gamma)}: term {r} overflows the "
+                f"double-precision range (partial={value!r})",
                 partial=value, terms_used=r, reason="overflow",
             ) from None
-        used = r + 1
         at = abs(t)
         sum_abs += at
         if scale > max_scale:
@@ -165,19 +193,18 @@ def _sum_series(row, grow, z, label, ratio_factor):
             comp += (t - u) + s
         s = u
         thresh = tol * abs(s + comp)
-        if r >= 1 and at <= thresh and abs(prev) <= thresh:
-            tail = _tail_bound(at, abs(prev), ratio_factor(r))
+        if at <= thresh and r >= 1 and abs(prev) <= thresh:
+            tail = _tail_bound(at, abs(prev), _ratio_factor(r, alpha, beta, gamma))
             if tail <= 0.5 * thresh:
-                last = at
                 converged = True
                 break
             tail = 0.0
         prev = t
-        last = at
         zsign *= zflip
+    used = r + 1  # config.override keeps the budget >= 1, so the loop ran
     value = s + comp
     estimate = (
-        last
+        at
         + (abs(prev) if math.isfinite(prev) else 0.0)
         + tail
         + _SUM_ERR_FACTOR * _EPS * sum_abs
@@ -187,19 +214,26 @@ def _sum_series(row, grow, z, label, ratio_factor):
     )
     if not converged:
         raise ConvergenceError(
-            f"{label()}: no convergence within {budget} terms "
-            f"(partial={value!r}, estimate={estimate!r})",
+            f"{_label(alpha, beta, z, factorial, gamma)}: no convergence within {budget} "
+            f"terms (partial={value!r}, estimate={estimate!r})",
             partial=value, error_estimate=estimate, terms_used=used, reason="budget",
         )
     allowance = config.HONESTY_FACTOR * max(tol * abs(value), tol)
     if estimate > allowance:
         raise ConvergenceError(
-            f"{label()}: rounding floor {estimate:.3e} exceeds the honest allowance "
-            f"{allowance:.3e}; the argument lies outside the double-precision domain "
-            f"(partial={value!r})",
+            f"{_label(alpha, beta, z, factorial, gamma)}: rounding floor {estimate:.3e} "
+            f"exceeds the honest allowance {allowance:.3e}; the argument lies outside the "
+            f"double-precision domain (partial={value!r})",
             partial=value, error_estimate=estimate, terms_used=used, reason="honesty",
         )
-    return EvalResult(value, estimate, used)
+    # a sum of nonnegative terms: EvalResult's check of the estimate cannot fail
+    return tuple.__new__(EvalResult, (value, estimate, used))
+
+
+def _label(alpha, beta, z, factorial, gamma):
+    """The series' name in a refusal."""
+    head = f"E^{gamma}" if gamma is not None else "W" if factorial else "E"
+    return f"{head}_({alpha},{beta})({z})"
 
 
 def ml_one(alpha, z):
@@ -212,7 +246,9 @@ def ml_two(alpha, beta, z):
 
     beta = 0 is legal: the r = 0 term carries 1/Gamma(0) = 0 and drops out.
     """
-    return MLSeries(alpha, beta)(z)
+    series = MLSeries(alpha, beta)
+    series._row = None  # called once: no row to keep
+    return series(z)
 
 
 class MLSeries:
@@ -224,7 +260,7 @@ class MLSeries:
     :class:`WrightSeries` is the same series with 1/r! in each term.
     """
 
-    _symbol, _param, _factorial = "E", "beta", False
+    _param, _factorial = "beta", False
 
     def __init__(self, alpha, beta):
         positive_finite(alpha, "alpha")
@@ -232,26 +268,13 @@ class MLSeries:
             finite(beta, self._param, f"{self._param} and z must be finite")
         self.alpha = alpha
         self.beta = beta
-        # entry r (see _sum_series): 1/Gamma(beta + alpha*r) as sign and log,
-        # and log r! (0.0 in E_{alpha,beta}), filled in order of r
+        # the entries _sum_series forms, in order of r; None in a series called once
         self._row = []
-
-    def _grow(self, r):
-        gsign, glog = log_abs_rgamma(self.beta + self.alpha * r)
-        entry = (gsign, glog, math.lgamma(r + 1) if self._factorial else 0.0, abs(glog))
-        self._row.append(entry)
-        return entry
 
     def __call__(self, z):
         if not -FLOAT_MAX <= z <= FLOAT_MAX:
             finite(z, "z", f"{self._param} and z must be finite")
-        alpha, beta = self.alpha, self.beta
-        # the term ratio is |z| Gamma(beta+alpha(r-1)) / Gamma(beta+alpha r) times
-        # a nonincreasing factor (1, or 1/r in W): the gamma quotient stops
-        # increasing once both arguments are positive (log-convexity of Gamma)
-        return _sum_series(self._row, self._grow, z,
-                           lambda: f"{self._symbol}_({alpha},{beta})({z})",
-                           lambda r: 1.0 if beta + alpha * (r - 1) > 0.0 else math.inf)
+        return _sum_series(self.alpha, self.beta, z, self._factorial, row=self._row)
 
 
 def ml_three(alpha, beta, gamma, z):
@@ -262,52 +285,28 @@ def ml_three(alpha, beta, gamma, z):
     gamma (gamma+1) ... (gamma+r-1), so a negative integer gamma truncates
     the series exactly.
     """
-    MLParams(alpha, beta, gamma)  # validates alpha and finiteness
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive here, got {beta}")
-    finite(z, "z", "z must be finite")
-
-    row = []
-    psign, plog = 1.0, 0.0  # (gamma)_r as sign and log, r the last index grown
-
-    def grow(r):
-        nonlocal psign, plog
-        if r > 0:
-            factor = gamma + (r - 1)
-            if psign == 0.0 or factor == 0.0:
-                psign = 0.0
-            else:
-                if factor < 0.0:
-                    psign = -psign
-                plog += math.log(abs(factor))
-        if psign == 0.0:
-            entry = (0.0, 0.0, 0.0, 0.0)
-        else:
-            gsign, glog = log_abs_rgamma(beta + alpha * r)
-            entry = (psign * gsign, plog + glog, math.lgamma(r + 1), abs(plog) + abs(glog))
-        row.append(entry)
-        return entry
-
-    def ratio_factor(r):
-        # the ratio carries |gamma+r-1|/r beside the gamma quotient (beta > 0):
-        # nonincreasing for gamma >= 1, increasing towards its limit 1 otherwise
-        if gamma >= 1.0:
-            return 1.0
-        return r / (gamma + r - 1) if gamma + r - 1 > 0.0 else math.inf
-
-    return _sum_series(row, grow, z, lambda: f"E^{gamma}_({alpha},{beta})({z})", ratio_factor)
+    # one comparison chain where every check below would pass
+    if not (0.0 < alpha <= FLOAT_MAX and 0.0 < beta <= FLOAT_MAX
+            and -FLOAT_MAX <= gamma <= FLOAT_MAX and -FLOAT_MAX <= z <= FLOAT_MAX):
+        MLParams(alpha, beta, gamma)  # validates alpha and finiteness
+        if not beta > 0.0:
+            raise DomainError(f"beta must be positive here, got {beta}")
+        finite(z, "z", "z must be finite")
+    return _sum_series(alpha, beta, z, True, gamma)
 
 
 def wright(alpha, mu, z):
     """Wright function W_{alpha,mu}(z) = sum z**r / (r! Gamma(mu+alpha*r))."""
-    return WrightSeries(alpha, mu)(z)
+    series = WrightSeries(alpha, mu)
+    series._row = None  # called once: no row to keep
+    return series(z)
 
 
 class WrightSeries(MLSeries):
     """W_{alpha,mu}(z) at many arguments z, as :func:`wright` computes it,
     sharing the row of gamma terms like :class:`MLSeries`."""
 
-    _symbol, _param, _factorial = "W", "mu", True
+    _param, _factorial = "mu", True
 
     def __init__(self, alpha, mu):
         super().__init__(alpha, mu)

@@ -323,7 +323,7 @@ class TestRejectedInput:
                               "--y", "1e50", "--format", fmt)
         assert code == 2
         assert out == ""
-        assert "value = inf is not a finite number" in err
+        assert "H[alpha]_12(1e+25, 1e+50) is inf: it leaves the double-precision range" in err
 
     @pytest.mark.parametrize("argv", [
         ("eval-fhp", "--n", "12", "--alpha", "0.5", "--y", "1e50", "--coeffs"),
@@ -346,6 +346,15 @@ class TestRejectedInput:
         assert code == 2
         assert out == ""
         assert "disagree" in err
+
+    def test_an_overflowing_gamma_argument_is_named(self, capsys):
+        # beta + alpha*2 = inf; was "error: x must be finite, got inf", exit code 1
+        code, out, err = _run(capsys, "eval-mlp", "--n", "2", "--alpha", "1e308", "--beta", "1",
+                              "--x", "0.5", "--y", "1")
+        assert code == 2
+        assert out == ""
+        assert err == ("numerical failure: beta + alpha*2 exceeds the double-precision range "
+                       "at alpha = 1e+308, beta = 1.0\n")
 
     def test_mlp_value_beyond_the_double_range(self, capsys):
         code, out, err = _run(capsys, "eval-mlp", "--n", "1", "--alpha", "0.5", "--beta", "1",

@@ -383,6 +383,23 @@ OVERFLOWING = [
     (mlp_egf_closed, (1e200, 0.5, 1.0, 1e200, 0.0), "-lam*x exceeds the double-precision range"),
     (mlp_ogf_closed, (0.99, 0.5, 1.0, 1e308, 0.999),
      "-lam*x/(1-lam*y) exceeds the double-precision range"),
+    # a 1/Gamma argument beta + alpha*r beyond the range was refused as the
+    # gamma kernel's "x must be finite, got inf", naming no argument of the call
+    (mlp_coeffs, (2, 1e308, 1.0, 0.5),
+     "beta + alpha*2 exceeds the double-precision range at alpha = 1e+308, beta = 1.0"),
+    (mlp_eval, (2, 1e308, 1.0, 0.5, 1.0),
+     "beta + alpha*2 exceeds the double-precision range at alpha = 1e+308, beta = 1.0"),
+    (mlp_coeffs, (3, 1e308, 1e308, 0.5),
+     "beta + alpha*3 exceeds the double-precision range at alpha = 1e+308, beta = 1e+308"),
+    (appell_A_mlp, (1e308, 1.0, 0.5, 4),
+     "beta + alpha*4 exceeds the double-precision range at alpha = 1e+308, beta = 1.0"),
+    # a direct fractional-Hermite sum beyond the range came back as inf
+    (fhp_eval, (12, 0.5, 1e25, 1e50),
+     "H[alpha]_12(1e+25, 1e+50) is inf: it leaves the double-precision range"),
+    (fhp_eval, (3, 1, -1.0, -1e308),
+     "H[alpha]_3(-1.0, -1e+308) is inf: it leaves the double-precision range"),
+    (fhp_eval, (2, 0.5, 1e154, 1e308),
+     "H[alpha]_2(1e+154, 1e+308) is inf: it leaves the double-precision range"),
     # 2/(alpha*(x-1)) = inf times an underflowed E_(alpha,0) came back as NaN,
     # and an alpha*(x-1) that underflowed to 0 raised a raw ZeroDivisionError
     (aux_v_h_fhp, (5e-324, 2.0, 5e-324, -1e-300),

@@ -1,19 +1,20 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mlpoly import config
+from mlpoly import config, mittag_leffler
 from mlpoly.caputo import caputo_poly
 from mlpoly.errors import ConvergenceError, DomainError
 from mlpoly.fracpoly import FracPoly
-from mlpoly.gamma_core import rgamma
+from mlpoly.gamma_core import log_abs_rgamma, rgamma
 from mlpoly.mittag_leffler import (
     EvalResult,
     MLParams,
     MLSeries,
     WrightSeries,
-    _sum_series,
     _tail_bound,
     ml_one,
     ml_three,
@@ -23,6 +24,7 @@ from mlpoly.mittag_leffler import (
     wright,
 )
 
+import series_pins
 from oracles import ml_series_mp, prabhakar_mp, wright_mp
 
 
@@ -445,6 +447,12 @@ PINNED_REFUSALS = [
 ]
 
 
+# tests/series_pins.py's seeded sweep, captured before the row entries were
+# formed inside the summation loop: 522 outcomes of the six evaluators and of
+# reused MLSeries/WrightSeries rows, with every refusal reason
+SWEEP = json.loads((Path(__file__).parent / "series_pins.json").read_text(encoding="utf-8"))
+
+
 def _fingerprint(out):
     if isinstance(out, float):
         return out.hex()
@@ -472,31 +480,63 @@ class TestPinnedEngine:
         assert str(info.value) == message
         assert getattr(info.value, "reason", None) == reason
 
-    def test_row_builder_overflow_is_a_refusal(self):
-        # a row entry that leaves the double range refuses like an overflowing exp
-        def grow(r):
-            if r == 2:
+    def test_row_builder_overflow_is_a_refusal(self, monkeypatch):
+        # a row entry that leaves the double range refuses like an overflowing
+        # exp; with 1/Gamma patched to 1 below the overflow, each sums 1 + 0.5
+        def rgamma_overflowing(x):
+            if x == 3.0:
                 raise OverflowError("math range error")
-            row.append((1.0, 0.0, 0.0, 0.0))
-            return row[r]
+            return 1.0, 0.0
 
-        row = []
-        with pytest.raises(ConvergenceError) as info:
-            _sum_series(row, grow, 0.5, lambda: "S", lambda r: 1.0)
-        assert str(info.value) == "S: term 2 overflows the double-precision range (partial=1.5)"
-        assert (info.value.reason, info.value.partial, info.value.terms_used) == ("overflow", 1.5, 2)
+        monkeypatch.setattr(mittag_leffler, "log_abs_rgamma", rgamma_overflowing)
+        for evaluate, label in ((ml_two, "E_(1.0,1.0)"), (wright, "W_(1.0,1.0)"),
+                                (lambda *args: ml_three(*args[:2], 1.0, args[2]), "E^1.0_(1.0,1.0)")):
+            with pytest.raises(ConvergenceError) as info:
+                evaluate(1.0, 1.0, 0.5)
+            assert str(info.value) == (
+                f"{label}(0.5): term 2 overflows the double-precision range (partial=1.5)")
+            assert (info.value.reason, info.value.partial, info.value.terms_used) == (
+                "overflow", 1.5, 2)
+
+    def test_a_shared_row_keeps_the_entries_before_a_refusal(self):
+        # beta + alpha*2 is inf, which the gamma kernel refuses
+        series = MLSeries(1e308, 1.0)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="x must be finite, got inf"):
+                series(1.0)
+            assert len(series._row) == 2
+
+    def test_the_engine_calls_the_module_binding_of_log_abs_rgamma(self, monkeypatch):
+        # a tracer swaps mittag_leffler.log_abs_rgamma at run time, and counts
+        # only the calls that reach the swapped binding
+        args = []
+
+        def counted(x):
+            args.append(x)
+            return log_abs_rgamma(x)
+
+        monkeypatch.setattr(mittag_leffler, "log_abs_rgamma", counted)
+        assert ml_two(0.6, 1.2, 0.5).terms_used == len(args)
+        args.clear()
+        series = WrightSeries(0.6, 1.2)
+        used = series(2.0).terms_used
+        assert series(0.5).terms_used < used == len(args)  # the second call reads the row
 
     def test_label_is_formatted_only_for_a_refusal(self):
         calls = []
 
-        def label():
-            calls.append(1)
-            return "S"
+        class Z(float):
+            def __format__(self, spec):
+                calls.append(spec)
+                return float.__format__(self, spec)
 
-        row = []
-        result = _sum_series(row, lambda r: row.append((1.0, 0.0, 0.0, 0.0)) or row[r],
-                             0.5, label, lambda r: 1.0)
-        assert result.value == pytest.approx(2.0, rel=1e-12) and calls == []
-        with config.override(term_budget=3), pytest.raises(ConvergenceError):
-            _sum_series(row, None, 0.5, label, lambda r: 1.0)
-        assert calls == [1]
+        assert ml_two(1.0, 1.0, Z(0.5)).value == pytest.approx(math.exp(0.5), rel=1e-12)
+        assert calls == []
+        with config.override(term_budget=3), pytest.raises(ConvergenceError) as info:
+            ml_two(1.0, 1.0, Z(0.5))
+        assert calls == [""] and str(info.value).startswith("E_(1.0,1.0)(0.5): no convergence")
+
+    @pytest.mark.parametrize("case", SWEEP, ids=[
+        f"{i}-{case.get('call') or case['series']}" for i, case in enumerate(SWEEP)])
+    def test_seeded_sweep(self, case):
+        assert series_pins.outcomes(case) == case["out"]

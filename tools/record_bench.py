@@ -19,7 +19,12 @@ won.  It also records:
   ``tests/oracles.py`` (1 or less means every estimate holds);
 * ``verify``: the ``verify --suite all`` report of each tree, one fresh
   process per argv of ``VERIFY_ARGVS``, with every line (stdout, stderr or
-  exit code) that differs given as a [baseline, change] pair.
+  exit code) that differs given as a [baseline, change] pair;
+* ``layers``: the seconds per call of each fixed call of ``LAYER_CALLS``
+  (the series engine through each evaluator, a series object reused over a
+  grid, the fractional-Hermite sum), each side timed in its own process on
+  its own ``src``, ``LAYER_REPEATS`` processes per side, alternating; each
+  side's median, and the change's speed-up (baseline median / change median).
 """
 
 import argparse
@@ -59,6 +64,37 @@ CLI_COMMANDS = {
               "--t", "0.7", "--grid-min=-1.0", "--grid-max=1.0", "--grid-points", "21", "--format", "csv"],
     "verify": ["verify", "--suite", "all", "--seed", "0"],
 }
+
+#: the calls timed per layer: name -> (statement, calls per timing); the
+#: statements run in ``_LAYERS_CHILD``, where ``grid(cls)`` builds one series
+#: object and calls it at the 1001 points of ``GRID_ZS``
+LAYER_CALLS = {
+    "ml_one(0.5, -2.0)": ("ml_one(0.5, -2.0)", 2000),
+    "ml_two(0.6, 1.2, 0.8)": ("ml_two(0.6, 1.2, 0.8)", 4000),
+    "ml_three(0.6, 1.2, 0.9, -1.5)": ("ml_three(0.6, 1.2, 0.9, -1.5)", 2000),
+    "wright(0.6, 1.3, -2.0)": ("wright(0.6, 1.3, -2.0)", 4000),
+    "relaxation_hn(0.7, 0.6, 1.2, 0.9)": ("relaxation_hn(0.7, 0.6, 1.2, 0.9)", 2000),
+    "MLSeries(0.6, 1.3) over 1001 z": ("grid(MLSeries)", 10),
+    "WrightSeries(0.6, 1.3) over 1001 z": ("grid(WrightSeries)", 20),
+    "fhp_eval(10, 0.5, 0.7, 0.9)": ("fhp_eval(10, 0.5, 0.7, 0.9)", 10000),
+    "fhp_eval(40, 0.5, 0.7, 0.9)": ("fhp_eval(40, 0.5, 0.7, 0.9)", 2000),
+}
+LAYER_REPEATS = 7
+
+_LAYERS_CHILD = """
+import json, sys, timeit
+from mlpoly import (MLSeries, WrightSeries, fhp_eval, ml_one, ml_three, ml_two,
+                    relaxation_hn, wright)
+GRID_ZS = [-2.0 + 0.005 * i for i in range(1001)]
+def grid(cls):
+    series = cls(0.6, 1.3)
+    for z in GRID_ZS:
+        series(z)
+out = {}
+for name, (stmt, number) in json.loads(sys.argv[1]).items():
+    out[name] = timeit.timeit(stmt, globals=globals(), number=number) / number
+print(json.dumps(out))
+"""
 
 #: the verify reports compared line by line: seeds 0-39, and seed 7 at three degrees
 VERIFY_ARGVS = [["--seed", str(seed)] for seed in range(40)] + [
@@ -201,6 +237,27 @@ def verify_reports(trees):
     return {"argvs": [" ".join(argv) for argv in VERIFY_ARGVS], "moved": moved}
 
 
+def layer_timings(trees, repeats):
+    def once(tree):
+        proc = subprocess.run([sys.executable, "-c", _LAYERS_CHILD, json.dumps(LAYER_CALLS)],
+                              cwd=tree, env=env_for(tree), capture_output=True, text=True,
+                              check=True)
+        return json.loads(proc.stdout)
+
+    runs = {side: [] for side in trees}
+    for i in range(repeats):
+        for side in (("baseline", "change") if i % 2 == 0 else ("change", "baseline")):
+            runs[side].append(once(trees[side]))
+    out = {}
+    for name in LAYER_CALLS:
+        entry = {side: {"runs_s": [r[name] for r in runs[side]],
+                        "median_s": statistics.median(r[name] for r in runs[side])}
+                 for side in trees}
+        entry["speedup"] = entry["baseline"]["median_s"] / entry["change"]["median_s"]
+        out[name] = entry
+    return {"repeats": repeats, "calls": out}
+
+
 def import_metrics(trees, seconds):
     out = {}
     for side, tree in trees.items():
@@ -230,6 +287,7 @@ def main(argv=None):
         "cli_wall_s": cli_wall_times(trees, CLI_REPEATS),
         "import": import_metrics(trees, 3.0),
         "verify": verify_reports(trees),
+        "layers": layer_timings(trees, LAYER_REPEATS),
         "workloads": {},
     }
     seeds = range(FIRST_SEED, FIRST_SEED + PAIRS)
