@@ -316,13 +316,12 @@ def _cmd_solve(args):
     grid = _linspace(args.grid_min, args.grid_max, args.grid_points)
     if args.grid_var == "x":
         t = _require(args, "t")
-        solution = _solve_plan(args).along_x(t)
+        values = _solve_plan(args).along_x(t, grid)
         fixed = {"t": t}
     else:
         x = _require(args, "x")
-        solution = _solve_plan(args).along_t(x)
+        values = _solve_plan(args).along_t(x, grid)
         fixed = {"x": x}
-    values = [solution(g) for g in grid]
 
     meta = {"problem": args.problem, "grid_var": args.grid_var,
             "alpha": args.alpha, **fixed}

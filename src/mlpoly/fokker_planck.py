@@ -19,12 +19,17 @@ datum, where the solution factorizes (solve_laguerre_wright).
 
 A problem is a record (:class:`DiffusionProblem`, :class:`LaguerreProblem`)
 that checks its parameters once.  :func:`plan` builds its grid plan
-(:class:`GridPlan`), which evaluates the solution along x or along t for any
-t >= 0; the scalar solve_* functions are its one-point case.  A diffusion
-plan is the fractional-Hermite sum of :mod:`.fractional_hermite` (the
-weighted sum that its convolution identities evaluate) at w = k t**alpha;
-the plan of a fractional-Hermite datum also evaluates the (+)_alpha route at
-every point and refuses a point where the two disagree.
+(:class:`GridPlan`), which evaluates the solution on a list of x points at
+fixed t, or of t points at fixed x, for any t >= 0.  It evaluates the whole
+grid at once, one column per power or term, with every point getting the
+floating-point operations of the direct sum in the same order; the scalar
+solve_* functions are its one-point case, :meth:`GridPlan.at`.  Where a
+grid is refused, its points are walked one at a time in grid order, so that
+the first failing point raises its own refusal.  A diffusion plan is the
+fractional-Hermite sum of :mod:`.fractional_hermite` (the weighted sum that
+its convolution identities evaluate) at w = k t**alpha; the plan of a
+fractional-Hermite datum also evaluates the (+)_alpha route at every point
+and refuses the first point, in grid order, where the two disagree.
 
 :func:`residual` substitutes a solution back into its equation.  It reads the
 solution from the plan itself (for diffusion, from the plain sum, without the
@@ -39,6 +44,7 @@ raw entries grow like n!.
 import json
 import math
 from collections import namedtuple
+from itertools import repeat
 
 from . import config
 from ._validate import (
@@ -51,9 +57,16 @@ from ._validate import (
     positive_finite,
 )
 from .caputo import caputo_monomial
-from .errors import DomainError, FloatOverflowError, VerificationError
+from .errors import DomainError, FloatOverflowError, MLPolyError, VerificationError
 from .fractional_hermite import _convolution_degrees, _fhp_table, _FhpSum, _in_range, _OplusSum
-from .gamma_core import _check_degree, _powers, _rgammas, _worst, factorial_ratios
+from .gamma_core import (
+    _check_degree,
+    _power_columns,
+    _powers,
+    _rgammas,
+    _worst,
+    factorial_ratios,
+)
 from .mittag_leffler import MLSeries, WrightSeries
 
 
@@ -170,49 +183,105 @@ class SolutionProfile(namedtuple("SolutionProfile", "grid values meta")):
 # -- grid plans -------------------------------------------------------------------
 
 
+def _broadcast(columns):
+    """The columns of a one-point side, each an endless repeat of its one value."""
+    return [repeat(column[0]) for column in columns]
+
+
 class GridPlan:
     """The part of a problem's solution u(x, t) that no grid point changes.
 
     A plan is built once from the problem's parameters and holds every factor
-    that depends on neither x nor t.  A subclass splits the work of one point
-    in three: ``_x_side(x)`` computes what depends on x alone, ``_t_side(t)``
-    what depends on t alone, and ``_formula`` combines the two.  Together
-    they perform the floating-point operations of a single evaluation in the
-    same order, so a value on a grid is the same to the last bit as the
-    scalar ``solve_*`` function gives at that point; :meth:`along_x` and
-    :meth:`along_t` compute the fixed side once per grid.
+    that depends on neither x nor t.  It evaluates a whole grid at once, one
+    column per power or term: ``_x_columns(xs)`` computes what depends on x
+    alone, as columns over the points xs, ``_t_columns(ts)`` what depends on
+    t alone, and ``_combine`` forms the products and running sums of the two,
+    one list comprehension over the zipped columns per term (faster than
+    chained ``map(mul, ...)`` in CPython 3.11, with the same operations).
+    The side a grid holds fixed is computed at its one point and broadcast
+    with :func:`itertools.repeat`.  Every point gets the floating-point
+    operations of the direct sum in the same order, each running sum from
+    0.0, so every value, the sign of a zero included, is the same to the last
+    bit as the scalar ``solve_*`` function gives at that point; :meth:`at` is
+    the one-point case of the same route.
+
+    The fixed side is checked first, so its refusal comes first, as it
+    always has.  Where the column pass over the grid raises, the points are
+    walked through :meth:`at` in grid order, so that the first failing point
+    raises its own refusal, as a per-point loop would.
     """
 
     def at(self, x, t):
         """The solution at one point (x, t)."""
-        return self._formula(self._x_side(x), self._t_side(t))
+        return self.along_t(x, [t])[0]
 
-    def along_x(self, t):
-        """The solution at fixed t, as a function of x."""
-        fixed, x_side, formula = self._t_side(t), self._x_side, self._formula
-        return lambda x: formula(x_side(x), fixed)
+    def along_x(self, t, xs):
+        """The solution at fixed t over the points of the sequence xs, as a list."""
+        fixed = _broadcast(self._t_columns([t]))
+        try:
+            return self._combine(self._x_columns(xs), fixed)
+        except MLPolyError:
+            if len(xs) < 2:  # the refusal of the pass is the one point's own
+                raise
+        return [self.at(x, t) for x in xs]
 
-    def along_t(self, x):
-        """The solution at fixed x, as a function of t."""
-        fixed, t_side, formula = self._x_side(x), self._t_side, self._formula
-        return lambda t: formula(fixed, t_side(t))
+    def along_t(self, x, ts):
+        """The solution at fixed x over the points of the sequence ts, as a list."""
+        fixed = _broadcast(self._x_columns([x]))
+        try:
+            return self._combine(fixed, self._t_columns(ts))
+        except MLPolyError:
+            if len(ts) < 2:  # the refusal of the pass is the one point's own
+                raise
+        return [self.at(x, t) for t in ts]
 
 
-class _FhpPlan(_FhpSum, GridPlan):
-    """A fractional-Hermite sum at w = k t**alpha, t >= 0.
+class _FhpPlan(GridPlan):
+    """A fractional-Hermite sum (an :class:`_FhpSum`) at w = k t**alpha, t >= 0.
 
-    The x side and the formula are the sum's own; the t side is its
-    coefficient rows at w = k t**alpha.  At t = 0 the sum is the initial datum.
+    The x columns are the powers of x; the t columns are the sum's
+    coefficients (m!/(m-2r)! * w**r) * rgamma(1+alpha*r), yielded degree by
+    degree as the sum takes them, so that only the powers of w are held.
+    At t = 0 the sum is the initial datum.
     """
 
-    def __init__(self, table, weights, alpha, k):
-        super().__init__(table, weights)
+    def __init__(self, fsum, alpha, k):
+        self._table = fsum._table
+        self._weights = fsum._weights
         self._alpha = alpha
         self._k = k
 
-    def _t_side(self, t):
-        nonnegative_finite(t, "t")
-        return self._w_side(self._k * t ** self._alpha)
+    def _x_columns(self, xs):
+        for x in xs:
+            finite(x, "x")
+        return _power_columns(xs, self._table.top, "x")
+
+    def _w_columns(self, ts):
+        """The powers w**r, r = 0..top//2, of w = k t**alpha."""
+        for t in ts:
+            nonnegative_finite(t, "t")
+        k, alpha = self._k, self._alpha
+        return _power_columns([k * t ** alpha for t in ts], self._table.top // 2, "y")
+
+    def _coeff_columns(self, wp):
+        rgammas = self._table.rgammas
+        for row in self._table.ratios:
+            for ratio, wr, rg in zip(row, wp, rgammas):
+                yield [ratio * w * rg for w in wr]
+
+    def _t_columns(self, ts):
+        return self._coeff_columns(self._w_columns(ts))
+
+    def _combine(self, xp, coeffs):
+        """sum_j weights[j] * H[alpha]_{m_j}, each H summed over coeff * x**(m-2r)."""
+        coeffs = iter(coeffs)
+        total = repeat(0.0)
+        for m, weight in zip(self._table.degrees, self._weights):
+            value = repeat(0.0)
+            for xe in xp[m::-2]:  # x**m, x**(m-2), ...
+                value = [s + c * x for s, c, x in zip(value, next(coeffs), xe)]
+            total = [s + weight * h for s, h in zip(total, value)]
+        return total
 
     def _terms(self):
         """Yield (c, i, j): the solution is the sum of c * x**i * t**(alpha*j)."""
@@ -226,32 +295,39 @@ class _FhpPlan(_FhpSum, GridPlan):
 class _CaseIIPlan(_FhpPlan):
     """Grid plan of :func:`solve_case_ii`: both closed routes at every point.
 
-    The t side adds the (+)_alpha route's rows (w (+)_alpha a)**r to the
-    coefficient rows, and each point compares the two routes before returning.
+    After the coefficients, the t columns yield the (+)_alpha route's rows
+    (w (+)_alpha a)**r, each summed from the powers of w and a; every point
+    compares the two routes, in grid order, before the grid is returned.
     """
 
-    def __init__(self, table, weights, alpha, k, oplus):
-        super().__init__(table, weights, alpha, k)
+    def __init__(self, fsum, alpha, k, oplus):
+        super().__init__(fsum, alpha, k)
         self._oplus = oplus
 
-    def _t_side(self, t):
-        nonnegative_finite(t, "t")
-        table = self._table
-        wp = table.y_powers(self._k * t ** self._alpha)
-        return table.coeffs(wp), self._oplus._rows(wp)
+    def _t_columns(self, ts):
+        wp = self._w_columns(ts)
+        yield from self._coeff_columns(wp)
+        ap = self._oplus._a_powers
+        for binoms in self._oplus._binoms:
+            row = repeat(0.0)
+            for c, we, aj in zip(binoms, wp[len(binoms) - 1::-1], ap):
+                row = [s + c * w * aj for s, w in zip(row, we)]
+            yield row
 
-    def _formula(self, xp, t_side):
-        coeffs, rows = t_side
-        by_series = super()._formula(xp, coeffs)
-        by_oplus = self._oplus._formula(xp, rows)
-        gap = abs(by_series - by_oplus)
-        allowed = max(
-            config.IDENTITY_RTOL * max(abs(by_series), abs(by_oplus)),
-            config.IDENTITY_ATOL,
-        )
-        if not gap <= allowed:  # a NaN gap (both routes infinite) fails too
+    def _combine(self, xp, t_columns):
+        t_columns = iter(t_columns)
+        by_series = super()._combine(xp, t_columns)
+        by_oplus = repeat(0.0)
+        for g, xe, row in zip(self._oplus._gammas, xp[::-2], t_columns):
+            by_oplus = [s + g * x * r for s, x, r in zip(by_oplus, xe, row)]
+        rtol, atol = config.IDENTITY_RTOL, config.IDENTITY_ATOL
+        agree = [abs(s - o) <= max(rtol * max(abs(s), abs(o)), atol)
+                 for s, o in zip(by_series, by_oplus)]  # a NaN gap (both routes infinite) fails
+        if not all(agree):
+            i = agree.index(False)
+            s, o = by_series[i], by_oplus[i]
             raise VerificationError(
-                f"the two closed forms disagree: |{by_series!r} - {by_oplus!r}| = {gap:.3e}"
+                f"the two closed forms disagree: |{s!r} - {o!r}| = {abs(s - o):.3e}"
             )
         return by_series
 
@@ -270,18 +346,22 @@ class _LaguerreMonomialPlan(GridPlan):
         self._rgammas_x = _rgammas(n, alpha, 1.0)
         self._rgammas_t = _rgammas(n, beta, 1.0)[::-1]
 
-    def _x_side(self, x):
-        nonnegative_finite(x, "x")
-        return _powers(-math.pow(x, self._alpha), self._n, "(-x**alpha)")
+    def _x_columns(self, xs):
+        for x in xs:
+            nonnegative_finite(x, "x")
+        alpha = self._alpha
+        return _power_columns([-math.pow(x, alpha) for x in xs], self._n, "(-x**alpha)")
 
-    def _t_side(self, t):
-        nonnegative_finite(t, "t")
-        return _powers(self._b * t ** self._beta, self._n, "(b*t**beta)")[::-1]
+    def _t_columns(self, ts):
+        for t in ts:
+            nonnegative_finite(t, "t")
+        b, beta = self._b, self._beta
+        return _power_columns([b * t ** beta for t in ts], self._n, "(b*t**beta)")[::-1]
 
-    def _formula(self, xs, us):
-        total = 0.0
-        for ratio, xr, ur, gx, gt in zip(self._ratios, xs, us, self._rgammas_x, self._rgammas_t):
-            total += ratio * xr * ur * gx * gt
+    def _combine(self, xp, up):
+        total = repeat(0.0)
+        for ratio, xr, ur, gx, gt in zip(self._ratios, xp, up, self._rgammas_x, self._rgammas_t):
+            total = [s + ratio * x * u * gx * gt for s, x, u in zip(total, xr, ur)]
         return total
 
     def _terms(self):
@@ -305,16 +385,18 @@ class _LaguerreWrightPlan(GridPlan):
         self._wright = WrightSeries(alpha, 1.0)
         self._ml = MLSeries(beta, 1.0)
 
-    def _x_side(self, x):
-        nonnegative_finite(x, "x")
-        return self._wright(-self._y * math.pow(x, self._alpha)).value
+    def _x_columns(self, xs):
+        for x in xs:
+            nonnegative_finite(x, "x")
+        return [[self._wright(-self._y * math.pow(x, self._alpha)).value for x in xs]]
 
-    def _t_side(self, t):
-        nonnegative_finite(t, "t")
-        return self._ml(self._b * self._y * t ** self._beta).value
+    def _t_columns(self, ts):
+        for t in ts:
+            nonnegative_finite(t, "t")
+        return [[self._ml(self._b * self._y * t ** self._beta).value for t in ts]]
 
-    def _formula(self, w_value, ml_value):
-        return w_value * ml_value
+    def _combine(self, w_values, ml_values):
+        return [w * m for w, m in zip(w_values[0], ml_values[0])]
 
 
 def plan(prob):
@@ -324,7 +406,7 @@ def plan(prob):
         finite(init.a, "a")
         table = _fhp_table(_convolution_degrees(init.n), prob.alpha)
         oplus = _OplusSum(table, init.a, prob.alpha)
-        return _CaseIIPlan.convolution_ii(table, init.a, prob.alpha, prob.k, oplus)
+        return _CaseIIPlan(_FhpSum.convolution_ii(table, init.a), prob.alpha, prob.k, oplus)
     if isinstance(init, LaguerreMonomialInitial):
         return _LaguerreMonomialPlan(init.n, prob.alpha, prob.beta, prob.b)
     if isinstance(init, WrightInitial):
@@ -337,14 +419,15 @@ def _sum_plan(prob):
     fractional-Hermite datum builds no (+)_alpha route."""
     init, alpha, k = prob.initial, prob.alpha, prob.k
     if isinstance(init, MonomialInitial):
-        return _FhpPlan(_fhp_table((degree(init.n, "n"),), alpha), (1.0,), alpha, k)
-    if isinstance(init, SeriesInitial):
-        return _FhpPlan(_fhp_table(range(len(init.coeffs)), alpha), init.coeffs, alpha, k)
-    finite(init.a, "a")
-    table = _fhp_table(_convolution_degrees(init.n), alpha)
-    if isinstance(init, HermiteInitial):
-        return _FhpPlan.convolution_i(table, init.a, alpha, k)
-    return _FhpPlan.convolution_ii(table, init.a, alpha, k)
+        fsum = _FhpSum(_fhp_table((degree(init.n, "n"),), alpha), (1.0,))
+    elif isinstance(init, SeriesInitial):
+        fsum = _FhpSum(_fhp_table(range(len(init.coeffs)), alpha), init.coeffs)
+    else:
+        finite(init.a, "a")
+        table = _fhp_table(_convolution_degrees(init.n), alpha)
+        build = _FhpSum.convolution_i if isinstance(init, HermiteInitial) else _FhpSum.convolution_ii
+        fsum = build(table, init.a)
+    return _FhpPlan(fsum, alpha, k)
 
 
 # -- the scalar solvers: one point of the plan ------------------------------------

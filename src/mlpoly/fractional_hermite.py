@@ -15,8 +15,9 @@ float, so coefficients are correct to the last unit even at n = 15.
 Every weighted sum of fractional Hermite polynomials is one
 :class:`_FhpSum`, a function of x and w: the convolution identities
 evaluate it at one point, and the diffusion plans of :mod:`.fokker_planck`
-inherit it and evaluate it at w = k t**alpha.  :class:`_OplusSum` is the
-second route to convolution ii, H[alpha]_n(x, w (+)_alpha a).  The scalar
+evaluate its table and weights over a whole grid at w = k t**alpha, in the
+same operation order.  :class:`_OplusSum` is the second route to
+convolution ii, H[alpha]_n(x, w (+)_alpha a).  The scalar
 convolution routes and the umbral shift refuse a value beyond the double
 range with :class:`FloatOverflowError`.
 """
@@ -305,11 +306,10 @@ def _gamma_weights(table):
 class _FhpSum:
     """sum_j weights[j] H[alpha]_{m_j}(x, w) over the degrees m_j of a :class:`_FhpTable`.
 
-    ``_x_side(x)`` is the powers of x, ``_w_side(w)`` the coefficient rows at
-    w, and ``_formula`` combines them in the operation order of the direct
-    sum.  The two class methods build the sums of the convolution identities
-    on a table of the degrees n, n-2, ..., 0; any further arguments go to the
-    constructor of the class they are called on.
+    ``_formula`` combines the table's powers of x and coefficient rows at w
+    in the operation order of the direct sum.  The two class methods build
+    the sums of the convolution identities on a table of the degrees n,
+    n-2, ..., 0.
     """
 
     def __init__(self, table, weights):
@@ -317,23 +317,15 @@ class _FhpSum:
         self._weights = weights
 
     @classmethod
-    def convolution_i(cls, table, a, *args):
+    def convolution_i(cls, table, a):
         """Weights n!/(r! (n-2r)!) a**r, n the top degree of ``table``."""
         n = table.top
-        return cls(table, list(map(mul, _hermite_weights(n), _powers(a, n // 2, "a"))), *args)
+        return cls(table, list(map(mul, _hermite_weights(n), _powers(a, n // 2, "a"))))
 
     @classmethod
-    def convolution_ii(cls, table, a, *args):
+    def convolution_ii(cls, table, a):
         """Weights n!/(n-2r)! a**r / Gamma(1+alpha*r), n the top degree of ``table``."""
-        weights = list(map(mul, _gamma_weights(table), _powers(a, table.top // 2, "a")))
-        return cls(table, weights, *args)
-
-    def _x_side(self, x):
-        return self._table.x_powers(x)
-
-    def _w_side(self, w):
-        table = self._table
-        return table.coeffs(table.y_powers(w))
+        return cls(table, list(map(mul, _gamma_weights(table), _powers(a, table.top // 2, "a"))))
 
     def _formula(self, xp, coeffs):
         total = 0.0

@@ -190,12 +190,17 @@ def _rgammas(top, alpha, beta):
     The arguments run monotonically in r, so beta + alpha*top is the largest
     in magnitude: where it leaves the double range, the row is refused by its
     name before any entry is built."""
-    if abs(beta + alpha * top) == _INF:
+    _check_gamma_argument(top, alpha, beta)
+    return tuple([rgamma(beta + alpha * r) for r in range(top + 1)])
+
+
+def _check_gamma_argument(n, alpha, beta):
+    """Refuse, by its name, a gamma argument beta + alpha*n beyond the double range."""
+    if abs(beta + alpha * n) == _INF:
         raise FloatOverflowError(
-            f"beta + alpha*{top} exceeds the double-precision range at "
+            f"beta + alpha*{n} exceeds the double-precision range at "
             f"alpha = {alpha!r}, beta = {beta!r}"
         )
-    return tuple([rgamma(beta + alpha * r) for r in range(top + 1)])
 
 
 def _dyadic(values):
@@ -218,6 +223,17 @@ def _powers(v, top, name):
         return [v ** e for e in range(top + 1)]
     except OverflowError:
         raise _power_overflow(v, top, name) from None
+
+
+def _power_columns(values, top, name):
+    """[[v**e for v in values] for e = 0..top], one column per power; where a
+    power overflows, the refusal of :func:`_powers` for the first such v."""
+    try:
+        return [[v ** e for v in values] for e in range(top + 1)]
+    except OverflowError:
+        for v in values:
+            _check_power(v, top, name)
+        raise
 
 
 def _check_power(v, top, name):

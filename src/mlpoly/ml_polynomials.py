@@ -24,6 +24,7 @@ from .errors import DomainError, FloatOverflowError, VerificationError
 from .fracpoly import FracPoly
 from .gamma_core import (
     _check_degree,
+    _check_gamma_argument,
     _check_power,
     _dyadic,
     _factor_overflow,
@@ -46,6 +47,14 @@ def _rgamma_row(top, alpha, beta):
     (top, alpha, beta)."""
     gm, ge = _dyadic(_rgammas(top, alpha, beta))
     return tuple(gm), ge
+
+
+def _binomial_row(n):
+    """[C(n, 0), ..., C(n, n)], exact integers from one recurrence."""
+    row = [1]
+    for r in range(n):
+        row.append(row[r] * (n - r) // (r + 1))
+    return row
 
 
 def _checked_args(n, alpha, beta, x, y):
@@ -86,10 +95,11 @@ def mlp_eval(n, alpha, beta, x, y):
     # (-x)**r y**(n-r) = xm**r ym**(n-r) 2**(n*e)
     (xm, ym), e = _dyadic((-x, y))
     # Horner in xm: total = sum_r C(n,r) gm[r] xm**r ym**(n-r)
+    binoms = _binomial_row(n)
     total = 0
     ypow = 1
     for r in range(n, -1, -1):
-        total = total * xm + math.comb(n, r) * gm[r] * ypow
+        total = total * xm + binoms[r] * gm[r] * ypow
         ypow *= ym
     return _rounded_value(total, ge + n * e, n, alpha, beta, x, y)
 
@@ -131,7 +141,7 @@ def mlp_coeffs(n, alpha, beta, x):
     xp = _powers(-x, n, "(-x)")
     rg = _rgammas(n, alpha, beta)
     try:
-        terms = [(math.comb(n, r) * xp[r] * rg[r], float(n - r)) for r in range(n + 1)]
+        terms = [(c * xp[r] * rg[r], float(n - r)) for r, c in enumerate(_binomial_row(n))]
     except OverflowError:  # C(n, r) beyond the double range
         raise _factor_overflow(n) from None
     return FracPoly(terms)
@@ -169,6 +179,7 @@ def konhauser(n, alpha, beta, x, y):
             raise FloatOverflowError("x exceeds the double-precision range") from None
         raise _power_overflow(x, alpha, "x") from None
     _check_degree(n)
+    _check_gamma_argument(n, alpha, beta)
     arg = beta + alpha * n
     try:
         gamma_factor = math.exp(ln_gamma(arg))

@@ -89,7 +89,7 @@ SAMPLES = [0.0, 1.0, 2.0, 3.0]
 
 
 def _along_x(t):
-    return plan(DiffusionProblem(0.5, 1.0, FhpInitial(2, 0.3))).along_x(t)
+    return plan(DiffusionProblem(0.5, 1.0, FhpInitial(2, 0.3))).along_x(t, [1.0])
 
 
 # The residual of a monomial datum, under the names and argument order of the
@@ -393,6 +393,8 @@ OVERFLOWING = [
      "beta + alpha*3 exceeds the double-precision range at alpha = 1e+308, beta = 1e+308"),
     (appell_A_mlp, (1e308, 1.0, 0.5, 4),
      "beta + alpha*4 exceeds the double-precision range at alpha = 1e+308, beta = 1.0"),
+    (konhauser, (2, 1e308, 1.0, 0.5, 1.0),
+     "beta + alpha*2 exceeds the double-precision range at alpha = 1e+308, beta = 1.0"),
     # a direct fractional-Hermite sum beyond the range came back as inf
     (fhp_eval, (12, 0.5, 1e25, 1e50),
      "H[alpha]_12(1e+25, 1e+50) is inf: it leaves the double-precision range"),

@@ -78,4 +78,4 @@ def test_the_grid_routes_leave_the_check_to_the_output_gate():
     # a grid point beyond the double range is named by the CLI, not by the plan
     prob = DiffusionProblem(0.5, 1.0, HermiteInitial(3, -1e308))
     assert math.isnan(plan(prob).at(0.0, 0.0))
-    assert math.isinf(plan(prob).along_x(0.7)(0.3))
+    assert math.isinf(plan(prob).along_x(0.7, [0.3])[0])

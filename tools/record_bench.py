@@ -22,9 +22,14 @@ won.  It also records:
   exit code) that differs given as a [baseline, change] pair;
 * ``layers``: the seconds per call of each fixed call of ``LAYER_CALLS``
   (the series engine through each evaluator, a series object reused over a
-  grid, the fractional-Hermite sum), each side timed in its own process on
-  its own ``src``, ``LAYER_REPEATS`` processes per side, alternating; each
-  side's median, and the change's speed-up (baseline median / change median).
+  grid, the fractional-Hermite sum, each polynomial problem's grid plan
+  along x and along t, and the scalar case-ii routes), each side timed in
+  its own process on its own ``src``, ``LAYER_REPEATS`` processes per side,
+  alternating; each side's median, and the change's speed-up (baseline
+  median / change median);
+* ``solve_bytes``: every operation of the solve-grid rounds of seeds
+  ``SOLVE_BYTES_SEEDS``, run on each tree in one process per tree, and the
+  number of output files (or exit codes) that differ between the two.
 """
 
 import argparse
@@ -78,22 +83,70 @@ LAYER_CALLS = {
     "WrightSeries(0.6, 1.3) over 1001 z": ("grid(WrightSeries)", 20),
     "fhp_eval(10, 0.5, 0.7, 0.9)": ("fhp_eval(10, 0.5, 0.7, 0.9)", 10000),
     "fhp_eval(40, 0.5, 0.7, 0.9)": ("fhp_eval(40, 0.5, 0.7, 0.9)", 2000),
+    "solve_case_ii(12, 0.5, 0.6, 1.2, 0.3, 0.7)": ("solve_case_ii(12, 0.5, 0.6, 1.2, 0.3, 0.7)", 2000),
+    "convolution_identity_ii_rhs(12, 0.3, 0.5, 0.9, 0.6)":
+        ("convolution_identity_ii_rhs(12, 0.3, 0.5, 0.9, 0.6)", 4000),
+    **{f"{problem} plan along_{var} over 1001 points":
+       (f"along(PLANS[{problem!r}], {var!r})", 20)
+       for problem in ("tf-diffusion", "case-i", "case-ii", "laguerre-monomial") for var in "xt"},
 }
 LAYER_REPEATS = 7
 
 _LAYERS_CHILD = """
 import json, sys, timeit
-from mlpoly import (MLSeries, WrightSeries, fhp_eval, ml_one, ml_three, ml_two,
-                    relaxation_hn, wright)
+from mlpoly import (DiffusionProblem, FhpInitial, HermiteInitial, LaguerreMonomialInitial,
+                    LaguerreProblem, MLSeries, MonomialInitial, WrightSeries,
+                    convolution_identity_ii_rhs, fhp_eval, ml_one, ml_three, ml_two, plan,
+                    relaxation_hn, solve_case_ii, wright)
 GRID_ZS = [-2.0 + 0.005 * i for i in range(1001)]
 def grid(cls):
     series = cls(0.6, 1.3)
     for z in GRID_ZS:
         series(z)
+PLANS = {
+    "tf-diffusion": plan(DiffusionProblem(0.6, 1.2, MonomialInitial(12))),
+    "case-i": plan(DiffusionProblem(0.6, 1.2, HermiteInitial(12, 0.5))),
+    "case-ii": plan(DiffusionProblem(0.6, 1.2, FhpInitial(12, 0.5))),
+    "laguerre-monomial": plan(LaguerreProblem(0.6, 0.8, 1.1, LaguerreMonomialInitial(12))),
+}
+# (fixed point, grid) per grid variable: x over [0, 2], t over [0.05, 2]
+ALONG = {"x": (0.7, [0.002 * i for i in range(1001)]),
+         "t": (0.3, [0.05 + 0.00195 * i for i in range(1001)])}
+def along(solver, var):
+    fixed, points = ALONG[var]
+    route = getattr(solver, "along_" + var)
+    if route.__code__.co_argcount == 2:  # a tree whose plans return one function per grid
+        route = route(fixed)
+        return [route(g) for g in points]
+    return route(fixed, points)
 out = {}
 for name, (stmt, number) in json.loads(sys.argv[1]).items():
     out[name] = timeit.timeit(stmt, globals=globals(), number=number) / number
 print(json.dumps(out))
+"""
+
+#: the solve-grid seeds whose operations' output files are compared byte for byte
+SOLVE_BYTES_SEEDS = range(1, 41)
+
+# Run in a child interpreter in one tree, with its ``src`` on sys.path: runs
+# every operation of the solve-grid round of each seed, each writing its own
+# file into the directory argv[1], and prints each file's exit code.
+_SOLVE_BYTES_CHILD = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, "perfbench")
+import workloads
+from mlpoly.cli import run
+out = Path(sys.argv[1])
+out.mkdir(parents=True)
+codes = {}
+for seed in json.loads(sys.argv[2]):
+    for i, (kind, (problem, grid_var, fmt, params, argv)) in enumerate(
+            workloads.SolveGrid(seed).next_round()):
+        name = f"{seed}-{i}.{fmt}"
+        argv[argv.index("--output") + 1] = str(out / name)
+        codes[name] = run(argv)
+print(json.dumps(codes))
 """
 
 #: the verify reports compared line by line: seeds 0-39, and seed 7 at three degrees
@@ -237,6 +290,28 @@ def verify_reports(trees):
     return {"argvs": [" ".join(argv) for argv in VERIFY_ARGVS], "moved": moved}
 
 
+def solve_bytes(trees, workdir, seeds):
+    codes, dirs = {}, {}
+    for side, tree in trees.items():
+        dirs[side] = workdir / f"solve-bytes-{side}"
+        shutil.rmtree(dirs[side], ignore_errors=True)
+        proc = subprocess.run([sys.executable, "-c", _SOLVE_BYTES_CHILD, str(dirs[side]),
+                               json.dumps(list(seeds))],
+                              cwd=tree, env=env_for(tree), capture_output=True, text=True,
+                              check=True)
+        codes[side] = json.loads(proc.stdout.strip().splitlines()[-1])
+
+    def output(side, name):
+        path = dirs[side] / name
+        return codes[side].get(name), path.read_bytes() if path.is_file() else None
+
+    names = sorted(codes["baseline"].keys() | codes["change"].keys())
+    differing = [name for name in names if output("baseline", name) != output("change", name)]
+    return {"seeds": [seeds[0], seeds[-1]], "operations": len(names),
+            "refused": sum(code != 0 for code in codes["change"].values()),
+            "differing_files": len(differing), "differing": differing}
+
+
 def layer_timings(trees, repeats):
     def once(tree):
         proc = subprocess.run([sys.executable, "-c", _LAYERS_CHILD, json.dumps(LAYER_CALLS)],
@@ -288,6 +363,7 @@ def main(argv=None):
         "import": import_metrics(trees, 3.0),
         "verify": verify_reports(trees),
         "layers": layer_timings(trees, LAYER_REPEATS),
+        "solve_bytes": solve_bytes(trees, Path(args.workdir), SOLVE_BYTES_SEEDS),
         "workloads": {},
     }
     seeds = range(FIRST_SEED, FIRST_SEED + PAIRS)
