@@ -10,7 +10,7 @@ import math
 
 from ._validate import degree, finite, open_unit, positive
 from .errors import DomainError, FloatOverflowError
-from .gamma_core import _check_power, _lgamma, rgamma
+from .gamma_core import _check_power, _in_range, _lgamma, rgamma
 
 
 def caputo_monomial(gamma_exp, alpha):
@@ -84,11 +84,20 @@ def caputo_l1(samples, h, alpha, t_index):
         raise DomainError(
             f"samples must cover indices 0..{n}, got {len(samples)} values"
         )
+    _check_power(h, -alpha, "h")
     e = 1.0 - alpha
-    total = math.fsum(
-        ((k + 1.0) ** e - k ** e) * (samples[n - k] - samples[n - 1 - k]) for k in range(n)
-    )
-    return total * h ** (-alpha) * rgamma(2.0 - alpha)
+    try:
+        total = math.fsum(
+            ((k + 1.0) ** e - k ** e) * (samples[n - k] - samples[n - 1 - k]) for k in range(n)
+        )
+    except (OverflowError, ValueError):  # an exact sum beyond the range, or inf - inf
+        total = math.nan
+    value = total * h ** (-alpha) * rgamma(2.0 - alpha)
+    if -math.inf < value < math.inf:
+        return value
+    for v in samples[: n + 1]:  # a sample that is not finite is refused as input
+        finite(v, "each sample")
+    return _in_range(value, "the L1 sum")
 
 
 def rl_from_caputo(caputo_value, g0, t, alpha):

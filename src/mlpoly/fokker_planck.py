@@ -58,16 +58,17 @@ from ._validate import (
 )
 from .caputo import caputo_monomial
 from .errors import DomainError, FloatOverflowError, MLPolyError, VerificationError
-from .fractional_hermite import _convolution_degrees, _fhp_table, _FhpSum, _in_range, _OplusSum
+from .fractional_hermite import _convolution_degrees, _fhp_table, _FhpSum, _OplusSum
 from .gamma_core import (
     _check_degree,
+    _in_range,
     _power_columns,
     _powers,
     _rgammas,
     _worst,
     factorial_ratios,
 )
-from .mittag_leffler import MLSeries, WrightSeries
+from .mittag_leffler import MLSeries, WrightSeries, _argument_column
 
 
 # -- initial data ---------------------------------------------------------------
@@ -388,12 +389,16 @@ class _LaguerreWrightPlan(GridPlan):
     def _x_columns(self, xs):
         for x in xs:
             nonnegative_finite(x, "x")
-        return [[self._wright(-self._y * math.pow(x, self._alpha)).value for x in xs]]
+        y, alpha = self._y, self._alpha
+        zs = _argument_column("-y*x**alpha", [-y * math.pow(x, alpha) for x in xs])
+        return [[self._wright(z).value for z in zs]]
 
     def _t_columns(self, ts):
         for t in ts:
             nonnegative_finite(t, "t")
-        return [[self._ml(self._b * self._y * t ** self._beta).value for t in ts]]
+        by, beta = self._b * self._y, self._beta
+        zs = _argument_column("b*y*t**beta", [by * t ** beta for t in ts])
+        return [[self._ml(z).value for z in zs]]
 
     def _combine(self, w_values, ml_values):
         return [w * m for w, m in zip(w_values[0], ml_values[0])]

@@ -27,13 +27,13 @@ import math
 from operator import mul
 
 from ._validate import degree, finite, half_open_unit, open_unit
-from .errors import FloatOverflowError
 from .fracpoly import FracPoly
 from .gamma_core import (
     _MAX_DEGREE,
     _check_degree,
     _check_power,
     _factor_overflow,
+    _in_range,
     _lgamma,
     _powers,
     _rgammas,
@@ -287,15 +287,6 @@ def _convolution_rhs(build, n, x, a, w, alpha):
     coeffs = table.coeffs(table.y_powers(w))
     xp = table.x_powers(x)
     return _in_range(build(table, a)._formula(xp, coeffs), "the convolution sum")
-
-
-def _in_range(value, name):
-    """``value``, or :class:`FloatOverflowError` where the sum ``name`` left the
-    double range (an infinity, or the NaN of inf - inf).  Only the scalar
-    routes check: on a grid the CLI's output gate names the point."""
-    if -math.inf < value < math.inf:
-        return value
-    raise FloatOverflowError(f"{name} is {value!r}: it leaves the double-precision range")
 
 
 def _gamma_weights(table):

@@ -251,6 +251,15 @@ def _power_overflow(v, top, name):
     )
 
 
+def _in_range(value, name):
+    """``value``, or :class:`FloatOverflowError` where the sum ``name`` left the
+    double range (an infinity, or the NaN of inf - inf).  Only the scalar
+    routes check: on a grid the CLI's output gate names the point."""
+    if -math.inf < value < math.inf:
+        return value
+    raise FloatOverflowError(f"{name} is {value!r}: it leaves the double-precision range")
+
+
 def _worst(*gaps):
     """The largest of ``gaps``, or NaN if any is NaN (``max`` drops a NaN that is not first)."""
     return math.nan if any(map(math.isnan, gaps)) else max(gaps)

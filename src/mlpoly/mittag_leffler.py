@@ -51,6 +51,11 @@ _SUM_ERR_FACTOR = 8.0
 _EXP_ERR_FACTOR = 32.0
 
 
+def _argument_overflow(expr):
+    """The refusal of a series argument, the quantity ``expr``, beyond the double range."""
+    return FloatOverflowError(f"{expr} exceeds the double-precision range")
+
+
 def _series_argument(expr, compute):
     """``compute()``, or :class:`FloatOverflowError` naming the quantity ``expr``."""
     try:
@@ -58,8 +63,16 @@ def _series_argument(expr, compute):
     except (OverflowError, ZeroDivisionError):  # where float * and / give inf, ** and /0 raise
         z = math.inf
     if not math.isfinite(z):  # inf, or the NaN of inf * 0
-        raise FloatOverflowError(f"{expr} exceeds the double-precision range")
+        raise _argument_overflow(expr)
     return z
+
+
+def _argument_column(expr, zs):
+    """The list ``zs`` of a grid's series arguments, or the refusal of
+    :func:`_series_argument` where one is not finite: one pass over the column."""
+    if all(map(math.isfinite, zs)):
+        return zs
+    raise _argument_overflow(expr)
 
 
 class MLParams(namedtuple("MLParams", "alpha beta gamma")):
@@ -321,7 +334,11 @@ def relaxation_cole_cole(alpha, tau, t):
     half_open_unit(alpha, "alpha")
     positive(tau, "tau")
     nonnegative(t, "t")
-    return ml_one(alpha, -((t / tau) ** alpha)).value
+    z = -((t / tau) ** alpha)
+    if not -FLOAT_MAX <= z:  # t/tau overflowed, or t itself is infinite
+        finite(t, "t")
+        raise _argument_overflow("(t/tau)**alpha")
+    return ml_one(alpha, z).value
 
 
 def relaxation_hn(alpha, beta, tau, t):
@@ -337,6 +354,9 @@ def relaxation_hn(alpha, beta, tau, t):
     if t == 0.0:
         return 1.0
     u = (t / tau) ** alpha
+    if not u <= FLOAT_MAX:  # t/tau overflowed, or t itself is infinite
+        finite(t, "t")
+        raise _argument_overflow("(t/tau)**alpha")
     prab = ml_three(alpha, 1.0 + alpha * beta, beta, -u).value
     _check_power(u, beta, "u")
     return 1.0 - u ** beta * prab

@@ -183,6 +183,8 @@ def konhauser(n, alpha, beta, x, y):
     arg = beta + alpha * n
     try:
         gamma_factor = math.exp(ln_gamma(arg))
+        if gamma_factor == math.inf:  # ln_gamma itself overflowed, and exp(inf) raises nothing
+            raise OverflowError
     except OverflowError:
         raise FloatOverflowError(
             f"Gamma(beta+alpha*n) = Gamma({arg!r}) exceeds the double-precision range"

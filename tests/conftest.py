@@ -1,4 +1,6 @@
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
+# make perfbench/oracles.py importable as ``oracles``: the mpmath reference
+# sums, defined once for the suite and the benchmark
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,7 +10,12 @@ from mlpoly.fracpoly import FracPoly
 from mlpoly.gamma_core import rgamma
 from mlpoly.mittag_leffler import ml_one
 
-from oracles import caputo_monomial_mp
+
+def caputo_monomial_mp(gamma_exp, alpha):
+    """Gamma(1+g)/Gamma(1+g-a), the coefficient of the exact rule, at 50 digits."""
+    with mp.workdps(50):
+        g, a = mp.mpf(gamma_exp), mp.mpf(alpha)
+        return float(mp.gamma(1 + g) / mp.gamma(1 + g - a))
 
 
 def _ml_truncation(alpha, a, n_terms):

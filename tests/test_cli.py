@@ -356,6 +356,15 @@ class TestRejectedInput:
         assert err == ("numerical failure: beta + alpha*2 exceeds the double-precision range "
                        "at alpha = 1e+308, beta = 1.0\n")
 
+    def test_an_overflowing_series_argument_is_named(self, capsys):
+        # -y*x**alpha = -inf; was "error: mu and z must be finite", exit code 1
+        code, out, err = _run(capsys, "solve", "--problem", "laguerre-wright", "--y-param", "1e300",
+                              "--alpha", "0.5", "--beta", "0.5", "--x", "1e20", "--grid-var", "t",
+                              "--grid-min", "0.1", "--grid-max", "1", "--grid-points", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "numerical failure: -y*x**alpha exceeds the double-precision range\n"
+
     def test_mlp_value_beyond_the_double_range(self, capsys):
         code, out, err = _run(capsys, "eval-mlp", "--n", "1", "--alpha", "0.5", "--beta", "1",
                               "--x=-1e308", "--y", "1e308")

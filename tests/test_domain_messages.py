@@ -258,6 +258,9 @@ MENDED = [
     (solve_laguerre_wright, (0.5, 0.5, 0.5, 1.0, INF, 1.0), "x must be finite, got inf"),
     (solve_laguerre_wright, (0.5, 0.5, 0.5, 1.0, 1.0, INF), "t must be finite, got inf"),
     (LaguerreProblem, (0.5, 0.5, INF, LaguerreMonomialInitial(2)), "b must be finite, got inf"),
+    (relaxation_cole_cole, (0.5, 1.0, INF), "t must be finite, got inf"),
+    (relaxation_hn, (0.5, 1.0, 1.0, INF), "t must be finite, got inf"),
+    (caputo_l1, ([0.0, NAN, 1.0], 0.1, 0.5, 2), "each sample must be finite, got nan"),
     (residual_tf_diffusion, (6, 1e-300, INF), "diffusivity k must be finite, got inf"),
     (residual_laguerre, (3, 0.5, 0.5, INF), "b must be finite, got inf"),
     (SeriesInitial, ((1.0, NAN),), "coeffs[1] must be finite, got nan"),
@@ -408,6 +411,26 @@ OVERFLOWING = [
      "2/(alpha*(x-1)) * E_(alpha,0)/E_alpha exceeds the double-precision range"),
     (aux_v_h_fhp, (0.0, 1.1, 5e-324, 0.0),
      "2/(alpha*(x-1)) * E_(alpha,0)/E_alpha exceeds the double-precision range"),
+    # a finite argument whose series argument overflowed was refused as an
+    # infinite z, under the series' parameter names
+    (solve_laguerre_wright, (1e300, 0.5, 0.5, 1.0, 1e20, 0.5),
+     "-y*x**alpha exceeds the double-precision range"),
+    (solve_laguerre_wright, (2.0, 0.5, 0.5, 1e308, 1.0, 1e10),
+     "b*y*t**beta exceeds the double-precision range"),
+    (relaxation_cole_cole, (0.5, 1e-300, 1e300), "(t/tau)**alpha exceeds the double-precision range"),
+    (relaxation_hn, (0.5, 0.7, 1e-300, 1e300), "(t/tau)**alpha exceeds the double-precision range"),
+    # log Gamma(beta+alpha*n) = inf came back as inf, since exp(inf) raises nothing
+    (konhauser, (2, 1e307, 1.0, 0.5, 1.0),
+     "Gamma(beta+alpha*n) = Gamma(2e+307) exceeds the double-precision range"),
+    # h**-alpha raised a raw OverflowError; a difference of samples beyond the
+    # range came back as -inf
+    (caputo_l1, ([0.0, 1.0, 2.0], 5e-324, 0.99, 2),
+     "h**-0.99 exceeds the double-precision range at h = 5e-324"),
+    (caputo_l1, ([0.0, 1e308, -1e308], 1e-300, 0.5, 2),
+     "the L1 sum is -inf: it leaves the double-precision range"),
+    # two differences of opposite infinite sign raised a raw ValueError in math.fsum
+    (caputo_l1, ([0.0, 1e308, -1e308, 1e308], 1e-3, 0.5, 3),
+     "the L1 sum is nan: it leaves the double-precision range"),
 ]
 
 # What has no residual: a Wright datum has no finite coefficient table, and

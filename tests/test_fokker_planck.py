@@ -26,8 +26,7 @@ from mlpoly.fokker_planck import (
 from mlpoly.fractional_hermite import _FhpTable, fhp_eval, umbral_hermite_shift
 from mlpoly.gamma_core import levy_subordination_moment, rgamma
 from mlpoly.mittag_leffler import ml_one, wright
-
-from oracles import classical_hermite
+from mlpoly.verify import _classical_hermite as classical_hermite
 
 
 class TestProblemTypes:

@@ -17,7 +17,15 @@ from mlpoly.gamma_core import (
     stieltjes_moment,
 )
 
-from oracles import lngamma_mp, rgamma_mp
+
+def lngamma_mp(x):
+    with mp.workdps(50):
+        return float(mp.loggamma(mp.mpf(x)))
+
+
+def rgamma_mp(x):
+    with mp.workdps(50):
+        return float(mp.rgamma(mp.mpf(x)))
 
 
 class TestLnGamma:

@@ -24,7 +24,7 @@ from mlpoly.sheffer import (
     series_reciprocal,
 )
 
-from oracles import ml_series_mp, wright_mp
+import oracles
 
 
 def _exp_series(c, order):
@@ -150,9 +150,9 @@ class TestAuxiliaryFunctions:
     def test_fhp_values_against_series(self):
         lam, x, alpha, y = 0.2, 1.5, 0.5, 1.0
         s = x - 1.0
-        den = ml_series_mp(alpha, 1.0, y * s * s)
-        v_want = 2.0 / (alpha * s) * ml_series_mp(alpha, 0.0, y * s * s) / den
-        h_want = ml_series_mp(alpha, 1.0, y * (lam + s) ** 2) / den
+        den = oracles.ml_two(alpha, 1.0, y * s * s)[0]
+        v_want = 2.0 / (alpha * s) * oracles.ml_two(alpha, 0.0, y * s * s)[0] / den
+        h_want = oracles.ml_two(alpha, 1.0, y * (lam + s) ** 2)[0] / den
         v, h = aux_v_h_fhp(lam, x, alpha, y)
         assert v == pytest.approx(v_want, rel=1e-12)
         assert h == pytest.approx(h_want, rel=1e-12)
@@ -168,9 +168,9 @@ class TestAuxiliaryFunctions:
 
     def test_mlp_values_against_series(self):
         lam, y, alpha, beta, x = 0.3, 0.5, 0.5, 1.0, 1.0
-        den = wright_mp(alpha, beta, -x * (y - 1.0))
-        v_want = -x * wright_mp(alpha, beta + alpha, -x * (y - 1.0)) / den
-        h_want = wright_mp(alpha, beta, -x * (lam + y - 1.0)) / den
+        den = oracles.wright(alpha, beta, -x * (y - 1.0))[0]
+        v_want = -x * oracles.wright(alpha, beta + alpha, -x * (y - 1.0))[0] / den
+        h_want = oracles.wright(alpha, beta, -x * (lam + y - 1.0))[0] / den
         v, h = aux_v_h_mlp(lam, y, alpha, beta, x)
         assert v == pytest.approx(v_want, rel=1e-12)
         assert h == pytest.approx(h_want, rel=1e-12)

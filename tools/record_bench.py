@@ -15,8 +15,9 @@ won.  It also records:
   ``python -c pass``;
 * ``import``: ``process.import_*`` from one traced ``run.py`` per side;
 * ``accuracy``: for ``eval-ml`` on a fixed grid of (alpha, beta, z), the
-  largest |value - oracle| / abs_error_estimate against the 50-digit sums in
-  ``tests/oracles.py`` (1 or less means every estimate holds);
+  largest |value - oracle| / abs_error_estimate against the 30-digit sums,
+  taken to convergence, of ``perfbench/oracles.py`` (1 or less means every
+  estimate holds);
 * ``verify``: the ``verify --suite all`` report of each tree, one fresh
   process per argv of ``VERIFY_ARGVS``, with every line (stdout, stderr or
   exit code) that differs given as a [baseline, change] pair;
@@ -255,12 +256,11 @@ def cli_wall_times(trees, repeats):
 
 
 def accuracy(trees):
-    # the oracles module takes its two float oracles from this tree's mlpoly.verify
-    sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "src")]
+    sys.path.insert(0, str(ROOT / "perfbench"))
     import oracles
 
     points = list(itertools.product(*ACCURACY_GRID.values()))
-    refs = [oracles.ml_series_mp(alpha, beta, z) for alpha, beta, z in points]
+    refs = [oracles.ml_two(alpha, beta, z)[0] for alpha, beta, z in points]
     out = {}
     for side, tree in trees.items():
         proc = subprocess.run([sys.executable, "-c", _ACCURACY_CHILD, json.dumps(points)],
