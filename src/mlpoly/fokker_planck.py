@@ -22,12 +22,13 @@ that checks its parameters once.  :func:`plan` builds its grid plan
 (:class:`GridPlan`), which evaluates the solution on a list of x points at
 fixed t, or of t points at fixed x, for any t >= 0.  It evaluates the whole
 grid at once, one column per power or term, with every point getting the
-floating-point operations of the direct sum in the same order; the scalar
-solve_* functions are its one-point case, :meth:`GridPlan.at`.  Where a
-grid is refused, its points are walked one at a time in grid order, so that
-the first failing point raises its own refusal.  A diffusion plan is the
-fractional-Hermite sum of :mod:`.fractional_hermite` (the weighted sum that
-its convolution identities evaluate) at w = k t**alpha; the plan of a
+floating-point operations of the direct sum in the same order.  The scalar
+solve_* functions evaluate one point, :meth:`GridPlan.at`, to the same bits
+(a diffusion plan by the scalar sums, a Laguerre plan as a one-point grid).
+Where a grid is refused, its points are walked one at a time in grid order,
+so that the first failing point raises its own refusal.  A diffusion plan is
+the fractional-Hermite sum of :mod:`.fractional_hermite` (the weighted sum
+that its convolution identities evaluate) at w = k t**alpha; the plan of a
 fractional-Hermite datum also evaluates the (+)_alpha route at every point
 and refuses the first point, in grid order, where the two disagree.
 
@@ -203,8 +204,9 @@ class GridPlan:
     with :func:`itertools.repeat`.  Every point gets the floating-point
     operations of the direct sum in the same order, each running sum from
     0.0, so every value, the sign of a zero included, is the same to the last
-    bit as the scalar ``solve_*`` function gives at that point; :meth:`at` is
-    the one-point case of the same route.
+    bit as the scalar ``solve_*`` function gives at that point.  :meth:`at`
+    evaluates one point as a one-point grid; a plan with a cheaper scalar
+    route for one point overrides it with the same operations.
 
     The fixed side is checked first, so its refusal comes first, as it
     always has.  Where the column pass over the grid raises, the points are
@@ -237,51 +239,84 @@ class GridPlan:
         return [self.at(x, t) for t in ts]
 
 
+def _agree(by_series, by_oplus):
+    """Refuse the first point, in order, where the two closed routes of a
+    fractional-Hermite datum disagree beyond the identity tolerance (a NaN
+    gap, where both routes are infinite, disagrees)."""
+    rtol, atol = config.IDENTITY_RTOL, config.IDENTITY_ATOL
+    for s, o in zip(by_series, by_oplus):
+        if not abs(s - o) <= max(rtol * max(abs(s), abs(o)), atol):
+            raise VerificationError(
+                f"the two closed forms disagree: |{s!r} - {o!r}| = {abs(s - o):.3e}"
+            )
+
+
 class _FhpPlan(GridPlan):
     """A fractional-Hermite sum (an :class:`_FhpSum`) at w = k t**alpha, t >= 0.
 
     The x columns are the powers of x; the t columns are the sum's
     coefficients (m!/(m-2r)! * w**r) * rgamma(1+alpha*r), yielded degree by
     degree as the sum takes them, so that only the powers of w are held.
-    At t = 0 the sum is the initial datum.
+    At t = 0 the sum is the initial datum.  Where :func:`plan` sets the
+    (+)_alpha route ``_oplus``, the t columns go on with its rows
+    (w (+)_alpha a)**r, and every point compares the two routes.
     """
 
     def __init__(self, fsum, alpha, k):
+        self._sum = fsum
         self._table = fsum._table
         self._weights = fsum._weights
         self._alpha = alpha
         self._k = k
+        self._oplus = None
+
+    def at(self, x, t):
+        """One point by the scalar sums of the convolution identities: a grid
+        point's operations, without one-element columns."""
+        table = self._table
+        xp = table.x_powers(x)
+        nonnegative_finite(t, "t")
+        wp = table.y_powers(self._k * t ** self._alpha)
+        by_series = self._sum._formula(xp, table.coeffs(wp))
+        if self._oplus is not None:
+            _agree((by_series,), (self._oplus._formula(xp, self._oplus._rows(wp)),))
+        return by_series
 
     def _x_columns(self, xs):
         for x in xs:
             finite(x, "x")
         return _power_columns(xs, self._table.top, "x")
 
-    def _w_columns(self, ts):
-        """The powers w**r, r = 0..top//2, of w = k t**alpha."""
+    def _t_columns(self, ts):
         for t in ts:
             nonnegative_finite(t, "t")
-        k, alpha = self._k, self._alpha
-        return _power_columns([k * t ** alpha for t in ts], self._table.top // 2, "y")
-
-    def _coeff_columns(self, wp):
-        rgammas = self._table.rgammas
-        for row in self._table.ratios:
-            for ratio, wr, rg in zip(row, wp, rgammas):
+        k, alpha, table = self._k, self._alpha, self._table
+        wp = _power_columns([k * t ** alpha for t in ts], table.top // 2, "y")
+        for row in table.ratios:
+            for ratio, wr, rg in zip(row, wp, table.rgammas):
                 yield [ratio * w * rg for w in wr]
+        if self._oplus is not None:
+            ap = self._oplus._a_powers
+            for binoms in self._oplus._binoms:
+                row = repeat(0.0)
+                for c, we, aj in zip(binoms, wp[len(binoms) - 1::-1], ap):
+                    row = [s + c * w * aj for s, w in zip(row, we)]
+                yield row
 
-    def _t_columns(self, ts):
-        return self._coeff_columns(self._w_columns(ts))
-
-    def _combine(self, xp, coeffs):
+    def _combine(self, xp, t_columns):
         """sum_j weights[j] * H[alpha]_{m_j}, each H summed over coeff * x**(m-2r)."""
-        coeffs = iter(coeffs)
+        t_columns = iter(t_columns)
         total = repeat(0.0)
         for m, weight in zip(self._table.degrees, self._weights):
             value = repeat(0.0)
             for xe in xp[m::-2]:  # x**m, x**(m-2), ...
-                value = [s + c * x for s, c, x in zip(value, next(coeffs), xe)]
+                value = [s + c * x for s, c, x in zip(value, next(t_columns), xe)]
             total = [s + weight * h for s, h in zip(total, value)]
+        if self._oplus is not None:
+            by_oplus = repeat(0.0)
+            for g, xe, row in zip(self._oplus._gammas, xp[::-2], t_columns):
+                by_oplus = [s + g * x * r for s, x, r in zip(by_oplus, xe, row)]
+            _agree(total, by_oplus)
         return total
 
     def _terms(self):
@@ -291,46 +326,6 @@ class _FhpPlan(GridPlan):
         for m, w, row in zip(table.degrees, self._weights, table.ratios):
             for r, (ratio, kr, rg) in enumerate(zip(row, kp, table.rgammas)):
                 yield ratio * kr * rg * w, m - 2 * r, r
-
-
-class _CaseIIPlan(_FhpPlan):
-    """Grid plan of :func:`solve_case_ii`: both closed routes at every point.
-
-    After the coefficients, the t columns yield the (+)_alpha route's rows
-    (w (+)_alpha a)**r, each summed from the powers of w and a; every point
-    compares the two routes, in grid order, before the grid is returned.
-    """
-
-    def __init__(self, fsum, alpha, k, oplus):
-        super().__init__(fsum, alpha, k)
-        self._oplus = oplus
-
-    def _t_columns(self, ts):
-        wp = self._w_columns(ts)
-        yield from self._coeff_columns(wp)
-        ap = self._oplus._a_powers
-        for binoms in self._oplus._binoms:
-            row = repeat(0.0)
-            for c, we, aj in zip(binoms, wp[len(binoms) - 1::-1], ap):
-                row = [s + c * w * aj for s, w in zip(row, we)]
-            yield row
-
-    def _combine(self, xp, t_columns):
-        t_columns = iter(t_columns)
-        by_series = super()._combine(xp, t_columns)
-        by_oplus = repeat(0.0)
-        for g, xe, row in zip(self._oplus._gammas, xp[::-2], t_columns):
-            by_oplus = [s + g * x * r for s, x, r in zip(by_oplus, xe, row)]
-        rtol, atol = config.IDENTITY_RTOL, config.IDENTITY_ATOL
-        agree = [abs(s - o) <= max(rtol * max(abs(s), abs(o)), atol)
-                 for s, o in zip(by_series, by_oplus)]  # a NaN gap (both routes infinite) fails
-        if not all(agree):
-            i = agree.index(False)
-            s, o = by_series[i], by_oplus[i]
-            raise VerificationError(
-                f"the two closed forms disagree: |{s!r} - {o!r}| = {abs(s - o):.3e}"
-            )
-        return by_series
 
 
 class _LaguerreMonomialPlan(GridPlan):
@@ -407,21 +402,19 @@ class _LaguerreWrightPlan(GridPlan):
 def plan(prob):
     """The grid plan of a problem record; the plan checks only its datum, x and t."""
     init = prob.initial
-    if isinstance(init, FhpInitial):
-        finite(init.a, "a")
-        table = _fhp_table(_convolution_degrees(init.n), prob.alpha)
-        oplus = _OplusSum(table, init.a, prob.alpha)
-        return _CaseIIPlan(_FhpSum.convolution_ii(table, init.a), prob.alpha, prob.k, oplus)
     if isinstance(init, LaguerreMonomialInitial):
         return _LaguerreMonomialPlan(init.n, prob.alpha, prob.beta, prob.b)
     if isinstance(init, WrightInitial):
         return _LaguerreWrightPlan(init.y, prob.alpha, prob.beta, prob.b)
-    return _sum_plan(prob)
+    solver = _sum_plan(prob)
+    if isinstance(init, FhpInitial):
+        solver._oplus = _OplusSum(solver._table, init.a, prob.alpha)
+    return solver
 
 
 def _sum_plan(prob):
-    """A diffusion problem's solution as a plain :class:`_FhpPlan`, which for a
-    fractional-Hermite datum builds no (+)_alpha route."""
+    """A diffusion problem's solution as an :class:`_FhpPlan` without the
+    (+)_alpha route, which :func:`plan` adds for a fractional-Hermite datum."""
     init, alpha, k = prob.initial, prob.alpha, prob.k
     if isinstance(init, MonomialInitial):
         fsum = _FhpSum(_fhp_table((degree(init.n, "n"),), alpha), (1.0,))

@@ -42,7 +42,7 @@ import math
 from collections import namedtuple
 
 from . import config
-from ._validate import FLOAT_MAX, finite, half_open_unit, nonnegative, positive, positive_finite
+from ._validate import FLOAT_MAX, finite, half_open_unit, nonnegative_finite, positive, positive_finite
 from .errors import ConvergenceError, DomainError, FloatOverflowError
 from .gamma_core import _check_power, log_abs_rgamma
 
@@ -332,11 +332,10 @@ def relaxation_cole_cole(alpha, tau, t):
     alpha = 1 is the Debye limit exp(-t/tau).
     """
     half_open_unit(alpha, "alpha")
-    positive(tau, "tau")
-    nonnegative(t, "t")
+    positive_finite(tau, "tau")
+    nonnegative_finite(t, "t")
     z = -((t / tau) ** alpha)
-    if not -FLOAT_MAX <= z:  # t/tau overflowed, or t itself is infinite
-        finite(t, "t")
+    if not -FLOAT_MAX <= z:  # t/tau overflowed
         raise _argument_overflow("(t/tau)**alpha")
     return ml_one(alpha, z).value
 
@@ -348,14 +347,13 @@ def relaxation_hn(alpha, beta, tau, t):
     beta = 1 recovers the Cole-Cole function.
     """
     half_open_unit(alpha, "alpha")
-    positive(beta, "beta")
-    positive(tau, "tau")
-    nonnegative(t, "t")
+    positive_finite(beta, "beta")
+    positive_finite(tau, "tau")
+    nonnegative_finite(t, "t")
     if t == 0.0:
         return 1.0
     u = (t / tau) ** alpha
-    if not u <= FLOAT_MAX:  # t/tau overflowed, or t itself is infinite
-        finite(t, "t")
+    if not u <= FLOAT_MAX:  # t/tau overflowed
         raise _argument_overflow("(t/tau)**alpha")
     prab = ml_three(alpha, 1.0 + alpha * beta, beta, -u).value
     _check_power(u, beta, "u")

@@ -71,6 +71,7 @@ from mlpoly import (
     residual,
     rgamma,
     rl_from_caputo,
+    series_log_derivative,
     solve_case_i,
     solve_case_ii,
     solve_laguerre_monomial,
@@ -174,6 +175,8 @@ UNCHANGED = [
     (appell_A_mlp, (0.5, 1.0, 1.0, 0), "order must be >= 1, got 0"),
     (aux_v_h_fhp, (0.1, 0.5, NAN, 1.0), "alpha must be positive, got nan"),
     (aux_v_h_mlp, (0.1, 0.5, 0.5, 0.0, 1.0), "beta must be positive, got 0.0"),
+    (series_log_derivative, (PowerSeries((0.0, 1.0)),),
+     "series with zero constant term has no logarithmic derivative"),
     # fractional Cauchy problems
     (DiffusionProblem, (1.0, 1.0, MonomialInitial(2)), "alpha must lie in (0, 1), got 1.0"),
     (DiffusionProblem, (0.5, 0.0, MonomialInitial(2)), "diffusivity k must be positive, got 0.0"),
@@ -244,6 +247,7 @@ MENDED = [
     (konhauser, (2, 0.5, INF, 1.0, 1.0), "beta must be finite, got inf"),
     (mlp_coeffs, (2, INF, 1.0, 0.5), "alpha must be finite, got inf"),
     (mlp_coeffs, (2, 0.5, INF, 0.5), "beta must be finite, got inf"),
+    (relaxation_hn, (0.5, INF, 1.0, 1.0), "beta must be finite, got inf"),
     # a non-finite float that reached a solver and came back as NaN or inf
     (solve_laguerre_monomial, (2, 0.5, 0.5, 1.0, INF, 1.0), "x must be finite, got inf"),
     (solve_laguerre_monomial, (2, 0.5, 0.5, 1.0, 1.0, INF), "t must be finite, got inf"),
@@ -260,6 +264,9 @@ MENDED = [
     (LaguerreProblem, (0.5, 0.5, INF, LaguerreMonomialInitial(2)), "b must be finite, got inf"),
     (relaxation_cole_cole, (0.5, 1.0, INF), "t must be finite, got inf"),
     (relaxation_hn, (0.5, 1.0, 1.0, INF), "t must be finite, got inf"),
+    # an infinite tau made t/tau = 0, so the relaxation was 1.0 at every t
+    (relaxation_cole_cole, (0.5, INF, 1.0), "tau must be finite, got inf"),
+    (relaxation_hn, (0.5, 0.7, INF, 1.0), "tau must be finite, got inf"),
     (caputo_l1, ([0.0, NAN, 1.0], 0.1, 0.5, 2), "each sample must be finite, got nan"),
     (residual_tf_diffusion, (6, 1e-300, INF), "diffusivity k must be finite, got inf"),
     (residual_laguerre, (3, 0.5, 0.5, INF), "b must be finite, got inf"),
@@ -323,6 +330,8 @@ BEYOND_FLOAT = [
     (SolutionProfile, ([0.0, 1.0], [HUGE, 1.0], {}), "a value"),
     (caputo_monomial, (HUGE, 0.5), "exponent"),
     (konhauser, (2, 0.5, 1.0, HUGE, 1.0), "x"),
+    (relaxation_cole_cole, (0.5, 1.0, HUGE), "t"),
+    (relaxation_hn, (0.5, 0.7, 1.0, HUGE), "t"),
 ]
 
 
@@ -336,6 +345,7 @@ def _degree_overflow(name, n):
 # power, a product, a gamma value or a residual coefficient beyond the range
 # raised a raw OverflowError or came back as NaN or infinite.
 OVERFLOWING = [
+    (factorial_ratios, (171, (1,)), _degree_overflow("n", 171)),
     (residual_tf_diffusion, (400, 0.5, 1.0), _degree_overflow("n", 400)),
     (residual_laguerre, (200, 0.5, 0.5, 1.0), _degree_overflow("n", 200)),
     (fhp_at_zero, (400, 0.5, 1.0), _degree_overflow("n", 400)),

@@ -276,3 +276,19 @@ def test_a_one_point_grid_is_the_point():
     assert solver.along_x(0.7, []) == [] == solver.along_t(0.3, [])
     with pytest.raises(FloatOverflowError, match=r"x\*\*3 exceeds"):
         solver.along_x(0.7, [1e200])
+
+
+def test_a_finite_disagreement_is_refused_at_its_point_on_every_route():
+    # both routes finite at (x, t) = (-4.181, 2.785) but 3.3e-7 apart in
+    # relative terms; the other points of each grid agree
+    message = ("the two closed forms disagree: "
+               "|-1.0855809455473535e+73 - -1.0855813056651075e+73| = 3.601e+66")
+    solver = plan(DiffusionProblem(0.832, 0.848, FhpInitial(60, -4.115)))
+    routes = [
+        lambda: solve_case_ii(60, -4.115, 0.832, 0.848, -4.181, 2.785),
+        lambda: solver.at(-4.181, 2.785),
+        lambda: solver.along_x(2.785, [0.5, -4.181, 1.0]),
+        lambda: solver.along_t(-4.181, [0.5, 2.785]),
+    ]
+    for route in routes:
+        assert _outcome(route) == (VerificationError, message)

@@ -24,10 +24,10 @@ won.  It also records:
 * ``layers``: the seconds per call of each fixed call of ``LAYER_CALLS``
   (the series engine through each evaluator, a series object reused over a
   grid, the fractional-Hermite sum, each polynomial problem's grid plan
-  along x and along t, and the scalar case-ii routes), each side timed in
-  its own process on its own ``src``, ``LAYER_REPEATS`` processes per side,
-  alternating; each side's median, and the change's speed-up (baseline
-  median / change median);
+  along x and along t, the scalar case-i and case-ii solvers and the case-ii
+  convolution sum), each side timed in its own process on its own ``src``,
+  ``LAYER_REPEATS`` processes per side, alternating; each side's median, and
+  the change's speed-up (baseline median / change median);
 * ``solve_bytes``: every operation of the solve-grid rounds of seeds
   ``SOLVE_BYTES_SEEDS``, run on each tree in one process per tree, and the
   number of output files (or exit codes) that differ between the two.
@@ -84,6 +84,7 @@ LAYER_CALLS = {
     "WrightSeries(0.6, 1.3) over 1001 z": ("grid(WrightSeries)", 20),
     "fhp_eval(10, 0.5, 0.7, 0.9)": ("fhp_eval(10, 0.5, 0.7, 0.9)", 10000),
     "fhp_eval(40, 0.5, 0.7, 0.9)": ("fhp_eval(40, 0.5, 0.7, 0.9)", 2000),
+    "solve_case_i(12, 0.5, 0.6, 1.2, 0.3, 0.7)": ("solve_case_i(12, 0.5, 0.6, 1.2, 0.3, 0.7)", 4000),
     "solve_case_ii(12, 0.5, 0.6, 1.2, 0.3, 0.7)": ("solve_case_ii(12, 0.5, 0.6, 1.2, 0.3, 0.7)", 2000),
     "convolution_identity_ii_rhs(12, 0.3, 0.5, 0.9, 0.6)":
         ("convolution_identity_ii_rhs(12, 0.3, 0.5, 0.9, 0.6)", 4000),
@@ -98,7 +99,7 @@ import json, sys, timeit
 from mlpoly import (DiffusionProblem, FhpInitial, HermiteInitial, LaguerreMonomialInitial,
                     LaguerreProblem, MLSeries, MonomialInitial, WrightSeries,
                     convolution_identity_ii_rhs, fhp_eval, ml_one, ml_three, ml_two, plan,
-                    relaxation_hn, solve_case_ii, wright)
+                    relaxation_hn, solve_case_i, solve_case_ii, wright)
 GRID_ZS = [-2.0 + 0.005 * i for i in range(1001)]
 def grid(cls):
     series = cls(0.6, 1.3)
@@ -115,11 +116,7 @@ ALONG = {"x": (0.7, [0.002 * i for i in range(1001)]),
          "t": (0.3, [0.05 + 0.00195 * i for i in range(1001)])}
 def along(solver, var):
     fixed, points = ALONG[var]
-    route = getattr(solver, "along_" + var)
-    if route.__code__.co_argcount == 2:  # a tree whose plans return one function per grid
-        route = route(fixed)
-        return [route(g) for g in points]
-    return route(fixed, points)
+    return getattr(solver, "along_" + var)(fixed, points)
 out = {}
 for name, (stmt, number) in json.loads(sys.argv[1]).items():
     out[name] = timeit.timeit(stmt, globals=globals(), number=number) / number
