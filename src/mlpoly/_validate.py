@@ -4,10 +4,14 @@ Each function takes a value and the name it goes by in the message, and
 raises :class:`DomainError` when the value lies outside the domain.  Every
 comparison is written so that NaN fails it.  A Python int beyond the
 double range is finite but has no float value: the checks for finiteness
-name it with a :class:`FloatOverflowError`.  The module imports nothing but
-the error classes and ``sys``, so importing it costs every caller nothing.
+name it with a :class:`FloatOverflowError`.  The ``*_each`` checks take a
+sequence of values, all under one name: one pass over the sequence where
+every value passes, and a walk in order, refusing the first value that
+fails, where one does not.  The module imports nothing but the error
+classes, ``math`` and ``sys``, so importing it costs every caller nothing.
 """
 
+import math
 import sys
 
 from .errors import DomainError, FloatOverflowError
@@ -70,3 +74,24 @@ def finite_float(v, name):
     """v as a finite float."""
     finite(v, name)
     return float(v)
+
+
+def _all_finite(values):
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:  # an int beyond the double range
+        return False
+
+
+def finite_each(values, name):
+    """finite(v, name) for each v of the sequence values."""
+    if not _all_finite(values):
+        for v in values:
+            finite(v, name)
+
+
+def nonnegative_finite_each(values, name):
+    """nonnegative_finite(v, name) for each v of the sequence values."""
+    if not (_all_finite(values) and min(values, default=0.0) >= 0.0):
+        for v in values:
+            nonnegative_finite(v, name)

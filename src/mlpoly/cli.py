@@ -59,12 +59,16 @@ def _require_finite(data):
 
     ``data`` maps each output field to a number or a list of numbers.  The
     first value that is not finite raises :class:`FloatOverflowError` naming
-    its field.  Coefficient output needs no gate: a :class:`FracPoly` holds
-    finite terms only.
+    its field.  Each field is checked in one pass; only a field that fails
+    it is walked point by point, to name the point.  Coefficient output
+    needs no gate: a :class:`FracPoly` holds finite terms only.
     """
     for name, value in data.items():
         is_list = isinstance(value, (list, tuple))
-        for i, v in enumerate(value if is_list else [value]):
+        column = value if is_list else [value]
+        if all(map(math.isfinite, column)):
+            continue
+        for i, v in enumerate(column):
             if not math.isfinite(v):
                 field = f"{name}[{i}]" if is_list else name
                 raise FloatOverflowError(
@@ -94,10 +98,48 @@ def _record_text(command, params, data, fmt):
     return f"{header}\n{row}\n"
 
 
+#: the smallest normal double, and the magnitude from which ``{:.15}`` may
+#: choose scientific notation where ``repr`` does not
+_NORMAL_MIN = 2.2250738585072014e-308
+_FIXED_MAX = 1e13
+
+
+def _json_column(column):
+    """A JSON list of finite floats, each as ``json.dumps`` prints ``_json_ready(v)``:
+    the repr of v rounded to 15 significant digits.
+
+    Where every v is 0 or 2.2250738585072014e-308 <= |v| < 1e13, the whole
+    column is one ``str.format`` call with the spec ``.15``, which prints the
+    same text.  The 15-digit decimal D of a normal double is read back
+    (``float(D)``) as the one double whose 15-digit decimal is D again
+    (DBL_DIG = 15), so no shorter decimal rounds to that double, and its repr
+    has the digits of D without trailing zeros, as ``.15`` writes them.  Both
+    then use scientific notation for a decimal exponent below -4, and
+    ``.15`` again only from exponent 14 (repr from 16), which a value below
+    1e13 cannot reach by rounding; in fixed notation both keep one digit
+    after the point.  A subnormal has fewer than 15 significant digits, so
+    a column holding one, or a value of 1e13 or more, is formatted value by
+    value.
+    """
+    plain = (max(map(abs, column), default=0.0) < _FIXED_MAX
+             and min(map(abs, filter(None, column)), default=_NORMAL_MIN) >= _NORMAL_MIN)
+    if plain:
+        items = ", ".join(["{:.15}"] * len(column)).format(*column)
+    else:
+        items = ", ".join([repr(float(_fmt(v))) for v in column])
+    return f"[{items}]"
+
+
 def _profile_text(profile, fmt):
+    """A profile's output text: its CSV, or the JSON object
+    ``{"data": {"grid": [...], "values": [...]}, "meta": {...}}`` with sorted
+    keys, as ``json.dumps(_json_ready(profile.to_json_obj()), sort_keys=True)``
+    prints it, each column formatted by :func:`_json_column`."""
     _require_finite({"grid": profile.grid, "values": profile.values})
     if fmt == "json":
-        return json.dumps(_json_ready(profile.to_json_obj()), sort_keys=True) + "\n"
+        meta = json.dumps(_json_ready(dict(profile.meta)), sort_keys=True)
+        return (f'{{"data": {{"grid": {_json_column(profile.grid)}, '
+                f'"values": {_json_column(profile.values)}}}, "meta": {meta}}}\n')
     return profile.to_csv()
 
 
@@ -347,14 +389,14 @@ def _cmd_table(args):
 
         polys = (fhp_coeffs(n, args.alpha, args.y) for n in degrees)
     else:
-        from .ml_polynomials import mlp_coeffs
+        from .ml_polynomials import _mlp_coeff_table
 
-        polys = (mlp_coeffs(n, args.alpha, args.beta, args.x) for n in degrees)
-    lines = ["n,exponent,coefficient"]
-    for n, poly in enumerate(polys):
-        for coeff, exponent in poly.terms:
-            lines.append(f"{n},{_fmt(exponent)},{_fmt(coeff)}")
-    return "\n".join(lines) + "\n"
+        polys = _mlp_coeff_table(args.n_max, args.alpha, args.beta, args.x)
+    lines = ["n,exponent,coefficient\n"]
+    for n, poly in enumerate(polys):  # one formatting call per degree
+        row = tuple([v for coeff, exponent in poly.terms for v in (exponent, coeff)])
+        lines.append(f"{n},%.15g,%.15g\n" * len(poly.terms) % row)
+    return "".join(lines)
 
 
 def _settings(args):

@@ -45,15 +45,18 @@ raw entries grow like n!.
 import json
 import math
 from collections import namedtuple
-from itertools import repeat
+from itertools import chain, repeat
+from operator import lt
 
 from . import config
 from ._validate import (
     degree,
     finite,
+    finite_each,
     finite_float,
     half_open_unit,
     nonnegative_finite,
+    nonnegative_finite_each,
     open_unit,
     positive_finite,
 )
@@ -136,7 +139,7 @@ class LaguerreProblem(namedtuple("LaguerreProblem", "alpha beta b initial")):
 
 def _floats(seq, name):
     try:
-        return tuple(float(v) for v in seq)
+        return tuple(map(float, seq))
     except OverflowError:  # an int beyond the double range
         raise FloatOverflowError(f"a {name} exceeds the double-precision range") from None
 
@@ -156,13 +159,15 @@ class SolutionProfile(namedtuple("SolutionProfile", "grid values meta")):
             raise DomainError(
                 f"grid and values must have equal length, got {len(grid)} vs {len(values)}"
             )
-        if any(b <= a for a, b in zip(grid, grid[1:])):
+        if not all(map(lt, grid, grid[1:])):  # a NaN fails too
             raise DomainError("grid must be strictly increasing")
         return tuple.__new__(cls, (grid, values, {} if meta is None else meta))
 
     def to_csv(self):
-        rows = (f"{g:.15g},{v:.15g}\n" for g, v in zip(self.grid, self.values))
-        return "grid,value\n" + "".join(rows)
+        """The line ``grid,value``, then one line per point, each number to 15
+        significant digits, all in one formatting call."""
+        points = tuple(chain.from_iterable(zip(self.grid, self.values)))
+        return "grid,value\n" + "%.15g,%.15g\n" * len(self.grid) % points
 
     def to_json_obj(self):
         return {
@@ -171,6 +176,11 @@ class SolutionProfile(namedtuple("SolutionProfile", "grid values meta")):
         }
 
     def to_json(self):
+        """The profile as JSON text.  JSON has no NaN or Infinity: the first
+        float that is not finite, of the grid, the values or the meta (walked
+        in order), is refused with a :class:`DomainError` naming its field."""
+        for name, field in (("grid", self.grid), ("values", self.values), ("meta", self.meta)):
+            _require_json_floats(field, name)
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
     @classmethod
@@ -180,6 +190,19 @@ class SolutionProfile(namedtuple("SolutionProfile", "grid values meta")):
             values=tuple(obj["data"]["values"]),
             meta=dict(obj.get("meta", {})),
         )
+
+
+def _require_json_floats(obj, name):
+    """finite() of each float in obj, a number or a dict, list or tuple of them,
+    named by its path from ``name``, such as ``meta['coeffs'][2]``."""
+    if isinstance(obj, float):
+        finite(obj, name)
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            _require_json_floats(value, f"{name}[{key!r}]")
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            _require_json_floats(value, f"{name}[{i}]")
 
 
 # -- grid plans -------------------------------------------------------------------
@@ -283,13 +306,11 @@ class _FhpPlan(GridPlan):
         return by_series
 
     def _x_columns(self, xs):
-        for x in xs:
-            finite(x, "x")
+        finite_each(xs, "x")
         return _power_columns(xs, self._table.top, "x")
 
     def _t_columns(self, ts):
-        for t in ts:
-            nonnegative_finite(t, "t")
+        nonnegative_finite_each(ts, "t")
         k, alpha, table = self._k, self._alpha, self._table
         wp = _power_columns([k * t ** alpha for t in ts], table.top // 2, "y")
         for row in table.ratios:
@@ -343,14 +364,12 @@ class _LaguerreMonomialPlan(GridPlan):
         self._rgammas_t = _rgammas(n, beta, 1.0)[::-1]
 
     def _x_columns(self, xs):
-        for x in xs:
-            nonnegative_finite(x, "x")
+        nonnegative_finite_each(xs, "x")
         alpha = self._alpha
         return _power_columns([-math.pow(x, alpha) for x in xs], self._n, "(-x**alpha)")
 
     def _t_columns(self, ts):
-        for t in ts:
-            nonnegative_finite(t, "t")
+        nonnegative_finite_each(ts, "t")
         b, beta = self._b, self._beta
         return _power_columns([b * t ** beta for t in ts], self._n, "(b*t**beta)")[::-1]
 
@@ -382,15 +401,13 @@ class _LaguerreWrightPlan(GridPlan):
         self._ml = MLSeries(beta, 1.0)
 
     def _x_columns(self, xs):
-        for x in xs:
-            nonnegative_finite(x, "x")
+        nonnegative_finite_each(xs, "x")
         y, alpha = self._y, self._alpha
         zs = _argument_column("-y*x**alpha", [-y * math.pow(x, alpha) for x in xs])
         return [[self._wright(z).value for z in zs]]
 
     def _t_columns(self, ts):
-        for t in ts:
-            nonnegative_finite(t, "t")
+        nonnegative_finite_each(ts, "t")
         by, beta = self._b * self._y, self._beta
         zs = _argument_column("b*y*t**beta", [by * t ** beta for t in ts])
         return [[self._ml(z).value for z in zs]]

@@ -16,6 +16,7 @@ truncates exactly after n applications and reproduces the polynomial.
 """
 
 import math
+from operator import add
 
 from . import config
 from ._validate import FLOAT_MAX, degree, finite, finite_float, open_unit, positive, positive_finite
@@ -139,12 +140,44 @@ def mlp_coeffs(n, alpha, beta, x):
     positive_finite(beta, "beta")
     x = finite_float(x, "x")
     xp = _powers(-x, n, "(-x)")
-    rg = _rgammas(n, alpha, beta)
+    return _coeff_poly(n, _binomial_row(n), xp, _rgammas(n, alpha, beta))
+
+
+def _coeff_poly(n, binoms, xp, rg):
+    """sum_r C(n,r) (-x)**r y**(n-r) / Gamma(beta+alpha*r) from the rows
+    C(n, .), (-x)**. and 1/Gamma(beta+alpha*.), each read to entry n."""
     try:
-        terms = [(c * xp[r] * rg[r], float(n - r)) for r, c in enumerate(_binomial_row(n))]
+        terms = [(c * xp[r] * rg[r], float(n - r)) for r, c in enumerate(binoms)]
     except OverflowError:  # C(n, r) beyond the double range
         raise _factor_overflow(n) from None
     return FracPoly(terms)
+
+
+def _mlp_coeff_table(top, alpha, beta, x):
+    """Yield ``mlp_coeffs(n, alpha, beta, x)`` for n = 0..top, and raise the
+    refusal of the first degree that ``mlp_coeffs`` refuses.
+
+    The powers of -x and the row 1/Gamma(beta+alpha*r) grow by one entry per
+    degree, each entry as ``mlp_coeffs`` computes it, and the binomial row by
+    Pascal's rule, so every degree reads a prefix of rows built once: O(top)
+    powers and reciprocal gammas in all, where a call per degree builds
+    O(top**2).  Nothing is checked for top < 0, which has no degree.
+    """
+    if top < 0:
+        return
+    positive_finite(alpha, "alpha")
+    positive_finite(beta, "beta")
+    x = finite_float(x, "x")
+    xp, rg, binoms = [], [], []
+    for n in range(top + 1):
+        try:
+            xp.append((-x) ** n)
+        except OverflowError:
+            raise _power_overflow(-x, n, "(-x)") from None
+        _check_gamma_argument(n, alpha, beta)
+        rg.append(rgamma(beta + alpha * n))
+        binoms = [1, *map(add, binoms[:-1], binoms[1:]), 1] if n else [1]
+        yield _coeff_poly(n, binoms, xp, rg)
 
 
 def mlp_one_var_reduction(n, alpha, beta, x, y):

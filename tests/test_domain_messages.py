@@ -303,6 +303,14 @@ MENDED = [
     (mlp_egf_closed, (1.0, 0.5, 1.0, 0.0, INF), "y must be finite, got inf"),
     (mlp_egf_closed, (NAN, 0.5, 1.0, 0.0, 1.0), "lam must be finite, got nan"),
     (mlp_ogf_closed, (0.5, 0.5, 1.0, INF, 1.0), "x must be finite, got inf"),
+    # a profile printed NaN and Infinity, which JSON does not have, and took a
+    # NaN grid point as strictly increasing (b <= a is False for NaN)
+    (SolutionProfile.to_json, (SolutionProfile([0.0, 1.0], [NAN, INF], {"x": NAN}),),
+     "values[0] must be finite, got nan"),
+    (SolutionProfile.to_json, (SolutionProfile([0.0, 1.0], [1.0, 2.0], {"c": (0.5, INF)}),),
+     "meta['c'][1] must be finite, got inf"),
+    (SolutionProfile.to_json, (SolutionProfile([INF], [1.0]),), "grid[0] must be finite, got inf"),
+    (SolutionProfile, ([0.0, NAN, 1.0], [1.0, 2.0, 3.0]), "grid must be strictly increasing"),
 ]
 
 HUGE = 10 ** 400  # a Python int with no float value

@@ -23,11 +23,12 @@ won.  It also records:
   exit code) that differs given as a [baseline, change] pair;
 * ``layers``: the seconds per call of each fixed call of ``LAYER_CALLS``
   (the series engine through each evaluator, a series object reused over a
-  grid, the fractional-Hermite sum, each polynomial problem's grid plan
-  along x and along t, the scalar case-i and case-ii solvers and the case-ii
-  convolution sum), each side timed in its own process on its own ``src``,
-  ``LAYER_REPEATS`` processes per side, alternating; each side's median, and
-  the change's speed-up (baseline median / change median);
+  grid, the fractional-Hermite sum, each problem's grid plan along x and
+  along t, the scalar case-i and case-ii solvers, the case-ii convolution
+  sum, and the CLI's JSON and CSV text of a 1001-point profile), each side
+  timed in its own process on its own ``src``, ``LAYER_REPEATS`` processes
+  per side, alternating; each side's median, and the change's speed-up
+  (baseline median / change median);
 * ``solve_bytes``: every operation of the solve-grid rounds of seeds
   ``SOLVE_BYTES_SEEDS``, run on each tree in one process per tree, and the
   number of output files (or exit codes) that differ between the two.
@@ -90,16 +91,20 @@ LAYER_CALLS = {
         ("convolution_identity_ii_rhs(12, 0.3, 0.5, 0.9, 0.6)", 4000),
     **{f"{problem} plan along_{var} over 1001 points":
        (f"along(PLANS[{problem!r}], {var!r})", 20)
-       for problem in ("tf-diffusion", "case-i", "case-ii", "laguerre-monomial") for var in "xt"},
+       for problem in ("tf-diffusion", "case-i", "case-ii", "laguerre-monomial", "laguerre-wright")
+       for var in "xt"},
+    **{f"_profile_text of a 1001-point profile, {fmt}": (f"_profile_text(PROFILE, {fmt!r})", 50)
+       for fmt in ("json", "csv")},
 }
 LAYER_REPEATS = 7
 
 _LAYERS_CHILD = """
 import json, sys, timeit
 from mlpoly import (DiffusionProblem, FhpInitial, HermiteInitial, LaguerreMonomialInitial,
-                    LaguerreProblem, MLSeries, MonomialInitial, WrightSeries,
-                    convolution_identity_ii_rhs, fhp_eval, ml_one, ml_three, ml_two, plan,
-                    relaxation_hn, solve_case_i, solve_case_ii, wright)
+                    LaguerreProblem, MLSeries, MonomialInitial, SolutionProfile, WrightInitial,
+                    WrightSeries, convolution_identity_ii_rhs, fhp_eval, ml_one, ml_three, ml_two,
+                    plan, relaxation_hn, solve_case_i, solve_case_ii, wright)
+from mlpoly.cli import _profile_text
 GRID_ZS = [-2.0 + 0.005 * i for i in range(1001)]
 def grid(cls):
     series = cls(0.6, 1.3)
@@ -110,6 +115,7 @@ PLANS = {
     "case-i": plan(DiffusionProblem(0.6, 1.2, HermiteInitial(12, 0.5))),
     "case-ii": plan(DiffusionProblem(0.6, 1.2, FhpInitial(12, 0.5))),
     "laguerre-monomial": plan(LaguerreProblem(0.6, 0.8, 1.1, LaguerreMonomialInitial(12))),
+    "laguerre-wright": plan(LaguerreProblem(0.6, 0.8, 1.1, WrightInitial(0.5))),
 }
 # (fixed point, grid) per grid variable: x over [0, 2], t over [0.05, 2]
 ALONG = {"x": (0.7, [0.002 * i for i in range(1001)]),
@@ -117,6 +123,10 @@ ALONG = {"x": (0.7, [0.002 * i for i in range(1001)]),
 def along(solver, var):
     fixed, points = ALONG[var]
     return getattr(solver, "along_" + var)(fixed, points)
+# the case-i solution along x, as ``mlpoly solve`` prints it
+PROFILE = SolutionProfile(ALONG["x"][1], along(PLANS["case-i"], "x"),
+                          {"problem": "case-i", "grid_var": "x", "alpha": 0.6, "t": 0.7,
+                           "n": 12, "a": 0.5, "k": 1.2})
 out = {}
 for name, (stmt, number) in json.loads(sys.argv[1]).items():
     out[name] = timeit.timeit(stmt, globals=globals(), number=number) / number
