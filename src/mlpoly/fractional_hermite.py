@@ -191,7 +191,12 @@ def oplus_power(x, y, n, alpha):
 def _frac_binom_row(n, alpha):
     """The row C_alpha(n, r), r = 0..n, for a checked degree n and alpha: a
     tuple of ``frac_binom(n, r, alpha)`` to the last bit, from frac_binom's
-    log-gamma values read from one row instead of three per entry."""
+    log-gamma values read from one row instead of three per entry.
+
+    The middle entry is the largest (log Gamma is convex), so where the row
+    leaves the double range it is refused, as frac_binom refuses that entry,
+    before any entry is built."""
+    frac_binom(n, n // 2, alpha)
     if alpha == 1.0:
         return tuple(frac_binom(n, r, alpha) for r in range(n + 1))  # the exact comb
     lg = [_lgamma(1.0 + alpha * j) for j in range(n + 1)]

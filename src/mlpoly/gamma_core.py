@@ -196,7 +196,15 @@ def _rgammas(top, alpha, beta):
 
 def _check_gamma_argument(n, alpha, beta):
     """Refuse, by its name, a gamma argument beta + alpha*n beyond the double range."""
-    if abs(beta + alpha * n) == _INF:
+    try:
+        arg = beta + alpha * n
+    except OverflowError:  # an int n with no float value: alpha*n rounded once
+        num, den = alpha.as_integer_ratio()
+        try:
+            arg = beta + num * n / den
+        except OverflowError:
+            arg = _INF
+    if abs(arg) == _INF:
         raise FloatOverflowError(
             f"beta + alpha*{n} exceeds the double-precision range at "
             f"alpha = {alpha!r}, beta = {beta!r}"
@@ -241,8 +249,9 @@ def _check_power(v, top, name):
     exactly when some v**e, e <= top, does."""
     try:
         v ** top
-    except OverflowError:
-        raise _power_overflow(v, top, name) from None
+    except OverflowError:  # also an int top with no float value, which only |v| > 1 overflows
+        if top < 0 or abs(v) > 1.0:
+            raise _power_overflow(v, top, name) from None
 
 
 def _power_overflow(v, top, name):
@@ -268,19 +277,35 @@ def _worst(*gaps):
 def frac_binom(n, r, alpha):
     """Fractional binomial coefficient Gamma(1+a*n) / [Gamma(1+a*r) Gamma(1+a*(n-r))].
 
-    Reduces to the ordinary binomial coefficient at alpha = 1.
+    Reduces to the ordinary binomial coefficient at alpha = 1.  Where the
+    coefficient or a gamma value in it leaves the double range, a
+    :class:`FloatOverflowError` names (n, r, alpha).
     """
     degree(n, "n")
     degree(r, "r")
     if r > n:
         raise DomainError(f"require r <= n, got r={r} > n={n}")
     half_open_unit(alpha, "alpha")
-    if alpha == 1.0:
-        return float(math.comb(int(n), int(r)))
-    return math.exp(
-        _lgamma(1.0 + alpha * n)
-        - _lgamma(1.0 + alpha * r)
-        - _lgamma(1.0 + alpha * (n - r))
+    try:
+        if alpha == 1.0:
+            k = min(int(r), int(n) - int(r))
+            # C(n, k) >= (n/k)**k: refuse before math.comb builds a huge integer,
+            # a nat past log(FLOAT_MAX) = 709.78 so that no double is refused
+            if k and k * (math.log(n) - math.log(k)) > 711.0:
+                raise OverflowError
+            return float(math.comb(int(n), k))
+        value = math.exp(
+            _lgamma(1.0 + alpha * n)
+            - _lgamma(1.0 + alpha * r)
+            - _lgamma(1.0 + alpha * (n - r))
+        )
+    except OverflowError:  # also an int n with no float value
+        value = _INF
+    if value < _INF:  # not inf, nor the NaN of inf - inf
+        return value
+    raise FloatOverflowError(
+        f"C_alpha(n, r) at n = {n!r}, r = {r!r}, alpha = {alpha!r}: a gamma value "
+        "or the coefficient exceeds the double-precision range"
     )
 
 

@@ -40,6 +40,9 @@ from .gamma_core import (
 )
 from .mittag_leffler import _series_argument, ml_two, wright
 
+#: the largest n with every binomial C(n, r) in the double range
+_MAX_BINOMIAL_DEGREE = 1029
+
 
 @_row_cache(maxsize=64)
 def _rgamma_row(top, alpha, beta):
@@ -139,8 +142,12 @@ def mlp_coeffs(n, alpha, beta, x):
     positive_finite(alpha, "alpha")
     positive_finite(beta, "beta")
     x = finite_float(x, "x")
-    xp = _powers(-x, n, "(-x)")
-    return _coeff_poly(n, _binomial_row(n), xp, _rgammas(n, alpha, beta))
+    # the refusals of the rows below, in their order, before any row is built
+    _check_power(-x, n, "(-x)")
+    _check_gamma_argument(n, alpha, beta)
+    if n > _MAX_BINOMIAL_DEGREE:
+        raise _factor_overflow(n)
+    return _coeff_poly(n, _binomial_row(n), _powers(-x, n, "(-x)"), _rgammas(n, alpha, beta))
 
 
 def _coeff_poly(n, binoms, xp, rg):

@@ -3,7 +3,7 @@ import math
 import subprocess
 import sys
 
-import numpy as np
+import numpy_pins
 import pytest
 
 from mlpoly import FloatOverflowError, SolutionProfile, config
@@ -419,32 +419,24 @@ class TestOutputGate:
 
 
 class TestGrid:
-    EDGES = [
-        (0.0, 1.0, 2), (-2.0, 2.0, 1001), (0.05, 2.0, 61), (-1.0, 1.0, 21),
-        (0.0, 5e-324, 2), (0.0, 5e-324, 3), (0.0, 1.5e-323, 7), (-1e-310, 1e-310, 11),
-        (1.0, 1.0 + 2.220446049250313e-16, 5), (-1e308, 1e308, 3), (-1e300, 1e300, 4),
-        (1e15, 1e15 + 3.0, 7), (-3.0, -1e-300, 9),
-    ]
+    """``_linspace`` against ``numpy.linspace``'s points, pinned by ``tests/numpy_pins.py``."""
 
-    @staticmethod
-    def _bits(values):
-        return [float(v).hex() for v in values]
+    PINS = numpy_pins.linspace_pins()
 
-    @pytest.mark.parametrize("start,stop,num", EDGES)
-    def test_linspace_equals_numpy_bit_for_bit_at_edges(self, start, stop, num):
-        with np.errstate(all="ignore"):
-            want = np.linspace(start, stop, num)
+    def _assert_pinned(self, start, stop, num):
         got = _linspace(start, stop, num)
         assert all(type(v) is float for v in got)
-        assert self._bits(got) == self._bits(want)
+        assert numpy_pins.points_pin(got) == self.PINS[start, stop, num]
+
+    @pytest.mark.parametrize("start,stop,num", numpy_pins.EDGES)
+    def test_linspace_equals_numpy_bit_for_bit_at_edges(self, start, stop, num):
+        self._assert_pinned(start, stop, num)
 
     def test_linspace_equals_numpy_bit_for_bit_at_random(self):
-        rng = np.random.default_rng(6)
-        for _ in range(300):
-            start = float(rng.uniform(-10.0, 10.0)) * 10.0 ** int(rng.integers(-8, 8))
-            stop = start + float(rng.uniform(1e-6, 20.0)) * 10.0 ** int(rng.integers(-8, 8))
-            num = int(rng.integers(2, 400))
-            assert self._bits(_linspace(start, stop, num)) == self._bits(np.linspace(start, stop, num))
+        cases = numpy_pins.linspace_cases()
+        assert list(self.PINS) == cases  # the file pins exactly these grids, in order
+        for start, stop, num in cases[len(numpy_pins.EDGES):]:
+            self._assert_pinned(start, stop, num)
 
 
 class TestVerify:

@@ -347,6 +347,11 @@ def _degree_overflow(name, n):
     return f"{name} = {n}: an integer factor {name}!/(...) exceeds the double-precision range"
 
 
+def _binom_overflow(n, r, alpha):
+    return (f"C_alpha(n, r) at n = {n!r}, r = {r!r}, alpha = {alpha!r}: a gamma value "
+            "or the coefficient exceeds the double-precision range")
+
+
 # A degree whose factorial leaves the double range (above 170) raised a raw
 # "OverflowError: int too large to convert to float" where an exact factorial
 # met a float; it is now refused by name before any factorial is built.  A
@@ -449,6 +454,21 @@ OVERFLOWING = [
     # two differences of opposite infinite sign raised a raw ValueError in math.fsum
     (caputo_l1, ([0.0, 1e308, -1e308, 1e308], 1e-3, 0.5, 3),
      "the L1 sum is nan: it leaves the double-precision range"),
+    # a fractional binomial beyond the range raised a raw OverflowError, or came
+    # back as NaN where the log-gamma terms overflowed to inf - inf; at alpha = 1
+    # math.comb first built a 300 000-digit integer
+    (frac_binom, (3000, 1500, 0.5), _binom_overflow(3000, 1500, 0.5)),
+    (oplus_power, (1.0, 1.0, 3000, 0.5), _binom_overflow(3000, 1500, 0.5)),
+    (frac_binom, (1100, 550, 1.0), _binom_overflow(1100, 550, 1.0)),
+    (frac_binom, (HUGE, 1, 0.5), _binom_overflow(HUGE, 1, 0.5)),
+    (oplus_power, (1.0, 1.0, 2100, 1.0), _binom_overflow(2100, 1050, 1.0)),
+    (frac_binom, (1e307, 2.0, 0.5), _binom_overflow(1e307, 2.0, 0.5)),
+    (frac_binom, (10 ** 6, 5 * 10 ** 5, 1.0), _binom_overflow(10 ** 6, 5 * 10 ** 5, 1.0)),
+    # a degree past the binomial range built its rows first: a MemoryError at
+    # n = 10**8, no answer at n = 10**400
+    (mlp_coeffs, (10 ** 8, 0.5, 1.0, 0.5), _degree_overflow("n", 10 ** 8)),
+    (mlp_coeffs, (HUGE, 0.5, 1.0, 0.5),
+     f"beta + alpha*{HUGE} exceeds the double-precision range at alpha = 0.5, beta = 1.0"),
 ]
 
 # What has no residual: a Wright datum has no finite coefficient table, and
@@ -463,7 +483,8 @@ RESIDUAL_REFUSED = [
 
 def _row_id(row):
     fn, args, _ = row
-    shown = (repr(a) if isinstance(a, (int, float)) else type(a).__name__ for a in args)
+    shown = ("HUGE" if a is HUGE else repr(a) if isinstance(a, (int, float)) else type(a).__name__
+             for a in args)
     return f"{fn.__name__.lstrip('_')}({','.join(shown)})"
 
 

@@ -1,10 +1,10 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from mlpoly import config, fokker_planck, fractional_hermite, gamma_core
+from mlpoly._pcg import Generator
 from mlpoly.errors import DomainError, VerificationError
 from mlpoly.fokker_planck import (
     DiffusionProblem,
@@ -116,7 +116,7 @@ class TestTimeFractionalDiffusion:
 
 class TestHermiteSeedCase:
     def test_initial_condition(self):
-        rng = np.random.default_rng(3)
+        rng = Generator(3)
         for _ in range(10):
             n = int(rng.integers(0, 9))
             x, a = rng.uniform(-1.5, 1.5, size=2)
@@ -136,7 +136,7 @@ class TestHermiteSeedCase:
         )
 
     def test_equals_umbral_shift(self):
-        rng = np.random.default_rng(5)
+        rng = Generator(5)
         for _ in range(20):
             n = int(rng.integers(0, 11))
             a = rng.uniform(-1.0, 1.0)
@@ -151,7 +151,7 @@ class TestHermiteSeedCase:
 
 class TestFhpSeedCase:
     def test_initial_condition(self):
-        rng = np.random.default_rng(7)
+        rng = Generator(7)
         for _ in range(10):
             n = int(rng.integers(0, 9))
             a = rng.uniform(-1.0, 1.0)
@@ -167,7 +167,7 @@ class TestFhpSeedCase:
         )
 
     def test_both_forms_postcondition_holds(self):
-        rng = np.random.default_rng(11)
+        rng = Generator(11)
         for _ in range(25):
             n = int(rng.integers(0, 13))
             a = rng.uniform(-1.0, 1.0)

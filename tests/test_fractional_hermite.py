@@ -1,8 +1,8 @@
 import math
 
-import numpy as np
 import pytest
 
+from mlpoly._pcg import Generator
 from mlpoly.errors import DomainError, FloatOverflowError
 from mlpoly.fracpoly import FracPoly
 from mlpoly.fractional_hermite import (
@@ -49,7 +49,7 @@ class TestCoefficients:
             assert p.terms[-1] == (1.0, float(n))
 
     def test_matches_eval(self):
-        rng = np.random.default_rng(5)
+        rng = Generator(5)
         for _ in range(20):
             n = int(rng.integers(0, 12))
             alpha = rng.uniform(0.2, 1.0)
@@ -73,7 +73,7 @@ class TestEvaluation:
         assert fhp_eval(5, 0.5, 0.7, -0.2) == pytest.approx(
             1.9799337827449567486, rel=1e-13
         )
-        rng = np.random.default_rng(17)
+        rng = Generator(17)
         for _ in range(25):
             n = int(rng.integers(0, 15))
             alpha = rng.uniform(0.15, 1.0)
@@ -84,7 +84,7 @@ class TestEvaluation:
             )
 
     def test_classical_reduction(self):
-        rng = np.random.default_rng(23)
+        rng = Generator(23)
         for n in range(16):
             x, y = rng.uniform(-1.5, 1.5, size=2)
             assert fhp_eval(n, 1.0, x, y) == pytest.approx(
@@ -92,7 +92,7 @@ class TestEvaluation:
             )
 
     def test_homogeneity(self):
-        rng = np.random.default_rng(29)
+        rng = Generator(29)
         for _ in range(20):
             n = int(rng.integers(0, 11))
             alpha = rng.uniform(0.2, 1.0)
@@ -132,7 +132,7 @@ class TestAtZero:
 
 class TestOplusPower:
     def test_alpha_one_is_binomial(self):
-        rng = np.random.default_rng(31)
+        rng = Generator(31)
         for _ in range(15):
             x, y = rng.uniform(-2.0, 2.0, size=2)
             n = int(rng.integers(0, 9))
@@ -148,7 +148,7 @@ class TestOplusPower:
         assert want == pytest.approx(5.0, rel=1e-13)
 
     def test_homogeneity(self):
-        rng = np.random.default_rng(37)
+        rng = Generator(37)
         for _ in range(15):
             x, y = rng.uniform(-1.5, 1.5, size=2)
             a = rng.uniform(0.2, 2.0)
@@ -161,7 +161,7 @@ class TestOplusPower:
 
 class TestUmbralShift:
     def test_w_zero_is_classical(self):
-        rng = np.random.default_rng(41)
+        rng = Generator(41)
         for _ in range(10):
             n = int(rng.integers(0, 10))
             x, a = rng.uniform(-1.5, 1.5, size=2)
@@ -170,7 +170,7 @@ class TestUmbralShift:
             )
 
     def test_a_zero_is_fhp(self):
-        rng = np.random.default_rng(43)
+        rng = Generator(43)
         for _ in range(10):
             n = int(rng.integers(0, 10))
             x, w = rng.uniform(-1.5, 1.5, size=2)
@@ -208,7 +208,7 @@ def test_overflowing_power_names_its_base(fn, args, message):
 
 class TestConvolutionIdentities:
     def test_identity_i_sweep(self):
-        rng = np.random.default_rng(42)
+        rng = Generator(42)
         for _ in range(50):
             x = rng.uniform(-1.5, 1.5)
             a, w = rng.uniform(-1.0, 1.0, size=2)
@@ -219,7 +219,7 @@ class TestConvolutionIdentities:
                 assert abs(lhs - rhs) <= max(1e-9 * max(abs(lhs), abs(rhs)), 1e-12)
 
     def test_identity_ii_sweep(self):
-        rng = np.random.default_rng(43)
+        rng = Generator(43)
         for _ in range(50):
             x = rng.uniform(-1.5, 1.5)
             a, w = rng.uniform(-1.0, 1.0, size=2)
@@ -230,7 +230,7 @@ class TestConvolutionIdentities:
                 assert abs(lhs - rhs) <= max(1e-9 * max(abs(lhs), abs(rhs)), 1e-12)
 
     def test_identity_i_classical_collapse(self):
-        rng = np.random.default_rng(47)
+        rng = Generator(47)
         for n in range(10):
             x, a, w = rng.uniform(-1.0, 1.0, size=3)
             assert convolution_identity_i_rhs(n, x, a, w, 1.0) == pytest.approx(
@@ -257,7 +257,7 @@ class TestConvolutionIdentities:
         )
 
     def test_identity_ii_classical_collapse(self):
-        rng = np.random.default_rng(53)
+        rng = Generator(53)
         for n in range(10):
             x, a, w = rng.uniform(-1.0, 1.0, size=3)
             assert convolution_identity_ii_rhs(n, x, a, w, 1.0) == pytest.approx(
@@ -268,7 +268,7 @@ class TestConvolutionIdentities:
         assert fhp_oplus_eval(4, 1.2, 0.5, 0.0, 0.8) == pytest.approx(
             fhp_eval(4, 0.8, 1.2, 0.5), rel=1e-13
         )
-        rng = np.random.default_rng(59)
+        rng = Generator(59)
         for n in range(9):
             x, w, a = rng.uniform(-1.0, 1.0, size=3)
             assert fhp_oplus_eval(n, x, w, a, 1.0) == pytest.approx(
@@ -293,7 +293,7 @@ class TestForwardShifts:
 
 class TestGeneratingFunction:
     def test_egf_against_closed_product(self):
-        rng = np.random.default_rng(61)
+        rng = Generator(61)
         for alpha in (0.4, 0.6, 0.9):
             for _ in range(34):
                 lam = rng.uniform(-0.4, 0.4)

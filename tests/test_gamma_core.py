@@ -1,7 +1,6 @@
 import math
 
 import mpmath as mp
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,8 +72,7 @@ class TestRgamma:
             assert lhs == pytest.approx(-math.pi / math.sin(math.pi * mu), rel=1e-11)
 
     def test_product_with_gamma_is_one(self):
-        for x in np.arange(0.1, 10.01, 0.1):
-            x = float(round(x, 2))
+        for x in [i / 10 for i in range(1, 101)]:
             assert rgamma(x) * gamma(x) == pytest.approx(1.0, abs=1e-12)
 
     @given(st.floats(min_value=-40.0, max_value=40.0, allow_nan=False))

@@ -2,11 +2,12 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from mlpoly import config, mittag_leffler
+from mlpoly._pcg import Generator
 from mlpoly.caputo import caputo_poly
+from mlpoly.cli import _linspace
 from mlpoly.errors import ConvergenceError, DomainError
 from mlpoly.fracpoly import FracPoly
 from mlpoly.gamma_core import log_abs_rgamma, rgamma
@@ -130,7 +131,7 @@ class TestCertifiedTail:
 
 class TestMlTwo:
     def test_reduces_to_ml_one(self):
-        rng = np.random.default_rng(7)
+        rng = Generator(7)
         for _ in range(20):
             alpha = rng.uniform(0.3, 1.8)
             z = rng.uniform(-2.0, 2.0)
@@ -179,7 +180,7 @@ class TestSharedGammaRow:
 
 class TestMlThree:
     def test_gamma_beta_one_reduction(self):
-        rng = np.random.default_rng(11)
+        rng = Generator(11)
         for _ in range(20):
             alpha = rng.uniform(0.3, 1.5)
             z = rng.uniform(-2.0, 2.0)
@@ -249,7 +250,7 @@ class TestRelaxationFunctions:
         )
 
     def test_monotone_decay_into_unit_interval(self):
-        values = [relaxation_cole_cole(0.6, 1.0, t) for t in np.linspace(0.0, 3.0, 13)]
+        values = [relaxation_cole_cole(0.6, 1.0, t) for t in _linspace(0.0, 3.0, 13)]
         assert all(0.0 < v <= 1.0 for v in values)
         assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -280,7 +281,7 @@ class TestRelaxationFunctions:
 
 class TestReductionChain:
     def test_three_two_one_agree(self):
-        rng = np.random.default_rng(3)
+        rng = Generator(3)
         for _ in range(20):
             alpha = rng.uniform(0.25, 2.0)
             z = rng.uniform(-2.0, 2.0)

@@ -1,10 +1,14 @@
+import itertools
 import math
+import sys
 from fractions import Fraction
 
-import numpy as np
+import numpy_pins
 import pytest
 
 from mlpoly import ml_polynomials
+from mlpoly._pcg import Generator
+from mlpoly.cli import _linspace
 from mlpoly.errors import DomainError, FloatOverflowError, VerificationError
 from mlpoly.fracpoly import FracPoly
 from mlpoly.gamma_core import gamma, rgamma
@@ -38,7 +42,7 @@ class TestMlpEval:
         )
 
     def test_oracle_sweep(self):
-        rng = np.random.default_rng(2)
+        rng = Generator(2)
         for _ in range(30):
             n = int(rng.integers(0, 11))
             alpha = rng.uniform(0.2, 1.6)
@@ -49,7 +53,7 @@ class TestMlpEval:
             )
 
     def test_coeffs_match_eval(self):
-        rng = np.random.default_rng(3)
+        rng = Generator(3)
         for _ in range(15):
             n = int(rng.integers(0, 9))
             alpha = rng.uniform(0.3, 1.2)
@@ -62,12 +66,13 @@ class TestMlpEval:
 
     def test_correctly_rounded(self):
         # the exact sum over the float arguments and the float gamma row, rounded once
-        rng = np.random.default_rng(5)
+        rng = Generator(5)
         for _ in range(200):
             n = int(rng.integers(0, 25))
             alpha = float(rng.uniform(0.1, 2.0))
             beta = float(rng.uniform(0.1, 3.0))
-            x, y = (float(v) * 10.0 ** int(e) for v, e in zip(rng.uniform(-3, 3, 2), rng.integers(-6, 6, 2)))
+            mantissas, exponents = rng.uniform(-3, 3, 2), [rng.integers(-6, 6), rng.integers(-6, 6)]
+            x, y = (v * 10.0 ** e for v, e in zip(mantissas, exponents))
             exact = sum(
                 math.comb(n, r) * Fraction(-x) ** r * Fraction(y) ** (n - r)
                 * Fraction(rgamma(beta + alpha * r))
@@ -77,7 +82,7 @@ class TestMlpEval:
 
     def test_integer_arguments_are_floats(self):
         assert mlp_eval(3, 0.5, 1.0, 2, -1) == mlp_eval(3, 0.5, 1.0, 2.0, -1.0)
-        assert mlp_eval(4, 1, 2, np.int64(3), 1) == mlp_eval(4, 1.0, 2.0, 3.0, 1.0)
+        assert mlp_eval(4, 1, 2, Fraction(3), 1) == mlp_eval(4, 1.0, 2.0, 3.0, 1.0)
 
     def test_shared_gamma_row_changes_nothing(self):
         # the gamma entries are shared across degrees at one (alpha, beta)
@@ -115,6 +120,15 @@ class TestMlpEval:
             mlp_eval(2, 0.5, 1.0, x, y)
         assert str(info.value) == f"{name} exceeds the double-precision range"
 
+    def test_the_binomial_degree_limit_is_the_last_comb_in_range(self):
+        # C(n, n//2) is the largest binomial of degree n; mlp_coeffs refuses
+        # every degree past the limit before it builds a row
+        first_out = next(n for n in itertools.count() if math.comb(n, n // 2) > sys.float_info.max)
+        assert ml_polynomials._MAX_BINOMIAL_DEGREE == first_out - 1
+        assert len(mlp_coeffs(first_out - 1, 0.5, 1.0, 0.5).terms) > 0
+        with pytest.raises(FloatOverflowError, match=f"^n = {first_out}: an integer factor"):
+            mlp_coeffs(first_out, 0.5, 1.0, 0.5)
+
 
 class TestOneVarReduction:
     def test_y_one_is_identity(self):
@@ -123,7 +137,7 @@ class TestOneVarReduction:
         )
 
     def test_equality_sweep(self):
-        rng = np.random.default_rng(5)
+        rng = Generator(5)
         for _ in range(25):
             n = int(rng.integers(0, 11))
             alpha = rng.uniform(0.3, 1.4)
@@ -172,7 +186,7 @@ class TestKonhauser:
 
     def test_laguerre_reduction_sweep(self):
         for n in range(11):
-            for x in np.linspace(0.0, 4.0, 9):
+            for x in _linspace(0.0, 4.0, 9):
                 got = konhauser(n, 1.0, 1.0, float(x), 1.0)
                 want = laguerre_explicit(n, float(x))
                 assert abs(got - want) <= max(1e-10 * abs(want), 1e-10)
@@ -195,7 +209,7 @@ class TestGeneratingFunctions:
         assert mlp_ogf_closed(lam, 0.7, beta, 0.0, y) == pytest.approx(want, rel=1e-12)
 
     def test_ogf_against_partial_sum(self):
-        rng = np.random.default_rng(7)
+        rng = Generator(7)
         for _ in range(30):
             alpha = rng.uniform(0.3, 0.95)
             beta = rng.uniform(0.6, 2.0)
@@ -219,7 +233,7 @@ class TestGeneratingFunctions:
         )
 
     def test_egf_against_partial_sum(self):
-        rng = np.random.default_rng(11)
+        rng = Generator(11)
         for _ in range(30):
             alpha = rng.uniform(0.3, 0.95)
             beta = rng.uniform(0.6, 2.0)
@@ -271,15 +285,17 @@ class TestFracLaguerreGenerator:
 class TestOperationalConstruction:
     def test_degree_zero(self):
         lhs, rhs = mlp_operational_check(0, 0.5, 1.0)
-        assert np.allclose(lhs, 1.0) and np.allclose(rhs, 1.0)
+        # numpy's allclose: |a - b| <= 1e-8 + 1e-5 |b|
+        assert all(abs(v - 1.0) <= 1e-8 + 1e-5 * 1.0 for v in lhs + rhs)
 
     def test_degree_one_closed_form(self):
-        grid = np.linspace(0.0, 2.0, 41)
+        # numpy.linspace(0.0, 2.0, 41), pinned by tests/numpy_pins.py
+        grid = [float.fromhex(v) for v in numpy_pins.linspace_pins()[numpy_pins.OPERATIONAL]]
         assert tuple(grid) == ml_polynomials._OPERATIONAL_GRID
         lhs, rhs = mlp_operational_check(1, 0.5, 1.0)
-        want = 1.0 - np.sqrt(grid) / gamma(1.5)
-        assert np.max(np.abs(lhs - want)) <= 1e-12
-        assert np.max(np.abs(rhs - want)) <= 1e-10
+        want = [1.0 - math.sqrt(x) / gamma(1.5) for x in grid]
+        assert all(abs(a - b) <= 1e-12 for a, b in zip(lhs, want))
+        assert all(abs(a - b) <= 1e-10 for a, b in zip(rhs, want))
 
     def test_sweep(self):
         for n in range(9):
@@ -312,7 +328,7 @@ class TestOperationalConstruction:
 
 class TestPrabhakarConsistency:
     def test_values_match_truncated_series(self):
-        rng = np.random.default_rng(13)
+        rng = Generator(13)
         for _ in range(20):
             n = int(rng.integers(0, 7))
             alpha = rng.uniform(0.3, 1.2)

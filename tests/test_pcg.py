@@ -1,49 +1,24 @@
 """The standard-library stream that ``verify`` draws from.
 
 It must be ``numpy.random.default_rng(seed)``'s stream call for call, so that
-``verify`` checks the same points as before numpy left the runtime.  numpy is
-the reference while it is installed; the pinned literals keep the contract
-should numpy's ``Generator`` ever change.
+``verify`` checks the same points as before numpy left the runtime.  numpy's
+side is the pinned digests written once by ``tests/numpy_pins.py``; the
+literal pins below keep the first draws readable.
 """
 
-import numpy as np
+import numpy_pins
 import pytest
 
 from mlpoly import DomainError
 from mlpoly._pcg import Generator
 
-SEEDS = [*range(200), 2**32, 2**32 + 12345, 2**64 + 7]
+STREAMS = numpy_pins.load()["streams"]
 
 
-def _calls(i):
-    """The i-th call of the mixed sequence, as (method, args, kwargs)."""
-    kind = i % 6
-    if kind == 0:
-        return "uniform", (-1.5, 2.5), {}
-    if kind == 1:
-        return "uniform", (0.3, 0.9), {"size": 2}
-    if kind == 2:
-        return "integers", (0, 1 + i % 11), {}  # 1 value: no draw at all
-    if kind == 3:
-        return "choice", ([-1.0, 1.0],), {}
-    if kind == 4:
-        return "integers", (0, 3 + 977 * i), {}
-    return "integers", (0, 2**31 + 1 + i), {}  # about half the 32-bit draws are rejected
-
-
-def _plain(value):
-    """numpy's result as the Python value ours is (a float, an int or a list of floats)."""
-    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
-
-
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed", numpy_pins.SEEDS)
 def test_the_stream_is_numpys(seed):
-    ours, numpys = Generator(seed), np.random.default_rng(seed)
-    for i in range(300):
-        method, args, kwargs = _calls(i)
-        got = getattr(ours, method)(*args, **kwargs)
-        want = _plain(getattr(numpys, method)(*args, **kwargs))
-        assert got == want and type(got) is type(want), (seed, i, method)
+    # the digest covers each result's type as well as its value
+    assert numpy_pins.stream_digest(numpy_pins.stream_calls(Generator(seed))) == STREAMS[str(seed)]
 
 
 @pytest.mark.parametrize("seed, first", [

@@ -2,9 +2,9 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
+from mlpoly._pcg import Generator
 from mlpoly.errors import DomainError, FloatOverflowError, SingularityError
 from mlpoly.fracpoly import FracPoly
 from mlpoly.fractional_hermite import fhp_coeffs
@@ -187,7 +187,7 @@ class TestAuxiliaryFunctions:
         assert h == pytest.approx(h2, rel=1e-12)
 
     def test_h_cocycle_both_families(self):
-        rng = np.random.default_rng(13)
+        rng = Generator(13)
         for _ in range(15):
             l1, l2 = rng.uniform(-0.3, 0.3, size=2)
             alpha = rng.uniform(0.3, 0.9)

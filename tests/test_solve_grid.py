@@ -7,7 +7,6 @@ point, and what the direct per-point sums (kept here as the reference) give.
 
 import math
 
-import numpy as np
 import pytest
 
 from mlpoly import (
@@ -36,7 +35,7 @@ from mlpoly import (
     solve_tf_diffusion,
     wright,
 )
-from mlpoly.cli import _profile_text, run
+from mlpoly.cli import _linspace, _profile_text, run
 
 POINTS = 61
 COEFFS = "0.5,-1.25,0.75,0.0,2.0"
@@ -139,7 +138,7 @@ def _grid(problem, grid_var):
         lo, hi = 0.0, 2.0
     else:
         lo, hi = -2.0, 2.0
-    return lo, hi, [float(g) for g in np.linspace(lo, hi, POINTS)]
+    return lo, hi, _linspace(lo, hi, POINTS)
 
 
 def _points(grid_var, grid):
@@ -232,8 +231,7 @@ def test_case_ii_grid_still_checks_both_routes_at_every_point(capsys, monkeypatc
     solution = plan(DiffusionProblem(0.6, 1.2, FhpInitial(12, 0.5)))
     w = 1.2 * 0.7 ** 0.6
     raised = []
-    for x in np.linspace(-2.0, 2.0, 11):
-        x = float(x)
+    for x in _linspace(-2.0, 2.0, 11):
         gap = convolution_identity_ii_rhs(12, x, 0.5, w, 0.6) - fhp_oplus_eval(12, x, w, 0.5, 0.6)
         try:
             solution.along_x(0.7, [x])
