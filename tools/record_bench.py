@@ -31,7 +31,11 @@ won.  It also records:
   (baseline median / change median);
 * ``solve_bytes``: every operation of the solve-grid rounds of seeds
   ``SOLVE_BYTES_SEEDS``, run on each tree in one process per tree, and the
-  number of output files (or exit codes) that differ between the two.
+  number of output files (or exit codes) that differ between the two;
+* ``cli_bytes``: every argv of ``tests/cli_pins.py`` and every demo, each run
+  as a fresh process on each tree, with each one whose stdout, stderr or exit
+  code differs given as its baseline and change outcome (long outputs as
+  ``cli_pins.fingerprint`` stores them).
 """
 
 import argparse
@@ -319,6 +323,26 @@ def solve_bytes(trees, workdir, seeds):
             "differing_files": len(differing), "differing": differing}
 
 
+def cli_bytes(trees):
+    sys.path.insert(0, str(ROOT / "tests"))
+    import cli_pins
+
+    def outcome(tree, cmd):
+        proc = subprocess.run([sys.executable, *cmd], cwd=tree, env=env_for(tree),
+                              capture_output=True, text=True)
+        return {"code": proc.returncode, "stdout": cli_pins.fingerprint(proc.stdout),
+                "stderr": cli_pins.fingerprint(proc.stderr)}
+
+    commands = {" ".join(argv): ["-m", "mlpoly.cli", *argv] for argv in cli_pins.ARGVS}
+    commands.update({demo.name: [str(Path("demos") / demo.name)] for demo in cli_pins.DEMOS})
+    moved = {}
+    for name, cmd in commands.items():
+        sides = {side: outcome(tree, cmd) for side, tree in trees.items()}
+        if sides["baseline"] != sides["change"]:
+            moved[name] = sides
+    return {"argvs": len(cli_pins.ARGVS), "demos": len(cli_pins.DEMOS), "moved": moved}
+
+
 def layer_timings(trees, repeats):
     def once(tree):
         proc = subprocess.run([sys.executable, "-c", _LAYERS_CHILD, json.dumps(LAYER_CALLS)],
@@ -371,6 +395,7 @@ def main(argv=None):
         "verify": verify_reports(trees),
         "layers": layer_timings(trees, LAYER_REPEATS),
         "solve_bytes": solve_bytes(trees, Path(args.workdir), SOLVE_BYTES_SEEDS),
+        "cli_bytes": cli_bytes(trees),
         "workloads": {},
     }
     seeds = range(FIRST_SEED, FIRST_SEED + PAIRS)
