@@ -133,8 +133,8 @@ def _json_column(column):
 def _profile_text(profile, fmt):
     """A profile's output text: its CSV, or the JSON object
     ``{"data": {"grid": [...], "values": [...]}, "meta": {...}}`` with sorted
-    keys, as ``json.dumps(_json_ready(profile.to_json_obj()), sort_keys=True)``
-    prints it, each column formatted by :func:`_json_column`."""
+    keys and every float rounded to 15 significant digits as :func:`_json_ready`
+    rounds it, each column formatted by :func:`_json_column`."""
     _require_finite({"grid": profile.grid, "values": profile.values})
     if fmt == "json":
         meta = json.dumps(_json_ready(dict(profile.meta)), sort_keys=True)

@@ -42,7 +42,6 @@ coefficient-wise, normalized by the local coefficient magnitude, since the
 raw entries grow like n!.
 """
 
-import json
 import math
 from collections import namedtuple
 from itertools import chain, repeat
@@ -169,40 +168,6 @@ class SolutionProfile(namedtuple("SolutionProfile", "grid values meta")):
         points = tuple(chain.from_iterable(zip(self.grid, self.values)))
         return "grid,value\n" + "%.15g,%.15g\n" * len(self.grid) % points
 
-    def to_json_obj(self):
-        return {
-            "meta": dict(self.meta),
-            "data": {"grid": list(self.grid), "values": list(self.values)},
-        }
-
-    def to_json(self):
-        """The profile as JSON text.  JSON has no NaN or Infinity: the first
-        float that is not finite, of the grid, the values or the meta (walked
-        in order), is refused with a :class:`DomainError` naming its field."""
-        for name, field in (("grid", self.grid), ("values", self.values), ("meta", self.meta)):
-            _require_json_floats(field, name)
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        return cls(
-            grid=tuple(obj["data"]["grid"]),
-            values=tuple(obj["data"]["values"]),
-            meta=dict(obj.get("meta", {})),
-        )
-
-
-def _require_json_floats(obj, name):
-    """finite() of each float in obj, a number or a dict, list or tuple of them,
-    named by its path from ``name``, such as ``meta['coeffs'][2]``."""
-    if isinstance(obj, float):
-        finite(obj, name)
-    elif isinstance(obj, dict):
-        for key, value in obj.items():
-            _require_json_floats(value, f"{name}[{key!r}]")
-    elif isinstance(obj, (list, tuple)):
-        for i, value in enumerate(obj):
-            _require_json_floats(value, f"{name}[{i}]")
 
 
 # -- grid plans -------------------------------------------------------------------

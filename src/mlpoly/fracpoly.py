@@ -8,7 +8,6 @@ coefficients are removed.  Exponents are compared exactly: 0.1 + 0.2 and 0.3
 are two exponents.
 """
 
-import json
 import math
 import numbers
 
@@ -169,17 +168,6 @@ class FracPoly:
 
     def to_json_obj(self):
         return [{"c": c, "mu": mu} for c, mu in self._terms]
-
-    def to_json(self):
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        return cls([(item["c"], item["mu"]) for item in obj])
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_obj(json.loads(text))
 
     def __eq__(self, other):
         return isinstance(other, FracPoly) and self._terms == other._terms

@@ -21,7 +21,6 @@ of the series, run exactly on the float inputs (``gamma_core._dyadic``) and
 round each output coefficient once: correctly rounded on every platform.
 """
 
-import json
 import math
 from collections import namedtuple
 
@@ -73,12 +72,6 @@ class PowerSeries(namedtuple("PowerSeries", "coeffs")):
 
     # without this, int * series would fall back to tuple repetition
     __rmul__ = __mul__
-
-    def to_json_obj(self):
-        return list(self.coeffs)
-
-    def to_json(self):
-        return json.dumps(self.to_json_obj())
 
 
 def _rounded(nums, e, dens, term):

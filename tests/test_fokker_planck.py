@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -53,13 +52,6 @@ class TestProblemTypes:
     def test_profile_csv(self):
         profile = SolutionProfile((0.0, 0.5), (1.0, 0.25), {"problem": "demo"})
         assert profile.to_csv() == "grid,value\n0,1\n0.5,0.25\n"
-
-    def test_profile_json_round_trip(self):
-        profile = SolutionProfile((0.0, 1.0), (2.0, 3.0), {"problem": "demo", "n": 2})
-        obj = json.loads(profile.to_json())
-        assert set(obj.keys()) == {"meta", "data"}
-        back = SolutionProfile.from_json_obj(obj)
-        assert back.grid == profile.grid and back.values == profile.values
 
 
 class TestTimeFractionalDiffusion:

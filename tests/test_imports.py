@@ -172,6 +172,13 @@ def test_no_module_imports_dataclasses():
         assert "dataclasses" not in _imported_modules(path.read_text(encoding="utf-8")), path.name
 
 
+def test_only_the_cli_imports_json():
+    # the CLI formats every byte it prints; a record's data is its fields
+    importers = [path.name for path in sorted((ROOT / "src" / "mlpoly").glob("*.py"))
+                 if "json" in _imported_modules(path.read_text(encoding="utf-8"))]
+    assert importers == ["cli.py"]
+
+
 def test_no_module_imports_numpy():
     # numpy is no dependency: verify and the tests draw from mlpoly._pcg, and
     # the tests read numpy's values from the pins that tests/numpy_pins.py wrote

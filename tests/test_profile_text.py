@@ -26,7 +26,9 @@ NORMAL_MIN = 2.2250738585072014e-308
 
 def _reference(profile, fmt):
     if fmt == "json":
-        return json.dumps(_json_ready(profile.to_json_obj()), sort_keys=True) + "\n"
+        obj = {"meta": dict(profile.meta),
+               "data": {"grid": list(profile.grid), "values": list(profile.values)}}
+        return json.dumps(_json_ready(obj), sort_keys=True) + "\n"
     rows = (f"{g:.15g},{v:.15g}\n" for g, v in zip(profile.grid, profile.values))
     return "grid,value\n" + "".join(rows)
 

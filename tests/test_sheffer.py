@@ -48,9 +48,6 @@ class TestPowerSeries:
         assert prod.coeffs[0] == pytest.approx(1.0)
         assert max(abs(c) for c in prod.coeffs[1:]) <= 1e-14
 
-    def test_json(self):
-        assert PowerSeries((1.0, 0.5)).to_json_obj() == [1.0, 0.5]
-
 
 class TestReciprocal:
     def test_identity_series(self):
