@@ -11,7 +11,13 @@ are two exponents.
 import math
 import numbers
 
+from ._validate import finite_float
 from .errors import DomainError, FloatOverflowError
+from .gamma_core import _in_range, _power_overflow
+
+
+def _coefficient_overflow(exponent):
+    return FloatOverflowError(f"the coefficient of x**{exponent} exceeds the double-precision range")
 
 
 class FracPoly:
@@ -30,14 +36,16 @@ class FracPoly:
                 raise FloatOverflowError(f"{name} exceeds the double-precision range") from None
             if not (math.isfinite(coeff) and math.isfinite(exponent)):
                 if math.isinf(coeff) and math.isfinite(exponent):
-                    raise FloatOverflowError(
-                        f"the coefficient of x**{exponent} exceeds the double-precision range"
-                    )
+                    raise _coefficient_overflow(exponent)
                 raise DomainError(f"non-finite term ({coeff}, {exponent})")
             if exponent < 0.0:
                 raise DomainError(f"negative exponent {exponent} not representable")
             exponent += 0.0  # -0.0 becomes 0.0
-            merged[exponent] = merged.get(exponent, 0.0) + coeff
+            if exponent in merged:  # a sum of two finite floats is finite or infinite
+                coeff += merged[exponent]
+                if not math.isfinite(coeff):
+                    raise _coefficient_overflow(exponent)
+            merged[exponent] = coeff
         self._terms = tuple((merged[mu], mu) for mu in sorted(merged) if merged[mu] != 0.0)
 
     # -- construction helpers --------------------------------------------
@@ -148,16 +156,16 @@ class FracPoly:
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, x):
-        try:
-            x = float(x)
-        except OverflowError:  # an int beyond the double range
-            raise FloatOverflowError("x exceeds the double-precision range") from None
+        x = finite_float(x, "x")
         total = 0.0
         for c, mu in self._terms:
             if x < 0.0 and not mu.is_integer():
                 raise DomainError(f"x**{mu} is not real for x = {x} < 0")
-            total += c * (x ** int(mu) if x < 0.0 else math.pow(x, mu))
-        return total
+            try:
+                total += c * (x ** int(mu) if x < 0.0 else math.pow(x, mu))
+            except OverflowError:
+                raise _power_overflow(x, mu, "x") from None
+        return _in_range(total, "the polynomial value")
 
     # -- comparison / serialization -------------------------------------------
 

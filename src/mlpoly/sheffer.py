@@ -27,7 +27,15 @@ from collections import namedtuple
 from ._validate import degree, finite, finite_float, positive
 from .errors import DomainError, FloatOverflowError, SingularityError
 from .fracpoly import FracPoly
-from .gamma_core import _dyadic, _powers, _rgammas, _round_dyadic
+from .gamma_core import (
+    _check_gamma_argument,
+    _check_power,
+    _dyadic,
+    _in_range,
+    _powers,
+    _rgammas,
+    _round_dyadic,
+)
 from .mittag_leffler import _series_argument, ml_one, ml_two, wright
 
 
@@ -52,10 +60,11 @@ class PowerSeries(namedtuple("PowerSeries", "coeffs")):
         return len(self.coeffs) - 1
 
     def __call__(self, lam):
+        finite(lam, "lam")
         total = 0.0
         for c in reversed(self.coeffs):
             total = total * lam + c
-        return total
+        return _in_range(total, "the power series value")
 
     def derivative(self):
         return PowerSeries(tuple(r * self.coeffs[r] for r in range(1, len(self.coeffs))))
@@ -123,6 +132,24 @@ def series_log_derivative(s):
     return PowerSeries(coeffs)
 
 
+#: The largest order of an Appell prefactor.  The prefactors feed the
+#: ladder's exact recurrences, and ``series_reciprocal`` already takes 1.9 s
+#: at order 400; ``appell_A_mlp``, which divides each coefficient by r!,
+#: answers at order 4000 in 0.72 s (``appell_A_fhp`` at order 10**6 in
+#: 0.37 s).  Past it, a base whose powers neither overflow nor raise, such
+#: as 1.0, would build its list of powers until memory runs out.
+_MAX_ORDER = 4000
+
+
+def _check_order(n_order, base, top, name, alpha, beta):
+    """Refuse an order above ``_MAX_ORDER`` in O(1), after what building the
+    series refuses first: base**top, then the gamma argument beta + alpha*top."""
+    if n_order > _MAX_ORDER:
+        _check_power(base, top, name)
+        _check_gamma_argument(top, alpha, beta)
+        raise DomainError(f"order {n_order} exceeds {_MAX_ORDER}, the largest Appell order")
+
+
 def appell_A_fhp(alpha, y, n_order):
     """EGF prefactor of the fractional Hermite family: A(lam) = E_alpha(y lam**2).
 
@@ -132,10 +159,10 @@ def appell_A_fhp(alpha, y, n_order):
     finite(y, "y")
     if n_order < 2:
         raise DomainError(f"order must be >= 2, got {n_order}")
-    n_order = degree(n_order, "order")
-    yp = _powers(y, n_order // 2, "y")
-    coeffs = [0.0] * (n_order + 1)
-    coeffs[::2] = [yr * rg for yr, rg in zip(yp, _rgammas(n_order // 2, alpha, 1.0))]
+    top = degree(n_order, "order") // 2
+    _check_order(n_order, y, top, "y", alpha, 1.0)
+    coeffs = [0.0] * (int(n_order) + 1)
+    coeffs[::2] = [yr * rg for yr, rg in zip(_powers(y, top, "y"), _rgammas(top, alpha, 1.0))]
     return PowerSeries(tuple(coeffs))
 
 
@@ -146,10 +173,11 @@ def appell_A_mlp(alpha, beta, x, n_order):
     x = finite_float(x, "x")
     if n_order < 1:
         raise DomainError(f"order must be >= 1, got {n_order}")
-    n_order = max(degree(n_order, "order"), 2)
-    xp = _powers(-x, n_order, "(-x)")
-    rg = _rgammas(n_order, alpha, beta)
-    return PowerSeries(tuple(_over_factorial(xp[r] * rg[r], r) for r in range(n_order + 1)))
+    top = max(degree(n_order, "order"), 2)
+    _check_order(n_order, -x, top, "(-x)", alpha, beta)
+    xp = _powers(-x, top, "(-x)")
+    rg = _rgammas(top, alpha, beta)
+    return PowerSeries(tuple(_over_factorial(xp[r] * rg[r], r) for r in range(top + 1)))
 
 
 def _over_factorial(v, r):
@@ -168,7 +196,9 @@ def appell_auxiliary(a_fn, a_prime_fn, lam, x):
     den = a_fn(x - 1.0)
     if den == 0.0:
         raise SingularityError(f"A({x - 1.0}) = 0: auxiliary functions undefined")
-    return 1.0, a_prime_fn(x - 1.0) / den, lam + x, a_fn(lam + x - 1.0) / den
+    v = _series_argument("A'(x-1)/A(x-1)", lambda: a_prime_fn(x - 1.0) / den)
+    h = _series_argument("A(lam+x-1)/A(x-1)", lambda: a_fn(lam + x - 1.0) / den)
+    return 1.0, v, lam + x, h
 
 
 def aux_v_h_fhp(lam, x, alpha, y):

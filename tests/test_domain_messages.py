@@ -15,6 +15,7 @@ integer check of ``frac_binom``, which names the one argument it refuses.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,7 @@ from mlpoly import (
     WrightSeries,
     appell_A_fhp,
     appell_A_mlp,
+    appell_auxiliary,
     aux_v_h_fhp,
     aux_v_h_mlp,
     caputo_l1,
@@ -303,6 +305,12 @@ MENDED = [
     (mlp_egf_closed, (1.0, 0.5, 1.0, 0.0, INF), "y must be finite, got inf"),
     (mlp_egf_closed, (NAN, 0.5, 1.0, 0.0, 1.0), "lam must be finite, got nan"),
     (mlp_ogf_closed, (0.5, 0.5, 1.0, INF, 1.0), "x must be finite, got inf"),
+    # an Appell order that no series can hold, with powers that neither overflow
+    # nor raise: the list of powers grew until a raw MemoryError, after seconds
+    (appell_A_fhp, (0.5, 1.0, 1e200), "order 1e+200 exceeds 4000, the largest Appell order"),
+    (appell_A_fhp, (0.5, 1.0, 10 ** 9), "order 1000000000 exceeds 4000, the largest Appell order"),
+    (appell_A_mlp, (1.0, 1.0, 0.999999, 1e308),
+     "order 1e+308 exceeds 4000, the largest Appell order"),
     # a profile took a NaN grid point as strictly increasing (b <= a is False for NaN)
     (SolutionProfile, ([0.0, NAN, 1.0], [1.0, 2.0, 3.0]), "grid must be strictly increasing"),
 ]
@@ -463,6 +471,21 @@ OVERFLOWING = [
     (mlp_coeffs, (10 ** 8, 0.5, 1.0, 0.5), _degree_overflow("n", 10 ** 8)),
     (mlp_coeffs, (HUGE, 0.5, 1.0, 0.5),
      f"beta + alpha*{HUGE} exceeds the double-precision range at alpha = 0.5, beta = 1.0"),
+    # a merged coefficient, a power, a polynomial or series value, or a ratio of
+    # the auxiliary functions beyond the range came back infinite or NaN, or
+    # raised a raw OverflowError
+    (operator.add, (FracPoly([(1e308, 2.0)]), FracPoly([(1e308, 2.0)])),
+     "the coefficient of x**2.0 exceeds the double-precision range"),
+    (FracPoly.__call__, (FracPoly([(1.0, 2.0)]), 1e300),
+     "x**2.0 exceeds the double-precision range at x = 1e+300"),
+    (FracPoly.__call__, (FracPoly([(1.0, 2.0)]), -1e300),
+     "x**2.0 exceeds the double-precision range at x = -1e+300"),
+    (FracPoly.__call__, (FracPoly([(1e308, 1.0), (-1e308, 2.0)]), 10.0),
+     "the polynomial value is nan: it leaves the double-precision range"),
+    (PowerSeries.__call__, (PowerSeries((1e308, 1e308)), 10.0),
+     "the power series value is inf: it leaves the double-precision range"),
+    (appell_auxiliary, (lambda u: 1e-308, lambda u: 1e308, 1.0, 2.0),
+     "A'(x-1)/A(x-1) exceeds the double-precision range"),
 ]
 
 # What has no residual: a Wright datum has no finite coefficient table, and
