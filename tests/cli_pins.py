@@ -14,8 +14,8 @@ the overflow refusals and the output gate, ``eval-fhp`` and ``eval-mlp`` at
 degrees up to and past the factorial range in both formats and with
 ``--coeffs``, one ``eval-ml`` refusal per reason, both ``table`` families
 with their refusals, and ``verify --suite all`` at seeds 0-4 and at seed 7
-with three degrees.  The list imports nothing from the package, so that
-``tools/record_bench.py`` can run it on two trees.
+with three degrees.  ``tools/record_bench.py`` runs the same list on two
+trees.
 """
 
 import argparse
@@ -28,55 +28,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+from mlpoly.cli import run
+from test_solve_grid import CASES, COEFFS, PARAMS, REFUSED, _argv, _grid
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SHORT = 2048
 EDGE = 120
 
-# -- the solve argvs of tests/test_solve_grid.py ------------------------------------
-
-GRID_POINTS = 61
-SERIES = "0.5,-1.25,0.75,0.0,2.0"
-PARAMS = {
-    "tf-diffusion": {"alpha": 0.55, "k": 1.3, "n": 9},
-    "case-i": {"alpha": 0.45, "k": 0.8, "n": 10, "a": 0.6},
-    "case-ii": {"alpha": 0.7, "k": 1.1, "n": 11, "a": -0.4},
-    "laguerre-monomial": {"alpha": 0.35, "beta": 0.8, "b": 1.2, "n": 8},
-    "laguerre-wright": {"alpha": 0.6, "beta": 0.75, "b": 0.9, "y_param": 0.7},
-}
-FIXED = {"x": 0.9, "t": 0.8}
-REFUSED = [
-    ("tf-diffusion", {"k": -1.0}),
-    ("case-i", {"k": -1.0}),
-    ("case-ii", {"alpha": 1.0}),
-    ("laguerre-monomial", {"n": 171}),
-    ("laguerre-wright", {"beta": 1.5}),
-]
-
-
-def _grid_argv(problem, p, grid_var, lo, hi, fmt="json", points=GRID_POINTS):
-    fixed_name = "t" if grid_var == "x" else "x"
-    argv = ["solve", "--problem", problem, "--grid-var", grid_var, "--format", fmt,
-            f"--grid-min={lo!r}", f"--grid-max={hi!r}", "--grid-points", str(points),
-            f"--{fixed_name}", repr(FIXED[fixed_name])]
-    for key, value in p.items():
-        argv += [f"--{key.replace('_', '-')}", repr(value)]
-    return argv
-
-
-def _range(problem, grid_var):
-    if grid_var == "t":
-        return 0.05, 2.0
-    return (0.0, 2.0) if problem.startswith("laguerre") else (-2.0, 2.0)
-
 
 def _solve_grid():
-    out = [_grid_argv(problem, PARAMS[problem], grid_var, *_range(problem, grid_var), fmt)
-           for problem in PARAMS for grid_var in ("x", "t") for fmt in ("csv", "json")]
-    series = {key: v for key, v in PARAMS["tf-diffusion"].items() if key != "n"}
-    out.append(_grid_argv("tf-diffusion", series, "x", -2.0, 2.0) + [f"--coeffs={SERIES}"])
-    out += [_grid_argv(problem, {**PARAMS[problem], **bad}, "x", 0.0, 1.0, points=3)
-            for problem, bad in REFUSED]
+    """The solve argvs of tests/test_solve_grid.py."""
+    out = []
+    for problem, grid_var, fmt, use_coeffs in CASES:
+        p = {key: v for key, v in PARAMS[problem].items() if not (use_coeffs and key == "n")}
+        lo, hi, _ = _grid(problem, grid_var)
+        out.append(_argv(problem, p, grid_var, lo, hi, fmt)
+                   + ([f"--coeffs={COEFFS}"] if use_coeffs else []))
+    out += [_argv(problem, {**PARAMS[problem], **bad}, "x", 0.0, 1.0, points=3)
+            for problem, bad, _ in REFUSED]
     out.append(["solve", "--problem", "case-ii", "--n", "12", "--a", "0.5", "--alpha", "0.6",
                 "--k", "1.2", "--t", "0.7", "--grid-min=-2", "--grid-max=2", "--grid-points", "11"])
     return out
@@ -212,8 +182,6 @@ def fingerprint(text):
 
 def cli_outcome(argv):
     """Exit code, stdout and stderr of one in-process run, fingerprinted."""
-    from mlpoly.cli import run
-
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(list(argv))

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import cli_pins
-import test_solve_grid
 
 PINNED = json.loads((Path(__file__).parent / "cli_pins.json").read_text(encoding="utf-8"))
 ARGV_CASES = [case for case in PINNED if "argv" in case]
@@ -23,26 +22,6 @@ DEMO_CASES = [case for case in PINNED if "demo" in case]
 def test_the_file_pins_the_committed_list():
     assert [case["argv"] for case in ARGV_CASES] == cli_pins.ARGVS
     assert [case["demo"] for case in DEMO_CASES] == [demo.name for demo in cli_pins.DEMOS]
-
-
-def test_the_list_holds_every_solve_argv_of_the_grid_tests():
-    module = test_solve_grid
-    built = []
-    for problem, grid_var, fmt, use_coeffs in module.CASES:
-        p = {k: v for k, v in module.PARAMS[problem].items() if not (use_coeffs and k == "n")}
-        lo, hi, _ = module._grid(problem, grid_var)
-        built.append(module._argv(problem, p, grid_var, lo, hi, fmt)
-                     + ([f"--coeffs={module.COEFFS}"] if use_coeffs else []))
-    built += [module._argv(problem, {**module.PARAMS[problem], **bad}, "x", 0.0, 1.0, points=3)
-              for problem, bad, _ in module.REFUSED]
-    assert all(argv in cli_pins.ARGVS for argv in built)
-
-
-def test_a_long_output_keeps_its_hash_length_and_edges():
-    text = "head line\n" + "x" * 3000 + "\nlast line\n"
-    pin = cli_pins.fingerprint(text)
-    assert (pin["length"], pin["first"], pin["last"]) == (len(text), "head line", "last line")
-    assert cli_pins.fingerprint("short\n") == "short\n"
 
 
 @pytest.mark.parametrize("case", ARGV_CASES,

@@ -324,7 +324,7 @@ def solve_bytes(trees, workdir, seeds):
 
 
 def cli_bytes(trees):
-    sys.path.insert(0, str(ROOT / "tests"))
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]  # the list reads test_solve_grid's
     import cli_pins
 
     def outcome(tree, cmd):
