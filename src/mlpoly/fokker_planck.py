@@ -169,7 +169,6 @@ class SolutionProfile(namedtuple("SolutionProfile", "grid values meta")):
         return "grid,value\n" + "%.15g,%.15g\n" * len(self.grid) % points
 
 
-
 # -- grid plans -------------------------------------------------------------------
 
 
