@@ -251,7 +251,7 @@ def _cmd_eval_ml(args):
 def _poly_text(command, params, poly, fmt):
     if fmt == "json":
         payload = {"meta": {"command": command, "params": params},
-                   "data": {"coefficients": poly.to_json_obj()}}
+                   "data": {"coefficients": [{"c": c, "mu": mu} for c, mu in poly.terms]}}
         return json.dumps(_json_ready(payload), sort_keys=True) + "\n"
     lines = ["exponent,coefficient"]
     for coeff, exponent in poly.terms:

@@ -9,15 +9,15 @@ are two exponents.
 """
 
 import math
-import numbers
 
 from ._validate import finite_float
 from .errors import DomainError, FloatOverflowError
 from .gamma_core import _in_range, _power_overflow
 
 
-def _coefficient_overflow(exponent):
-    return FloatOverflowError(f"the coefficient of x**{exponent} exceeds the double-precision range")
+def _coefficient_overflow(term):
+    """The refusal of a coefficient beyond the double range, naming its ``term``."""
+    return FloatOverflowError(f"the coefficient of {term} exceeds the double-precision range")
 
 
 class FracPoly:
@@ -36,7 +36,7 @@ class FracPoly:
                 raise FloatOverflowError(f"{name} exceeds the double-precision range") from None
             if not (math.isfinite(coeff) and math.isfinite(exponent)):
                 if math.isinf(coeff) and math.isfinite(exponent):
-                    raise _coefficient_overflow(exponent)
+                    raise _coefficient_overflow(f"x**{exponent}")
                 raise DomainError(f"non-finite term ({coeff}, {exponent})")
             if exponent < 0.0:
                 raise DomainError(f"negative exponent {exponent} not representable")
@@ -44,23 +44,9 @@ class FracPoly:
             if exponent in merged:  # a sum of two finite floats is finite or infinite
                 coeff += merged[exponent]
                 if not math.isfinite(coeff):
-                    raise _coefficient_overflow(exponent)
+                    raise _coefficient_overflow(f"x**{exponent}")
             merged[exponent] = coeff
         self._terms = tuple((merged[mu], mu) for mu in sorted(merged) if merged[mu] != 0.0)
-
-    # -- construction helpers --------------------------------------------
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls([(1.0, 0.0)])
-
-    @classmethod
-    def monomial(cls, coeff, exponent):
-        return cls([(coeff, exponent)])
 
     # -- inspection --------------------------------------------------------
 
@@ -76,9 +62,6 @@ class FracPoly:
     @property
     def coefficients(self):
         return tuple(c for c, _ in self._terms)
-
-    def is_zero(self):
-        return not self._terms
 
     def degree(self):
         """Largest exponent, or None for the zero polynomial."""
@@ -106,9 +89,6 @@ class FracPoly:
         # negating a canonical polynomial moves no exponent and drops no term
         return FracPoly(list(self._terms) + [(-c, mu) for c, mu in other._terms])
 
-    def __neg__(self):
-        return FracPoly([(-c, mu) for c, mu in self._terms])
-
     def scale(self, factor):
         try:
             factor = float(factor)
@@ -117,18 +97,6 @@ class FracPoly:
         if factor == 0.0:
             return FracPoly()
         return FracPoly([(factor * c, mu) for c, mu in self._terms])
-
-    def __mul__(self, factor):
-        """``p * c`` and ``c * p`` scale by a real number; two polynomials do not multiply."""
-        if not isinstance(factor, numbers.Real):
-            return NotImplemented
-        return self.scale(factor)
-
-    __rmul__ = __mul__
-
-    def times_x(self):
-        """Multiply by the variable (shift every exponent by one)."""
-        return FracPoly([(c, mu + 1.0) for c, mu in self._terms])
 
     def map_terms(self, fn):
         """Apply ``fn(coeff, exponent) -> (coeff, exponent) | None`` term-wise."""
@@ -167,15 +135,12 @@ class FracPoly:
                 raise _power_overflow(x, mu, "x") from None
         return _in_range(total, "the polynomial value")
 
-    # -- comparison / serialization -------------------------------------------
+    # -- comparison -----------------------------------------------------------
 
     def max_coeff_diff(self, other):
         """Largest |coefficient difference| across the union of exponents."""
         diff = self - other
         return max((abs(c) for c, _ in diff._terms), default=0.0)
-
-    def to_json_obj(self):
-        return [{"c": c, "mu": mu} for c, mu in self._terms]
 
     def __eq__(self, other):
         return isinstance(other, FracPoly) and self._terms == other._terms

@@ -90,11 +90,6 @@ class MLParams(namedtuple("MLParams", "alpha beta gamma")):
         positive(alpha, "alpha")
         return tuple.__new__(cls, (alpha, beta, gamma))
 
-    @property
-    def truncates(self):
-        """True when gamma is a negative integer or zero, so the series is finite."""
-        return self.gamma <= 0.0 and self.gamma == int(self.gamma)
-
 
 class EvalResult(namedtuple("EvalResult", "value abs_error_estimate terms_used")):
     """Value of a truncated series together with its accounting."""

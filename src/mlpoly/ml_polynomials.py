@@ -295,7 +295,7 @@ def _operational_sides(n, alpha, y):
     n = degree(n, "n")
     open_unit(alpha, "alpha")
 
-    seed = FracPoly.monomial((-1.0) ** n * rgamma(1.0 + alpha * n), alpha * n)
+    seed = FracPoly([((-1.0) ** n * rgamma(1.0 + alpha * n), alpha * n)])
     acc = seed
     power = seed
     for r in range(1, n + 1):  # per step, K's alpha cancels 1/alpha before (1/alpha)**r overflows

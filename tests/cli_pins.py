@@ -14,8 +14,9 @@ the overflow refusals and the output gate, ``eval-fhp`` and ``eval-mlp`` at
 degrees up to and past the factorial range in both formats and with
 ``--coeffs``, one ``eval-ml`` refusal per reason, both ``table`` families
 with their refusals, and ``verify --suite all`` at seeds 0-4 and at seed 7
-with three degrees.  ``tools/record_bench.py`` runs the same list on two
-trees.
+with three degrees, and last the reproductions of ROADMAP items 20 and 13,
+whose mending is meant to move them.  ``tools/record_bench.py`` runs the
+same list on two trees.
 """
 
 import argparse
@@ -166,7 +167,25 @@ TABLES = [
 VERIFY = [["verify", "--suite", "all", "--seed", str(seed)] for seed in range(5)] + [
     ["verify", "--suite", "all", "--seed", "7", "--n-max", str(n)] for n in (4, 8, 15)]
 
-ARGVS = _solve_grid() + SOLVE_EDGES + EVALS + TABLES + VERIFY
+# -- reproductions of open ROADMAP items ------------------------------------------------
+
+REPRODUCTIONS = [
+    # item 20: an underflowed 1/Gamma row gives silent zeros and refusals
+    ["eval-mlp", "--n", "180", "--alpha", "1", "--beta", "1", "--x", "2", "--y", "0"],
+    ["table", "--family", "mlp", "--n-max", "200", "--alpha", "1", "--x", "1.5"],
+    ["table", "--family", "mlp", "--n-max", "1000", "--alpha", "0.5", "--x", "1.9"],
+    # item 13: values that cancel below their error, returned uncertified
+    ["eval-mlp", "--n", "40", "--alpha", "0.4020930991746356", "--beta", "0.7546147201998188",
+     "--x", "1.3237743416164633", "--y", "0.634227853196482"],
+    ["eval-fhp", "--n", "150", "--alpha", "0.602125478865656", "--x", "-2.3202236890696435",
+     "--y", "-0.03671566358135925"],
+    ["solve", "--problem", "laguerre-monomial", "--n", "40", "--alpha", "0.2044074473949013",
+     "--beta", "0.8762229361938323", "--b", "1.1356322070234188", "--grid-var", "t",
+     "--x", "1.6407371623886826", "--grid-min=0.8421244831882532", "--grid-max=1",
+     "--grid-points", "2"],
+]
+
+ARGVS = _solve_grid() + SOLVE_EDGES + EVALS + TABLES + VERIFY + REPRODUCTIONS
 
 
 # -- fingerprints ------------------------------------------------------------------------

@@ -123,7 +123,7 @@ UNCHANGED = [
     # Caputo calculus
     (caputo_monomial, (1.0, 0.0), "Caputo order must lie in (0, 1), got 0.0"),
     (caputo_monomial, (1.0, 1.0), "Caputo order must lie in (0, 1), got 1.0"),
-    (caputo_poly, (FracPoly.one(), NAN), "Caputo order must lie in (0, 1), got nan"),
+    (caputo_poly, (FracPoly([(1.0, 0.0)]), NAN), "Caputo order must lie in (0, 1), got nan"),
     (caputo_l1, (SAMPLES, 0.0, 0.5, 3), "grid spacing must be positive, got 0.0"),
     (caputo_l1, (SAMPLES, 0.1, 0.5, 1), "need at least 2 grid points before t_index, got 1"),
     (caputo_l1, (SAMPLES, 0.1, 0.5, -1), "need at least 2 grid points before t_index, got -1"),
@@ -168,7 +168,7 @@ UNCHANGED = [
     (mlp_ogf_closed, (0.1, NAN, 1.0, 1.0, 1.0), "alpha must be positive, got nan"),
     (mlp_egf_closed, (0.1, 0.5, 0.0, 1.0, 1.0), "beta must be positive, got 0.0"),
     (mlp_ogf_closed, (0.5, 0.5, 1.0, 1.0, INF), "|lambda*y| must be < 1, got inf"),
-    (frac_laguerre_apply, (FracPoly.one(), 1.0), "alpha must lie in (0, 1), got 1.0"),
+    (frac_laguerre_apply, (FracPoly([(1.0, 0.0)]), 1.0), "alpha must lie in (0, 1), got 1.0"),
     (mlp_operational_check, (2, 0.0, 1.0), "alpha must lie in (0, 1), got 0.0"),
     # Appell/Sheffer machinery
     (appell_A_fhp, (0.0, 1.0, 4), "alpha must be positive, got 0.0"),
@@ -484,6 +484,10 @@ OVERFLOWING = [
      "the polynomial value is nan: it leaves the double-precision range"),
     (PowerSeries.__call__, (PowerSeries((1e308, 1e308)), 10.0),
      "the power series value is inf: it leaves the double-precision range"),
+    (operator.mul, (PowerSeries((1e308, 1e308)), PowerSeries((10.0, 10.0))),
+     "the coefficient of lam**0 exceeds the double-precision range"),
+    (PowerSeries.derivative, (PowerSeries((1.0, 1e308, 1e308)),),
+     "the coefficient of lam**1 exceeds the double-precision range"),
     (appell_auxiliary, (lambda u: 1e-308, lambda u: 1e308, 1.0, 2.0),
      "A'(x-1)/A(x-1) exceeds the double-precision range"),
 ]

@@ -120,7 +120,7 @@ if sys.argv[1:]:
         code = mlpoly.cli.run(sys.argv[1:])
     assert code == 0, code
 print(json.dumps(sorted(name for name in sys.modules
-                        if name.startswith("mlpoly.") or name in ("dataclasses", "numpy"))))
+                        if name.startswith("mlpoly.") or name in ("dataclasses", "numbers", "numpy"))))
 """
 
 _ML = ["errors", "config", "_validate", "gamma_core", "mittag_leffler", "cli"]

@@ -36,10 +36,6 @@ class TestMLParams:
         with pytest.raises(DomainError):
             MLParams(-0.3, 1.0)
 
-    def test_truncation_flag(self):
-        assert MLParams(0.5, 1.0, -3.0).truncates
-        assert not MLParams(0.5, 1.0, 0.5).truncates
-
 
 class TestEvalResult:
     def test_estimate_nonnegative(self):

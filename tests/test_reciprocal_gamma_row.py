@@ -8,6 +8,7 @@ calls ``rgamma`` once per entry, as the readers did before they shared it.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,7 @@ from mlpoly.fokker_planck import _LaguerreMonomialPlan
 from mlpoly.fractional_hermite import _FhpTable
 from mlpoly.gamma_core import _MAX_DEGREE, _dyadic, _rgammas, rgamma
 from mlpoly.ml_polynomials import _rgamma_row, mlp_coeffs
-from mlpoly.sheffer import _over_factorial, appell_A_fhp, appell_A_mlp
+from mlpoly.sheffer import appell_A_fhp, appell_A_mlp
 
 
 def _bits(values):
@@ -24,6 +25,11 @@ def _bits(values):
 
 def _reference(top, alpha, beta):
     return [rgamma(beta + alpha * r) for r in range(top + 1)]
+
+
+def _over_factorial(v, r):
+    """v / r! rounded once, with the sign of v."""
+    return math.copysign(float(Fraction(v) / math.factorial(r)), v)
 
 
 def _draws(seed):

@@ -25,7 +25,8 @@ won.  It also records:
   (the series engine through each evaluator, a series object reused over a
   grid, the fractional-Hermite sum, each problem's grid plan along x and
   along t, the scalar case-i and case-ii solvers, the case-ii convolution
-  sum, and the CLI's JSON and CSV text of a 1001-point profile), each side
+  sum, the CLI's JSON and CSV text of a 1001-point profile, and the
+  Mittag-Leffler family's Appell prefactor at order 4000), each side
   timed in its own process on its own ``src``, ``LAYER_REPEATS`` processes
   per side, alternating; each side's median, and the change's speed-up
   (baseline median / change median);
@@ -99,6 +100,7 @@ LAYER_CALLS = {
        for var in "xt"},
     **{f"_profile_text of a 1001-point profile, {fmt}": (f"_profile_text(PROFILE, {fmt!r})", 50)
        for fmt in ("json", "csv")},
+    "appell_A_mlp(0.5, 1.0, 0.3, 4000)": ("appell_A_mlp(0.5, 1.0, 0.3, 4000)", 3),
 }
 LAYER_REPEATS = 7
 
@@ -106,8 +108,8 @@ _LAYERS_CHILD = """
 import json, sys, timeit
 from mlpoly import (DiffusionProblem, FhpInitial, HermiteInitial, LaguerreMonomialInitial,
                     LaguerreProblem, MLSeries, MonomialInitial, SolutionProfile, WrightInitial,
-                    WrightSeries, convolution_identity_ii_rhs, fhp_eval, ml_one, ml_three, ml_two,
-                    plan, relaxation_hn, solve_case_i, solve_case_ii, wright)
+                    WrightSeries, appell_A_mlp, convolution_identity_ii_rhs, fhp_eval, ml_one,
+                    ml_three, ml_two, plan, relaxation_hn, solve_case_i, solve_case_ii, wright)
 from mlpoly.cli import _profile_text
 GRID_ZS = [-2.0 + 0.005 * i for i in range(1001)]
 def grid(cls):
